@@ -35,7 +35,9 @@ class DottedPart(NamedTuple):
         return f"d{self.value}" if self.dotted else str(self.value)
 
 
-def _coerce_part(p) -> DottedPart:
+def _coerce_part(p, min_plain: int = 1) -> DottedPart:
+    """Read a part from a DottedPart, a (value, dotted) pair, an int or text
+    like "d3"; a non-dotted value below `min_plain` is rejected."""
     if isinstance(p, DottedPart):
         part = p
     elif isinstance(p, tuple) and len(p) == 2:
@@ -53,8 +55,8 @@ def _coerce_part(p) -> DottedPart:
     if part.dotted:
         if part.value < 0:
             raise ValueError(f"dotted part must be >= 0, got {part.value}")
-    elif part.value < 1:
-        raise ValueError(f"non-dotted part must be >= 1, got {part.value}")
+    elif part.value < min_plain:
+        raise ValueError(f"non-dotted part must be >= {min_plain}, got {part.value}")
     return part
 
 

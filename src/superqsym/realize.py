@@ -174,9 +174,16 @@ def shift_indices(p: SuperPolynomial, offset: int, nvars: int) -> SuperPolynomia
 # realizations of the bases
 
 
+def _check_nvars(nvars: int) -> None:
+    """Reject a negative variable count, which would realize as a silent 0."""
+    if nvars < 0:
+        raise ValueError(f"number of variables must be >= 0, got {nvars}")
+
+
 @lru_cache(maxsize=None)
 def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """Defining sum of the monomial basis over strictly increasing indices."""
+    _check_nvars(nvars)
     l = alpha.length
     out: dict[Monomial, Fraction] = {}
     for idx in itertools.combinations(range(1, nvars + 1), l):
@@ -250,12 +257,14 @@ def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
 def realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """The D/E/F sum for the fundamental basis: strict at D, equal at E,
     free elsewhere."""
+    _check_nvars(nvars)
     sets = def_sets(alpha)
     return _defsets_sum(alpha, nvars, sets.D, sets.E)
 
 
 def realize_expr(e: Expr, nvars: int) -> SuperPolynomial:
     """Realize any expression; L terms go through the direct D/E/F sum."""
+    _check_nvars(nvars)
     if e.basis == "L":
         pieces = [(realize_L(alpha, nvars), c) for alpha, c in e.terms.items()]
     else:

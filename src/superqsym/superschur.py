@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import Expr
-from .composition import DottedComposition, DottedPart
-from .realize import SuperPolynomial
+from .composition import DottedComposition, DottedPart, _coerce_part
+from .realize import SuperPolynomial, _check_nvars
 from .shuffles import _assemble_composition
 
 
@@ -31,9 +31,12 @@ class SuperpartitionParseError(ValueError):
 class Superpartition:
     """A pair (fermionic; bosonic): strictly decreasing distinct parts >= 0
     carrying circles, and an ordinary partition.  Among equal row lengths the
-    circled row sits above the plain one, so the circled diagram is fixed."""
+    circled row sits above the plain one, so the circled diagram is fixed.
 
-    __slots__ = ("fermionic", "bosonic")
+    The diagram is computed once: `_star` holds the row lengths, `_below` the
+    circled values from below and `_rows` the diagram rows of those circles."""
+
+    __slots__ = ("fermionic", "bosonic", "_star", "_below", "_rows")
 
     def __init__(self, fermionic: Iterable[int] = (), bosonic: Iterable[int] = ()):
         f = tuple(sorted((int(v) for v in fermionic), reverse=True))
@@ -44,8 +47,35 @@ class Superpartition:
             raise ValueError("fermionic parts must be distinct")
         if any(v < 1 for v in b):
             raise ValueError("bosonic parts must be >= 1")
-        object.__setattr__(self, "fermionic", f)
-        object.__setattr__(self, "bosonic", b)
+        entries = f + b
+        below = f[::-1]
+        self._fill(
+            f,
+            b,
+            tuple(sorted((v for v in entries if v > 0), reverse=True)),
+            below,
+            tuple(1 + sum(1 for v in entries if v > c) for c in below),
+        )
+
+    def _fill(self, f, b, star, below, rows) -> None:
+        for name, value in zip(self.__slots__, (f, b, star, below, rows)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_rows(cls, star: tuple[int, ...], rows: tuple[int, ...]) -> "Superpartition":
+        """The superpartition with row lengths `star` and circles in diagram
+        `rows` (listed from below); each such row must be the topmost of its
+        length, as the diagram convention puts it."""
+        below = tuple(star[r - 1] if r <= len(star) else 0 for r in rows)
+        sp = object.__new__(cls)
+        sp._fill(
+            below[::-1],
+            tuple(v for r, v in enumerate(star, 1) if r not in rows),
+            star,
+            below,
+            rows,
+        )
+        return sp
 
     def __setattr__(self, name, value):
         raise AttributeError("Superpartition is immutable")
@@ -78,16 +108,13 @@ class Superpartition:
 
     @property
     def degree(self) -> int:
-        return sum(self.fermionic) + sum(self.bosonic)
+        return sum(self._star)
 
     def star(self) -> tuple[int, ...]:
-        return tuple(
-            sorted((v for v in self.fermionic + self.bosonic if v > 0), reverse=True)
-        )
+        return self._star
 
     def star_padded(self, length: int) -> tuple[int, ...]:
-        s = self.star()
-        return s + (0,) * (length - len(s))
+        return self._star + (0,) * (length - len(self._star))
 
     def circle_row(self, value: int) -> int:
         """Diagram row (1-based, top-down) of the circle ending a row of
@@ -96,13 +123,13 @@ class Superpartition:
         return 1 + sum(1 for v in entries if v > value)
 
     def circles_from_below(self) -> tuple[int, ...]:
-        return tuple(sorted(self.fermionic))
+        return self._below
 
     def contains(self, other: "Superpartition") -> bool:
-        rows = max(len(self.star()), len(other.star()))
-        return self.n_circles >= other.n_circles and all(
-            a >= b
-            for a, b in zip(self.star_padded(rows), other.star_padded(rows))
+        return (
+            self.n_circles >= other.n_circles
+            and len(self._star) >= len(other._star)
+            and all(a >= b for a, b in zip(self._star, other._star))
         )
 
     @classmethod
@@ -175,101 +202,95 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 
 # ---------------------------------------------------------------------------
 # horizontal strips of type s
+#
+# A strip works on the diagram alone: `star`, the row lengths longest first,
+# and `rows`, the diagram rows of the circles listed from below.
 
 
-def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    rows = max(len(big), len(small))
-    b = big + (0,) * (rows - len(big))
-    s = small + (0,) * (rows - len(small))
-    if any(bv < sv for bv, sv in zip(b, s)):
-        return False
-    return all(b[i + 1] <= s[i] for i in range(rows - 1))
+def _strips(star, rows, sizes: range, dotted, cap=None):
+    """Every horizontal strip of type s over the diagram (star, rows) whose
+    cell count lies in `sizes`, built row by row.  Yields (new star, new
+    circle rows, cells, index of the new circle among the circles from below,
+    or None for a bosonic strip).  With `cap`, a star such as an outer
+    shape's, no row grows past it.
+
+    An old circle keeps its row, or moves one row down when the strip has a
+    cell in its row; it must then end the topmost row of its length.  A
+    fermionic strip's new circle ends the row whose length is one less than
+    the first column the strip leaves empty."""
+    padded = star + (0,)
+    most = max(sizes, default=0)
+    room = []
+    for i, here in enumerate(padded):
+        top = min(padded[i - 1], here + most) if i else here + most
+        if cap is not None:
+            top = min(top, cap[i] if i < len(cap) else 0)
+        room.append(range(max(0, top - here) + 1))
+    for add in product(*room):
+        if sum(add) not in sizes:
+            continue
+        new = tuple(v for v in (s + a for s, a in zip(padded, add)) if v)
+        length = len(new)
+
+        def topmost(r):
+            here = new[r - 1] if r <= length else 0
+            return r == 1 or new[r - 2] > here
+
+        moved = tuple(r + 1 if add[r - 1] else r for r in rows)
+        if not all(map(topmost, moved)) or any(
+            lo <= hi for lo, hi in zip(moved, moved[1:])
+        ):
+            continue
+        cells = tuple(
+            (i + 1, c)
+            for i, a in enumerate(add)
+            for c in range(padded[i] + 1, padded[i] + a + 1)
+        )
+        if not dotted:
+            yield new, moved, cells, None
+            continue
+        filled = {c for _, c in cells}
+        value = 0
+        while value + 1 in filled:
+            value += 1
+        row = 1 + sum(1 for v in new if v > value)
+        if (new[row - 1] if row <= length else 0) != value or row in moved:
+            continue
+        idx = sum(1 for r in moved if r > row)
+        yield new, moved[:idx] + (row,) + moved[idx:], cells, idx
 
 
-def _strip_rows(big: tuple[int, ...], small: tuple[int, ...]) -> frozenset[int]:
-    rows = max(len(big), len(small))
-    b = big + (0,) * (rows - len(big))
-    s = small + (0,) * (rows - len(small))
-    return frozenset(i + 1 for i in range(rows) if b[i] > s[i])
+def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
+    """The strips over sp as (target, cells, new-circle index), sorted by
+    target; with `outer`, only the targets it contains."""
+    if outer is not None and dotted and sp.n_circles >= outer.n_circles:
+        return []
+    cap = None if outer is None else outer._star
+    found = [
+        (Superpartition._from_rows(star, rows), cells, idx)
+        for star, rows, cells, idx in _strips(
+        sp._star, sp._rows, range(size, size + 1), dotted, cap
+    )
+    ]
+    found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
+    return found
 
 
-def _strip_cells(
-    big: tuple[int, ...], small: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    rows = max(len(big), len(small))
-    b = big + (0,) * (rows - len(big))
-    s = small + (0,) * (rows - len(small))
-    cells = []
-    for i in range(rows):
-        for c in range(s[i] + 1, b[i] + 1):
-            cells.append((i + 1, c))
-    return tuple(cells)
-
-
-def _old_circles_ok(
-    small: Superpartition,
-    small_values: tuple[int, ...],
-    big: Superpartition,
-    big_values: tuple[int, ...],
-    strip_rows: frozenset[int],
-) -> bool:
-    """Match the i-th circles from below: same row, or one below when the
-    strip has a cell in the small circle's row."""
-    if len(small_values) != len(big_values):
-        return False
-    for sv, bv in zip(small_values, big_values):
-        r = small.circle_row(sv)
-        expected = r + (1 if r in strip_rows else 0)
-        if big.circle_row(bv) != expected:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
 def bosonic_strips(gamma: Superpartition, size: int) -> tuple[Superpartition, ...]:
     """All targets one bosonic horizontal `size`-strip above gamma."""
-    out = []
-    for cand in superpartitions(gamma.degree + size, gamma.n_circles):
-        if not _is_horizontal_strip(cand.star(), gamma.star()):
-            continue
-        rows = _strip_rows(cand.star(), gamma.star())
-        if _old_circles_ok(
-            gamma,
-            gamma.circles_from_below(),
-            cand,
-            cand.circles_from_below(),
-            rows,
-        ):
-            out.append(cand)
-    return tuple(out)
+    return tuple(target for target, _, _ in _targets(gamma, size, False))
 
 
-@lru_cache(maxsize=None)
 def fermionic_strips(
     gamma: Superpartition, size: int
 ) -> tuple[tuple[Superpartition, int], ...]:
     """All (target, new-circle column) one fermionic `size`-strip above gamma:
     the new circle's column is empty while every column left of it holds a
     strip cell; remaining circles move as in the bosonic case."""
-    out = []
-    for cand in superpartitions(gamma.degree + size, gamma.n_circles + 1):
-        if not _is_horizontal_strip(cand.star(), gamma.star()):
-            continue
-        rows = _strip_rows(cand.star(), gamma.star())
-        cols = {c for _, c in _strip_cells(cand.star(), gamma.star())}
-        for new_value in cand.fermionic:
-            col = new_value + 1
-            if col in cols:
-                continue
-            if any(c not in cols for c in range(1, col)):
-                continue
-            others = tuple(v for v in cand.circles_from_below() if v != new_value)
-            if _old_circles_ok(
-                gamma, gamma.circles_from_below(), cand, others, rows
-            ):
-                out.append((cand, col))
-                break  # the column conditions pin the new circle uniquely
-    return tuple(out)
+    return tuple(
+        (target, target._below[idx] + 1)
+        for target, _, idx in _targets(gamma, size, True)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,113 +365,36 @@ def _initial_circles(inner: Superpartition) -> tuple[tuple[int, Optional[int]], 
     return tuple((v, None) for v in inner.circles_from_below())
 
 
-def _bosonic_extensions(sp, circles, letter, size):
+def _steps(sp, circles, letter, part, outer=None):
+    """(target, cells, new circles) for every strip of `part` over sp, where
+    `circles` pairs each circle value of sp, from below, with its letter (None
+    on a circle of the inner shape); a dotted part's new circle gets `letter`.
+    With `outer`, only the targets it contains."""
     out = []
-    for target in bosonic_strips(sp, size):
-        cells = _strip_cells(target.star(), sp.star())
-        new_circles = tuple(
-            (v, circles[i][1]) for i, v in enumerate(target.circles_from_below())
-        )
-        out.append((target, cells, new_circles))
+    for target, cells, idx in _targets(sp, part.value, part.dotted, outer):
+        letters = [l for _, l in circles]
+        if idx is not None:
+            letters.insert(idx, letter)
+        out.append((target, cells, tuple(zip(target._below, letters))))
     return out
 
 
-def _fermionic_extensions(sp, circles, letter, size):
-    out = []
-    for target, col in fermionic_strips(sp, size):
-        cells = _strip_cells(target.star(), sp.star())
-        new_value = col - 1
-        values = target.circles_from_below()
-        idx = values.index(new_value)
-        old_letters = [l for _, l in circles]
-        letters = old_letters[:idx] + [letter] + old_letters[idx:]
-        new_circles = tuple((v, letters[i]) for i, v in enumerate(values))
-        out.append((target, cells, new_circles))
-    return out
-
-
-def enumerate_s_tableaux(
-    outer: Superpartition, inner: Superpartition, weight: Iterable
-) -> list[STableau]:
-    """All s-tableaux of shape outer/inner with the given weight (entries are
-    ints for bosonic strips, 'd<k>' strings or (k, True) pairs for fermionic)."""
-    wt = tuple(
-        p if isinstance(p, DottedPart) else _weight_part(p) for p in weight
-    )
-    results: list[STableau] = []
-
-    def go(i, sp, chain, cells, circles):
-        if i == len(wt):
-            if sp == outer:
-                results.append(
-                    STableau(inner, outer, tuple(chain), wt, tuple(cells), circles)
-                )
-            return
-        part = wt[i]
-        ext = (
-            _fermionic_extensions(sp, circles, i + 1, part.value)
-            if part.dotted
-            else _bosonic_extensions(sp, circles, i + 1, part.value)
-        )
-        for target, new_cells, new_circles in ext:
-            if not outer.contains(target):
-                continue
-            chain.append(target)
-            cells.extend((cell, i + 1) for cell in new_cells)
-            go(i + 1, target, chain, cells, new_circles)
-            del cells[len(cells) - len(new_cells) :]
-            chain.pop()
-
-    go(0, inner, [inner], [], _initial_circles(inner))
-    return results
-
-
-def _weight_part(p) -> DottedPart:
-    if isinstance(p, str) and p.startswith("d"):
-        return DottedPart(int(p[1:]), True)
-    if isinstance(p, int):
-        return DottedPart(p, False)
-    if isinstance(p, tuple):
-        return DottedPart(int(p[0]), bool(p[1]))
-    raise TypeError(f"cannot read weight entry {p!r}")
-
-
-def dot_standard_tableaux(
-    outer: Superpartition, inner: Superpartition
-) -> list[STableau]:
-    """All dot-standard s-tableaux of shape outer/inner (non-dotted weight
-    entries equal 1; dotted entries of any size including d0)."""
-    if not outer.contains(inner):
-        raise IncompatibleShapeError(f"{inner} is not contained in {outer}")
-    results: list[STableau] = []
+def _walk(outer, inner, menu, emit) -> None:
+    """Depth-first walk over the chains of strips from inner inside outer.
+    menu(sp, weight) gives the parts the next letter may take, or None to stop
+    there; a stop at outer calls emit(chain, weight, cells, circles)."""
 
     def go(sp, chain, cells, circles, weight):
-        if sp == outer:
-            results.append(
-                STableau(
-                    inner,
-                    outer,
-                    tuple(chain),
-                    tuple(weight),
-                    tuple(cells),
-                    circles,
-                )
-            )
+        parts = menu(sp, weight)
+        if parts is None:
+            if sp == outer:
+                emit(chain, weight, cells, circles)
             return
         letter = len(weight) + 1
-        remaining = outer.degree - sp.degree
-        menu = [DottedPart(1, False)] if remaining >= 1 else []
-        if outer.n_circles - len(circles) >= 1:
-            menu.extend(DottedPart(v, True) for v in range(remaining + 1))
-        for part in menu:
-            ext = (
-                _fermionic_extensions(sp, circles, letter, part.value)
-                if part.dotted
-                else _bosonic_extensions(sp, circles, letter, part.value)
-            )
-            for target, new_cells, new_circles in ext:
-                if not outer.contains(target):
-                    continue
+        for part in parts:
+            for target, new_cells, new_circles in _steps(
+                sp, circles, letter, part, outer
+            ):
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)
                 weight.append(part)
@@ -460,7 +404,54 @@ def dot_standard_tableaux(
                 chain.pop()
 
     go(inner, [inner], [], _initial_circles(inner), [])
+
+
+def _tableaux(outer, inner, menu) -> list[STableau]:
+    results: list[STableau] = []
+
+    def emit(chain, weight, cells, circles):
+        results.append(
+            STableau(inner, outer, tuple(chain), tuple(weight), tuple(cells), circles)
+        )
+
+    _walk(outer, inner, menu, emit)
     return results
+
+
+def _require_inside(outer: Superpartition, inner: Superpartition) -> None:
+    if not outer.contains(inner):
+        raise IncompatibleShapeError(f"{inner} is not contained in {outer}")
+
+
+def enumerate_s_tableaux(
+    outer: Superpartition, inner: Superpartition, weight: Iterable
+) -> list[STableau]:
+    """All s-tableaux of shape outer/inner with the given weight (entries are
+    ints for bosonic strips, 'd<k>' strings or (k, True) pairs for fermionic)."""
+    wt = tuple(_coerce_part(p, min_plain=0) for p in weight)
+
+    def menu(sp, weight):
+        return None if len(weight) == len(wt) else (wt[len(weight)],)
+
+    return _tableaux(outer, inner, menu)
+
+
+def dot_standard_tableaux(
+    outer: Superpartition, inner: Superpartition
+) -> list[STableau]:
+    """All dot-standard s-tableaux of shape outer/inner (non-dotted weight
+    entries equal 1; dotted entries of any size including d0)."""
+    _require_inside(outer, inner)
+
+    def menu(sp, weight):
+        if sp == outer:
+            return None
+        remaining = outer.degree - sp.degree
+        parts = [DottedPart(1, False)] if remaining else []
+        parts.extend(DottedPart(v, True) for v in range(remaining + 1))
+        return parts
+
+    return _tableaux(outer, inner, menu)
 
 
 def inv_sign(tab: STableau) -> int:
@@ -497,33 +488,28 @@ def standardize(tab: STableau) -> STableau:
     """Split every bosonic letter into single-cell letters (left to right),
     drop empty bosonic letters, and relabel consecutively; circles keep their
     relative order."""
-    steps: list[tuple[DottedPart, tuple[tuple[int, int], ...], bool]] = []
+    steps: list[tuple[DottedPart, tuple[tuple[int, int], ...]]] = []
     cmap: dict[int, list[tuple[int, int]]] = {}
     for (cell, letter) in tab.cells:
         cmap.setdefault(letter, []).append(cell)
     for i, p in enumerate(tab.weight, start=1):
         cells = tuple(sorted(cmap.get(i, ()), key=lambda rc: rc[1]))
         if p.dotted:
-            steps.append((p, cells, True))
+            steps.append((p, cells))
         else:
             for cell in cells:
-                steps.append((DottedPart(1, False), (cell,), False))
+                steps.append((DottedPart(1, False), (cell,)))
 
     sp = tab.inner
     chain = [sp]
     circles = _initial_circles(tab.inner)
     out_cells: list[tuple[tuple[int, int], int]] = []
     weight: list[DottedPart] = []
-    for letter, (part, cells, dotted) in enumerate(steps, start=1):
-        ext = (
-            _fermionic_extensions(sp, circles, letter, part.value)
-            if dotted
-            else _bosonic_extensions(sp, circles, letter, part.value)
-        )
+    for letter, (part, cells) in enumerate(steps, start=1):
         matches = [
             e
-            for e in ext
-            if frozenset(_strip_cells(e[0].star(), sp.star())) == frozenset(cells)
+            for e in _steps(sp, circles, letter, part)
+            if frozenset(e[1]) == frozenset(cells)
         ]
         if len(matches) != 1:
             raise ValueError("standardization produced an ambiguous or invalid step")
@@ -549,12 +535,90 @@ def standardize(tab: STableau) -> STableau:
 
 
 def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Expr:
-    """s_{outer/inner} = sum over dot-standard tableaux of sign * L_comp(T)."""
-    out: dict[DottedComposition, Fraction] = {}
-    for tab in dot_standard_tableaux(outer, inner):
-        key = comp_of_tableau(tab)
-        out[key] = out.get(key, Fraction(0)) + tab.sign()
-    return Expr("L", out)
+    """s_{outer/inner} = sum over dot-standard tableaux of sign * L_comp(T).
+
+    The tableaux are counted, not listed: a memoized walk over the states
+    (shape, filled circles, row of the last letter if it was non-dotted) maps
+    each state to the signed count of the compositions its suffixes read.
+    comp(T) only compares adjacent letters, so a suffix's compositions fall in
+    two counters: `free` ones start a new part, `glued` ones begin with a
+    non-dotted run that joins the prefix's last part (its first cell lies in a
+    row <= the prefix's last row).  A new circle letter is the largest so far,
+    so it adds one inversion per filled circle below it; the circles of the
+    inner shape stay unfilled.  Parts are ints inside the walk: k for a
+    non-dotted part k, ~v for the dotted part dv.  The memo lives for one
+    call."""
+    _require_inside(outer, inner)
+    cap, goal = outer._star, (outer._star, outer._rows)
+    n_circles, degree = outer.n_circles, outer.degree
+    moves: dict = {}
+    memo: dict = {}
+
+    def moves_from(star, rows):
+        found = moves.get((star, rows))
+        if found is None:
+            remaining = degree - sum(star)
+            cells = [
+                (new, new_rows, new_cells[0][0])
+                for new, new_rows, new_cells, _ in _strips(
+                    star, rows, range(1, min(remaining, 1) + 1), False, cap
+                )
+            ]
+            dotted = [
+                (~len(new_cells), new, new_rows, idx)
+                for new, new_rows, new_cells, idx in _strips(
+                    star, rows, range(remaining + 1), True, cap
+                )
+            ] if len(rows) < n_circles else []
+            found = moves[(star, rows)] = (cells, dotted)
+        return found
+
+    def walk(star, rows, filled, last):
+        key = (star, rows, filled, last)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        free: dict[tuple[int, ...], int] = {}
+        glued: dict[tuple[int, ...], int] = {}
+        if (star, rows) == goal:
+            free[()] = 1
+        cells, dotted = moves_from(star, rows)
+        for new, new_rows, row in cells:
+            out = glued if last is not None and row <= last else free
+            sub_free, sub_glued = walk(new, new_rows, filled, row)
+            for parts, c in sub_free.items():
+                key1 = (1,) + parts
+                out[key1] = out.get(key1, 0) + c
+            for parts, c in sub_glued.items():
+                key1 = (parts[0] + 1,) + parts[1:]
+                out[key1] = out.get(key1, 0) + c
+        for part, new, new_rows, idx in dotted:
+            below = filled & ((1 << idx) - 1)
+            sign = -1 if below.bit_count() & 1 else 1
+            sub_free, _ = walk(
+                new, new_rows, below | (1 << idx) | (filled >> idx) << (idx + 1), None
+            )
+            for parts, c in sub_free.items():
+                key1 = (part,) + parts
+                free[key1] = free.get(key1, 0) + sign * c
+        memo[key] = found = (free, glued)
+        return found
+
+    free, _ = walk(inner._star, inner._rows, 0, None)
+    out = Expr(
+        "L",
+        {
+            DottedComposition(
+                DottedPart(p, False) if p > 0 else DottedPart(~p, True) for p in parts
+            ): c
+            for parts, c in free.items()
+        },
+    )
+    # `walk` reaches itself through its closure, a cycle that would keep the
+    # memo alive until the next garbage collection
+    memo.clear()
+    moves.clear()
+    return out
 
 
 def realize_s(
@@ -562,9 +626,17 @@ def realize_s(
 ) -> SuperPolynomial:
     """Generating sum over all s-tableaux with exactly `nvars` letters
     (weights may contain 0 and d0); the independent oracle for schur_to_L."""
+    _check_nvars(nvars)
+    _require_inside(outer, inner)
     terms: dict = {}
 
-    def emit(weight, circles):
+    def menu(sp, weight):
+        if len(weight) == nvars:
+            return None
+        remaining = outer.degree - sp.degree
+        return [DottedPart(v, d) for d in (False, True) for v in range(remaining + 1)]
+
+    def emit(chain, weight, cells, circles):
         word = [
             letter
             for value, letter in sorted(circles, reverse=True)
@@ -583,29 +655,5 @@ def realize_s(
         key = (theta, xp)
         terms[key] = terms.get(key, Fraction(0)) + (-1 if inv % 2 else 1)
 
-    def go(i, sp, circles, weight):
-        if i == nvars:
-            if sp == outer:
-                emit(weight, circles)
-            return
-        remaining = outer.degree - sp.degree
-        menu = [DottedPart(v, False) for v in range(remaining + 1)]
-        if outer.n_circles - len(circles) >= 1:
-            menu.extend(DottedPart(v, True) for v in range(remaining + 1))
-        for part in menu:
-            ext = (
-                _fermionic_extensions(sp, circles, i + 1, part.value)
-                if part.dotted
-                else _bosonic_extensions(sp, circles, i + 1, part.value)
-            )
-            for target, _cells, new_circles in ext:
-                if not outer.contains(target):
-                    continue
-                weight.append(part)
-                go(i + 1, target, new_circles, weight)
-                weight.pop()
-
-    if not outer.contains(inner):
-        raise IncompatibleShapeError(f"{inner} is not contained in {outer}")
-    go(0, inner, _initial_circles(inner), [])
+    _walk(outer, inner, menu, emit)
     return SuperPolynomial(nvars, terms)

@@ -1,19 +1,29 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import superqsym
 from superqsym.algebra import expr_from_json
 from superqsym.cli import main
 from superqsym.composition import comp
 
 
+# the child interpreter imports the same package as the tests, however
+# pytest found it
+SRC = str(Path(superqsym.__file__).resolve().parent.parent)
+
+
 def run_cli(*args):
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "superqsym", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -150,6 +160,12 @@ class TestExitCodes:
     def test_incompatible_shape_is_1(self, capsys):
         assert main(["schur", "(;1)", "--skew", "(;2)"]) == 1
         capsys.readouterr()
+
+    def test_negative_vars_is_1(self):
+        code, out, err = run_cli("realize", "L[2]", "--vars", "-3")
+        assert code == 1
+        assert out == ""
+        assert "error: number of variables must be >= 0, got -3" in err
 
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")

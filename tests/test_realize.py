@@ -96,6 +96,16 @@ class TestRealizeM:
     def test_too_few_variables(self):
         assert realize_M(comp(1, 1, 1), 2).is_zero()
 
+    def test_negative_variable_count_is_rejected(self):
+        alpha = comp(2, "d1")
+        for realize in (realize_M, realize_L):
+            with pytest.raises(ValueError, match="number of variables"):
+                realize(alpha, -1)
+        for basis in ("M", "L", "Lbar"):
+            with pytest.raises(ValueError, match="number of variables"):
+                realize_expr(Expr.basis_element(basis, alpha), -3)
+        assert realize_M(alpha, 0) == SuperPolynomial(0)
+
     def test_defsets_route_agrees(self):
         # spec bound: all alpha with n+m <= 5 in up to 6 variables
         for alpha in universe(5):

@@ -341,6 +341,10 @@ class TestRealizeS:
         want = {monomial((1,), {})[1]: 1, monomial((2,), {})[1]: 1}
         assert got == SuperPolynomial(2, want)
 
+    def test_negative_variable_count_is_rejected(self):
+        with pytest.raises(ValueError, match="number of variables"):
+            realize_s(sp((), (1,)), EMPTY_SHAPE, -1)
+
     def test_matches_fundamental_expansion(self):
         for m in range(3):
             for d in range(5 - m):
