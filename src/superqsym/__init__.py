@@ -48,6 +48,7 @@ from .shuffles import (
     GridPath,
     comp_of_word,
     fundamental_paths,
+    fundamental_product,
     overlapping_shuffles,
     path_word,
     represent,
@@ -101,4 +102,22 @@ from .superschur import (
     superpartitions,
 )
 
+from . import composition as _composition, realize as _realize, shuffles as _shuffles
+
 __version__ = "0.1.0"
+
+_MEMOS = (
+    _composition._strong_refinements,
+    _composition._weak_refinements,
+    _composition._weak_coarsenings,
+    _shuffles._overlapping_shuffles,
+    _shuffles.fundamental_product,
+    _realize.realize_M,
+    _realize.realize_L,
+)
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package."""
+    for memo in _MEMOS:
+        memo.cache_clear()

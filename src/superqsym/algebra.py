@@ -1,10 +1,15 @@
 """Formal linear combinations over exact rationals, indexed by dotted
-compositions and tagged with a basis (M, L or Lbar)."""
+compositions (Expr) or pairs of them (TensorExpr) and tagged with a basis
+(M, L or Lbar).
+
+A stored coefficient is an int, or a Fraction whose denominator is not 1.
+Every structure constant in the package is +-1, so the arithmetic stays on
+machine integers until a non-integral scalar enters."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .composition import (
     EMPTY,
@@ -26,7 +31,131 @@ def _check_basis(basis: str) -> str:
     return basis
 
 
-class Expr:
+def _exact(c):
+    """The stored form of a coefficient: an int when it is integral, else a
+    Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(terms: Mapping) -> dict:
+    """Drop zero coefficients and store integral ones as int."""
+    return {k: v if type(v) is int else _exact(v) for k, v in terms.items() if v}
+
+
+def _merge(terms: Mapping | None, key: Callable = lambda k: k) -> dict:
+    """Sum the coefficients of a caller's mapping after reading each key."""
+    out: dict = {}
+    for k, c in (terms or {}).items():
+        k = key(k)
+        out[k] = out.get(k, 0) + _exact(c)
+    return out
+
+
+def bilinear(f: Callable, left: Mapping, right: Mapping, c=1, out: dict | None = None) -> dict:
+    """Accumulate c * a_c * b_c * v into out[key] for every term (a, a_c) of
+    `left`, (b, b_c) of `right` and (key, v) in f(a, b); returns `out`."""
+    if out is None:
+        out = {}
+    get = out.get
+    for a, ca in left.items():
+        ca *= c
+        for b, cb in right.items():
+            cab = ca * cb
+            for key, v in f(a, b):
+                out[key] = get(key, 0) + cab * v
+    return out
+
+
+def accumulate(out: dict, terms: Mapping, c=1) -> dict:
+    """out += c * terms, in place; returns `out`."""
+    get = out.get
+    for k, v in terms.items():
+        out[k] = get(k, 0) + c * v
+    return out
+
+
+def _pair(a, b):
+    return (((a, b), 1),)
+
+
+class _Combination:
+    """The shared core of Expr and TensorExpr: a dict from keys to nonzero
+    coefficients, and a tag that names the basis (or pair of bases)."""
+
+    __slots__ = ("_tag", "terms")
+
+    def _set(self, tag, terms: Mapping) -> None:
+        object.__setattr__(self, "_tag", tag)
+        object.__setattr__(self, "terms", _clean(terms))
+
+    @classmethod
+    def _trusted(cls, tag, terms: Mapping):
+        """Wrap a dict the package built itself: the tag is valid and every
+        key is already a composition (or a pair of them), so only zeros are
+        dropped and the coefficient rule applied."""
+        obj = object.__new__(cls)
+        obj._set(tag, terms)
+        return obj
+
+    @classmethod
+    def zero(cls, tag):
+        return cls(tag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def coefficient(self, *key):
+        """The coefficient of a basis element, or of a pair of them for a
+        TensorExpr; 0 when absent."""
+        return self.terms.get(key[0] if len(key) == 1 else key, 0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _same_tag(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self._tag != other._tag:
+            raise BasisMismatchError(f"cannot combine {self._tag} with {other._tag}")
+        return self._tag
+
+    def __add__(self, other):
+        tag = self._same_tag(other)
+        return self._trusted(tag, accumulate(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        tag = self._same_tag(other)
+        return self._trusted(tag, accumulate(dict(self.terms), other.terms, -1))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = _exact(c)
+        return self._trusted(self._tag, {k: v * c for k, v in self.terms.items()})
+
+    __mul__ = __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._tag == other._tag
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._tag, frozenset(self.terms.items())))
+
+
+def _as_composition(key) -> DottedComposition:
+    return key if isinstance(key, DottedComposition) else DottedComposition(key)
+
+
+class Expr(_Combination):
     """A finite rational linear combination of basis elements.
 
     Zero coefficients are never stored.  Scalar arithmetic goes through the
@@ -34,111 +163,34 @@ class Expr:
     basis semantics.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
     def __init__(self, basis: str, terms: Mapping[DottedComposition, object] | None = None):
-        object.__setattr__(self, "basis", _check_basis(basis))
-        clean: dict[DottedComposition, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(key, DottedComposition):
-                    key = DottedComposition(key)
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
-        object.__setattr__(self, "terms", clean)
+        self._set(_check_basis(basis), _merge(terms, _as_composition))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr is immutable")
+    @property
+    def basis(self) -> str:
+        return self._tag
 
     @classmethod
     def basis_element(cls, basis: str, alpha: DottedComposition, coeff=1) -> "Expr":
-        return cls(basis, {alpha: coeff})
-
-    @classmethod
-    def zero(cls, basis: str) -> "Expr":
-        return cls(basis)
-
-    # -- queries --------------------------------------------------------------
-
-    def coefficient(self, alpha: DottedComposition) -> Fraction:
-        return self.terms.get(alpha, Fraction(0))
+        return cls._trusted(_check_basis(basis), {_as_composition(alpha): coeff})
 
     def support(self) -> list[DottedComposition]:
         return sorted(self.terms, key=DottedComposition.sort_key)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bidegrees(self) -> set[tuple[int, int]]:
         return {alpha.degrees() for alpha in self.terms}
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def _require_same_basis(self, other: "Expr"):
-        if not isinstance(other, Expr):
-            raise TypeError(f"expected Expr, got {type(other).__name__}")
-        if self.basis != other.basis:
-            raise BasisMismatchError(f"cannot combine {self.basis} with {other.basis}")
-
-    def __add__(self, other: "Expr") -> "Expr":
-        self._require_same_basis(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Expr(self.basis, out)
-
-    def __sub__(self, other: "Expr") -> "Expr":
-        return self + (-other)
-
-    def __neg__(self) -> "Expr":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Expr":
-        c = Fraction(c)
-        return Expr(self.basis, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Expr)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return render_expr(self)
-
-    def map_terms(self, f: Callable[[DottedComposition, Fraction], "Expr"], basis: str) -> "Expr":
-        """Linear extension of a map on basis elements."""
-        out = Expr.zero(basis)
-        for alpha, c in self.terms.items():
-            out = out + f(alpha, c)
-        return out
-
-
-def add(a: Expr, b: Expr) -> Expr:
-    return a + b
-
-
-def scale(a: Expr, c) -> Expr:
-    return a.scale(c)
 
 
 def unit(basis: str = "M") -> Expr:
     return Expr.basis_element(basis, EMPTY)
 
 
-def counit(e: Expr) -> Fraction:
+def counit(e: Expr):
     return e.coefficient(EMPTY)
 
 
@@ -150,11 +202,11 @@ def L_to_M(e: Expr) -> Expr:
     """L_alpha = sum of M_beta over strong refinements beta of alpha."""
     if e.basis != "L":
         raise BasisMismatchError(f"L_to_M needs basis L, got {e.basis}")
-    out: dict[DottedComposition, Fraction] = {}
+    out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         for beta in strong_refinements(alpha):
-            out[beta] = out.get(beta, Fraction(0)) + c
-    return Expr("M", out)
+            out[beta] = out.get(beta, 0) + c
+    return Expr._trusted("M", out)
 
 
 def M_to_L(e: Expr) -> Expr:
@@ -162,13 +214,12 @@ def M_to_L(e: Expr) -> Expr:
     M_alpha = sum over refinements beta of (-1)^(len(beta)-len(alpha)) L_beta."""
     if e.basis != "M":
         raise BasisMismatchError(f"M_to_L needs basis M, got {e.basis}")
-    out: dict[DottedComposition, Fraction] = {}
+    out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         la = alpha.length
         for beta in strong_refinements(alpha):
-            sign = -1 if (beta.length - la) % 2 else 1
-            out[beta] = out.get(beta, Fraction(0)) + c * sign
-    return Expr("L", out)
+            out[beta] = out.get(beta, 0) + (-c if (beta.length - la) % 2 else c)
+    return Expr._trusted("L", out)
 
 
 def cofundamental_to_M(arg) -> Expr:
@@ -179,11 +230,11 @@ def cofundamental_to_M(arg) -> Expr:
         e = arg
         if e.basis != "Lbar":
             raise BasisMismatchError(f"cofundamental_to_M needs basis Lbar, got {e.basis}")
-    out: dict[DottedComposition, Fraction] = {}
+    out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         for beta in weak_refinements(alpha):
-            out[beta] = out.get(beta, Fraction(0)) + c
-    return Expr("M", out)
+            out[beta] = out.get(beta, 0) + c
+    return Expr._trusted("M", out)
 
 
 def to_M(e: Expr) -> Expr:
@@ -198,33 +249,21 @@ def to_M(e: Expr) -> Expr:
 # tensor squares
 
 
-class TensorExpr:
+def _check_bases(bases) -> tuple[str, str]:
+    return (_check_basis(bases[0]), _check_basis(bases[1]))
+
+
+class TensorExpr(_Combination):
     """Finite rational combination of pairs of dotted compositions."""
 
-    __slots__ = ("bases", "terms")
+    __slots__ = ()
 
     def __init__(self, bases: tuple[str, str], terms=None):
-        bases = (_check_basis(bases[0]), _check_basis(bases[1]))
-        object.__setattr__(self, "bases", bases)
-        clean: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
-        object.__setattr__(self, "terms", clean)
+        self._set(_check_bases(bases), _merge(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorExpr is immutable")
-
-    @classmethod
-    def zero(cls, bases: tuple[str, str]) -> "TensorExpr":
-        return cls(bases)
-
-    def coefficient(self, left: DottedComposition, right: DottedComposition) -> Fraction:
-        return self.terms.get((left, right), Fraction(0))
+    @property
+    def bases(self) -> tuple[str, str]:
+        return self._tag
 
     def support(self):
         return sorted(
@@ -232,61 +271,21 @@ class TensorExpr:
             key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_bases(self, other: "TensorExpr"):
-        if not isinstance(other, TensorExpr):
-            raise TypeError(f"expected TensorExpr, got {type(other).__name__}")
-        if self.bases != other.bases:
-            raise BasisMismatchError(f"cannot combine {self.bases} with {other.bases}")
-
-    def __add__(self, other: "TensorExpr") -> "TensorExpr":
-        self._require_same_bases(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return TensorExpr(self.bases, out)
-
-    def __sub__(self, other: "TensorExpr") -> "TensorExpr":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorExpr":
-        c = Fraction(c)
-        return TensorExpr(self.bases, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorExpr)
-            and self.bases == other.bases
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.bases, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return render_tensor(self)
 
     def map_slots(self, f_left, f_right, bases: tuple[str, str]) -> "TensorExpr":
         """Apply Expr-valued maps to the two slots (no sign; maps are even)."""
-        out: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
+        out: dict = {}
         for (a, b), c in self.terms.items():
             ea = f_left(Expr.basis_element(self.bases[0], a))
             eb = f_right(Expr.basis_element(self.bases[1], b))
-            for ka, va in ea.terms.items():
-                for kb, vb in eb.terms.items():
-                    key = (ka, kb)
-                    out[key] = out.get(key, Fraction(0)) + c * va * vb
-        return TensorExpr(bases, out)
+            bilinear(_pair, ea.terms, eb.terms, c, out)
+        return TensorExpr._trusted(_check_bases(bases), out)
 
 
 def tensor(a: Expr, b: Expr) -> TensorExpr:
-    out: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
-    for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
-            out[(ka, kb)] = out.get((ka, kb), Fraction(0)) + va * vb
-    return TensorExpr((a.basis, b.basis), out)
+    return TensorExpr._trusted((a.basis, b.basis), bilinear(_pair, a.terms, b.terms))
 
 
 def koszul_mul(
@@ -297,30 +296,27 @@ def koszul_mul(
     """(a(x)b)(c(x)d) = (-1)^(m_b m_c) (ac)(x)(bd), extended bilinearly."""
     if t1.bases != t2.bases:
         raise BasisMismatchError(f"cannot multiply {t1.bases} with {t2.bases}")
-    bases = t1.bases
-    acc: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
-    for (a, b), c1 in t1.terms.items():
-        for (cc, d), c2 in t2.terms.items():
-            sign = -1 if (b.fermionic_degree * cc.fermionic_degree) % 2 else 1
-            left = mul(
-                Expr.basis_element(bases[0], a), Expr.basis_element(bases[0], cc)
-            )
-            right = mul(
-                Expr.basis_element(bases[1], b), Expr.basis_element(bases[1], d)
-            )
-            coeff = c1 * c2 * sign
-            for ka, va in left.terms.items():
-                for kb, vb in right.terms.items():
-                    key = (ka, kb)
-                    acc[key] = acc.get(key, Fraction(0)) + coeff * va * vb
-    return TensorExpr(bases, acc)
+    left_basis, right_basis = t1.bases
+
+    def pieces(ab, cd):
+        (a, b), (c, d) = ab, cd
+        left = mul(
+            Expr.basis_element(left_basis, a), Expr.basis_element(left_basis, c)
+        )
+        right = mul(
+            Expr.basis_element(right_basis, b), Expr.basis_element(right_basis, d)
+        )
+        sign = -1 if (b.fermionic_degree * c.fermionic_degree) % 2 else 1
+        return bilinear(_pair, left.terms, right.terms, sign).items()
+
+    return TensorExpr._trusted(t1.bases, bilinear(pieces, t1.terms, t2.terms))
 
 
 # ---------------------------------------------------------------------------
 # rendering and JSON
 
 
-def _coeff_prefix(c: Fraction, name: str, latex: bool) -> str:
+def _coeff_prefix(c, name: str, latex: bool) -> str:
     if c == 1:
         return name
     if c == -1:
@@ -379,15 +375,15 @@ def render_tensor(t: TensorExpr, fmt: str = "plain") -> str:
     return _join_terms(pieces)
 
 
+def _coeff_json(c) -> dict:
+    return {"num": str(c.numerator), "den": str(c.denominator)}
+
+
 def expr_to_json(e: Expr) -> dict:
     return {
         "basis": e.basis,
         "terms": [
-            {
-                "comp": alpha.to_json(),
-                "num": str(e.terms[alpha].numerator),
-                "den": str(e.terms[alpha].denominator),
-            }
+            {"comp": alpha.to_json(), **_coeff_json(e.terms[alpha])}
             for alpha in e.support()
         ],
     }
@@ -405,12 +401,7 @@ def tensor_to_json(t: TensorExpr) -> dict:
     return {
         "bases": list(t.bases),
         "terms": [
-            {
-                "left": a.to_json(),
-                "right": b.to_json(),
-                "num": str(t.terms[(a, b)].numerator),
-                "den": str(t.terms[(a, b)].denominator),
-            }
+            {"left": a.to_json(), "right": b.to_json(), **_coeff_json(t.terms[(a, b)])}
             for a, b in t.support()
         ],
     }

@@ -63,10 +63,21 @@ def _coerce_part(p, min_plain: int = 1) -> DottedPart:
 class DottedComposition:
     """Immutable sequence of dotted parts; hashable, usable as a basis key."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Iterable = ()):
-        object.__setattr__(self, "parts", tuple(_coerce_part(p) for p in parts))
+        parts = tuple(_coerce_part(p) for p in parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash(parts))
+
+    @classmethod
+    def _of(cls, parts: tuple[DottedPart, ...]) -> "DottedComposition":
+        """Wrap a tuple of valid DottedParts the package built itself,
+        without re-reading them."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "parts", parts)
+        object.__setattr__(obj, "_hash", hash(parts))
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("DottedComposition is immutable")
@@ -86,7 +97,7 @@ class DottedComposition:
         return isinstance(other, DottedComposition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self) -> str:
         return str(self)
@@ -122,10 +133,10 @@ class DottedComposition:
     # -- structural operations ------------------------------------------------
 
     def reverse(self) -> "DottedComposition":
-        return DottedComposition(reversed(self.parts))
+        return DottedComposition._of(self.parts[::-1])
 
     def concat(self, other: "DottedComposition") -> "DottedComposition":
-        return DottedComposition(self.parts + other.parts)
+        return DottedComposition._of(self.parts + other.parts)
 
     def sort_key(self) -> tuple:
         # dotted sorts before non-dotted at equal value, for stable output
@@ -203,7 +214,7 @@ def parse_composition(text: str) -> DottedComposition:
     i = skip_ws(i)
     if i != n:
         raise CompositionParseError("trailing input", i)
-    return DottedComposition(parts)
+    return DottedComposition._of(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +274,7 @@ def from_def_sets(n: int, m: int, D: Iterable[int], F: Iterable[int]) -> DottedC
         else:
             parts.append(DottedPart(c - prev, False))
         prev = c
-    return DottedComposition(parts)
+    return DottedComposition._of(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +356,19 @@ def _splits_weak(part: DottedPart) -> list[tuple[DottedPart, ...]]:
     return out
 
 
+# Bound of each refinement memo, in compositions.
+_MEMO_SIZE = 4096
+
+
 def _sorted_unique(items: Iterable[DottedComposition]) -> tuple[DottedComposition, ...]:
     return tuple(sorted(set(items), key=DottedComposition.sort_key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _strong_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     choices = [_splits_strong(p) for p in alpha.parts]
     return _sorted_unique(
-        DottedComposition(itertools.chain.from_iterable(combo))
+        DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*choices)
     )
 
@@ -363,11 +378,11 @@ def strong_refinements(alpha: DottedComposition) -> list[DottedComposition]:
     return list(_strong_refinements(alpha))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     choices = [_splits_weak(p) for p in alpha.parts]
     return _sorted_unique(
-        DottedComposition(itertools.chain.from_iterable(combo))
+        DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*choices)
     )
 
@@ -377,7 +392,7 @@ def weak_refinements(alpha: DottedComposition) -> list[DottedComposition]:
     return list(_weak_refinements(alpha))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     parts = alpha.parts
     l = len(parts)
@@ -385,7 +400,7 @@ def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]
 
     def go(i: int, acc: list[DottedPart]):
         if i == l:
-            results.append(DottedComposition(acc))
+            results.append(DottedComposition._of(tuple(acc)))
             return
         value = 0
         dots = 0
@@ -421,7 +436,7 @@ def near_concat(
     if a.dotted and b.dotted:
         return None
     fused = DottedPart(a.value + b.value, a.dotted or b.dotted)
-    return DottedComposition(alpha.parts[:-1] + (fused,) + beta.parts[1:])
+    return DottedComposition._of(alpha.parts[:-1] + (fused,) + beta.parts[1:])
 
 
 def near_concat_list(factors: Iterable[DottedComposition]) -> DottedComposition:
@@ -455,7 +470,7 @@ def maximal_strong_coarsening(alpha: DottedComposition) -> DottedComposition:
             parts[-1] = DottedPart(parts[-1].value + p.value, False)
         else:
             parts.append(p)
-    return DottedComposition(parts)
+    return DottedComposition._of(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -488,7 +503,7 @@ def column_decomposition(gamma: DottedComposition) -> list[DottedComposition]:
             columns[-1].append(DottedPart(1, False))
             for _ in range(p.value - 1):
                 columns.append([DottedPart(1, False)])
-    return [DottedComposition(c) for c in columns]
+    return [DottedComposition._of(tuple(c)) for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +516,7 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
 
     def go(rem_n: int, rem_m: int, acc: list[DottedPart]):
         if rem_n == 0 and rem_m == 0:
-            results.append(DottedComposition(acc))
+            results.append(DottedComposition._of(tuple(acc)))
         for v in range(1, rem_n + 1):
             acc.append(DottedPart(v, False))
             go(rem_n - v, rem_m, acc)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
@@ -15,6 +14,8 @@ from .algebra import (
     TensorExpr,
     L_to_M,
     M_to_L,
+    accumulate,
+    bilinear,
     koszul_mul,
     unit,
 )
@@ -29,7 +30,7 @@ from .composition import (
     universe,
     weak_coarsenings,
 )
-from .shuffles import fundamental_paths, overlapping_shuffles
+from .shuffles import fundamental_product, overlapping_shuffles
 
 
 class NotAColumnError(ValueError):
@@ -53,24 +54,14 @@ def _as_expr(x, basis: str) -> Expr:
 def product_M(a, b) -> Expr:
     """Signed overlapping-shuffle product, extended bilinearly."""
     ea, eb = _as_expr(a, "M"), _as_expr(b, "M")
-    out: dict[DottedComposition, Fraction] = {}
-    for alpha, ca in ea.terms.items():
-        for beta, cb in eb.terms.items():
-            for gamma, sign in overlapping_shuffles(alpha, beta):
-                out[gamma] = out.get(gamma, Fraction(0)) + ca * cb * sign
-    return Expr("M", out)
+    return Expr._trusted("M", bilinear(overlapping_shuffles, ea.terms, eb.terms))
 
 
 def product_L(a, b) -> Expr:
     """Signed fundamental-shuffle product; coinciding descent compositions
     from different paths accumulate."""
     ea, eb = _as_expr(a, "L"), _as_expr(b, "L")
-    out: dict[DottedComposition, Fraction] = {}
-    for alpha, ca in ea.terms.items():
-        for beta, cb in eb.terms.items():
-            for res in fundamental_paths(alpha, beta):
-                out[res.gamma] = out.get(res.gamma, Fraction(0)) + ca * cb * res.sign
-    return Expr("L", out)
+    return Expr._trusted("L", bilinear(fundamental_product, ea.terms, eb.terms))
 
 
 def product(a: Expr, b: Expr) -> Expr:
@@ -87,16 +78,20 @@ def product(a: Expr, b: Expr) -> Expr:
 # coproducts
 
 
+def _deconcatenations(parts: tuple, out: dict, c) -> None:
+    of = DottedComposition._of
+    for k in range(len(parts) + 1):
+        key = (of(parts[:k]), of(parts[k:]))
+        out[key] = out.get(key, 0) + c
+
+
 def coproduct_M(a) -> TensorExpr:
     """Deconcatenation coproduct."""
     e = _as_expr(a, "M")
-    out: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
+    out: dict = {}
     for alpha, c in e.terms.items():
-        parts = alpha.parts
-        for k in range(len(parts) + 1):
-            key = (DottedComposition(parts[:k]), DottedComposition(parts[k:]))
-            out[key] = out.get(key, Fraction(0)) + c
-    return TensorExpr(("M", "M"), out)
+        _deconcatenations(alpha.parts, out, c)
+    return TensorExpr._trusted(("M", "M"), out)
 
 
 def coproduct_L(a) -> TensorExpr:
@@ -107,22 +102,21 @@ def coproduct_L(a) -> TensorExpr:
     forces equal indices and the two-alphabet split is empty.
     """
     e = _as_expr(a, "L")
-    out: dict[tuple[DottedComposition, DottedComposition], Fraction] = {}
+    of = DottedComposition._of
+    out: dict = {}
     for alpha, c in e.terms.items():
         parts = alpha.parts
-        for k in range(len(parts) + 1):
-            key = (DottedComposition(parts[:k]), DottedComposition(parts[k:]))
-            out[key] = out.get(key, Fraction(0)) + c
+        _deconcatenations(parts, out, c)
         for h, p in enumerate(parts):
             if p.dotted:
                 continue
             for u in range(1, p.value):
-                left = DottedComposition(parts[:h] + (DottedPart(u, False),))
-                right = DottedComposition(
-                    (DottedPart(p.value - u, False),) + parts[h + 1 :]
+                key = (
+                    of(parts[:h] + (DottedPart(u, False),)),
+                    of((DottedPart(p.value - u, False),) + parts[h + 1 :]),
                 )
-                out[(left, right)] = out.get((left, right), Fraction(0)) + c
-    return TensorExpr(("L", "L"), out)
+                out[key] = out.get(key, 0) + c
+    return TensorExpr._trusted(("L", "L"), out)
 
 
 def coproduct(a: Expr) -> TensorExpr:
@@ -137,28 +131,40 @@ def coproduct(a: Expr) -> TensorExpr:
 # the auxiliary bilinear products
 
 
+def _concat(alpha: DottedComposition, beta: DottedComposition):
+    return ((alpha.concat(beta), 1),)
+
+
+def _near_concat(alpha: DottedComposition, beta: DottedComposition):
+    fused = near_concat(alpha, beta)
+    return () if fused is None else ((fused, 1),)
+
+
+def _odot_L(alpha: DottedComposition, beta: DottedComposition):
+    """Eq. (5.4) when both boundary parts are non-dotted, else the M route."""
+    if (
+        alpha.parts
+        and beta.parts
+        and not alpha.parts[-1].dotted
+        and not beta.parts[0].dotted
+    ):
+        return ((near_concat(alpha, beta), 1), (alpha.concat(beta), -1))
+    return _odot_L_via_M(
+        Expr.basis_element("L", alpha), Expr.basis_element("L", beta)
+    ).terms.items()
+
+
 def bullet(a: Expr, b: Expr) -> Expr:
     """Concatenation product on the M or L basis."""
     if a.basis != b.basis:
         raise BasisMismatchError(f"cannot combine {a.basis} with {b.basis}")
     if a.basis not in ("M", "L"):
         raise ValueError("bullet is defined on the M and L bases only")
-    out: dict[DottedComposition, Fraction] = {}
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            key = alpha.concat(beta)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return Expr(a.basis, out)
+    return Expr._trusted(a.basis, bilinear(_concat, a.terms, b.terms))
 
 
 def _odot_M(a: Expr, b: Expr) -> Expr:
-    out: dict[DottedComposition, Fraction] = {}
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            fused = near_concat(alpha, beta)
-            if fused is not None:
-                out[fused] = out.get(fused, Fraction(0)) + ca * cb
-    return Expr("M", out)
+    return Expr._trusted("M", bilinear(_near_concat, a.terms, b.terms))
 
 
 def _odot_L_via_M(a: Expr, b: Expr) -> Expr:
@@ -174,42 +180,28 @@ def odot(a: Expr, b: Expr) -> Expr:
         return _odot_M(a, b)
     if a.basis != "L":
         raise ValueError("odot is defined on the M and L bases only")
-    out = Expr.zero("L")
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            if (
-                alpha.parts
-                and beta.parts
-                and not alpha.parts[-1].dotted
-                and not beta.parts[0].dotted
-            ):
-                fused = near_concat(alpha, beta)
-                piece = Expr(
-                    "L", {fused: Fraction(1), alpha.concat(beta): Fraction(-1)}
-                )
-            else:
-                piece = _odot_L_via_M(
-                    Expr.basis_element("L", alpha), Expr.basis_element("L", beta)
-                )
-            out = out + piece.scale(ca * cb)
-    return out
+    return Expr._trusted("L", bilinear(_odot_L, a.terms, b.terms))
 
 
 # ---------------------------------------------------------------------------
 # antipodes
 
 
+def _antipode_sign(alpha: DottedComposition) -> int:
+    """(-1)^(l(alpha) + C(m,2))."""
+    return -1 if (alpha.length + comb(alpha.fermionic_degree, 2)) % 2 else 1
+
+
 def antipode_M(a) -> Expr:
     """S(M_alpha) = (-1)^(l(alpha) + C(m,2)) sum of M over weak coarsenings
     of the reverse."""
     e = _as_expr(a, "M")
-    out: dict[DottedComposition, Fraction] = {}
+    out: dict = {}
     for alpha, c in e.terms.items():
-        m = alpha.fermionic_degree
-        sign = -1 if (alpha.length + comb(m, 2)) % 2 else 1
+        c *= _antipode_sign(alpha)
         for gamma in weak_coarsenings(alpha.reverse()):
-            out[gamma] = out.get(gamma, Fraction(0)) + c * sign
-    return Expr("M", out)
+            out[gamma] = out.get(gamma, 0) + c
+    return Expr._trusted("M", out)
 
 
 def antipode_L_column(alpha: DottedComposition) -> Expr:
@@ -217,20 +209,18 @@ def antipode_L_column(alpha: DottedComposition) -> Expr:
     coarsenings of the reverse."""
     if not is_column(alpha):
         raise NotAColumnError(f"{alpha} is not a column")
-    m = alpha.fermionic_degree
-    sign = -1 if (alpha.length + comb(m, 2)) % 2 else 1
-    out: dict[DottedComposition, Fraction] = {}
-    for beta in weak_coarsenings(alpha.reverse()):
-        if is_maximal(beta):
-            out[beta] = Fraction(sign)
-    return Expr("L", out)
+    sign = _antipode_sign(alpha)
+    return Expr._trusted(
+        "L",
+        {beta: sign for beta in weak_coarsenings(alpha.reverse()) if is_maximal(beta)},
+    )
 
 
 def antipode_L(a) -> Expr:
     """Column-decomposition antipode: S(L_gamma) factors through the columns
     in reverse order under the concatenation product."""
     e = _as_expr(a, "L")
-    out = Expr.zero("L")
+    out: dict = {}
     for gamma, c in e.terms.items():
         columns = column_decomposition(gamma)
         ms = [col.fermionic_degree for col in columns]
@@ -240,9 +230,8 @@ def antipode_L(a) -> Expr:
         acc = unit("L")
         for col in reversed(columns):
             acc = bullet(acc, antipode_L_column(col))
-        sign = -1 if crossings % 2 else 1
-        out = out + acc.scale(c * sign)
-    return out
+        accumulate(out, acc.terms, -c if crossings % 2 else c)
+    return Expr._trusted("L", out)
 
 
 def antipode(a: Expr, via: str = "columns") -> Expr:
@@ -294,18 +283,14 @@ class HopfReport:
 
 def _triple(t: TensorExpr, side: str, coprod) -> dict:
     """(Delta x id) or (id x Delta) applied to a tensor; keys are triples."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, object] = {}
     for (a, b), c in t.terms.items():
         if side == "left":
-            inner = coprod(Expr.basis_element(t.bases[0], a))
-            for (u, v), d in inner.terms.items():
-                key = (u, v, b)
-                out[key] = out.get(key, Fraction(0)) + c * d
+            inner = coprod(Expr.basis_element(t.bases[0], a)).terms
+            accumulate(out, {(u, v, b): d for (u, v), d in inner.items()}, c)
         else:
-            inner = coprod(Expr.basis_element(t.bases[1], b))
-            for (u, v), d in inner.terms.items():
-                key = (a, u, v)
-                out[key] = out.get(key, Fraction(0)) + c * d
+            inner = coprod(Expr.basis_element(t.bases[1], b)).terms
+            accumulate(out, {(a, u, v): d for (u, v), d in inner.items()}, c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -314,12 +299,12 @@ def _convolution(alpha: DottedComposition, basis: str, left: bool) -> Expr:
     anti = antipode_M if basis == "M" else antipode_L
     mul = product_M if basis == "M" else product_L
     t = coprod(Expr.basis_element(basis, alpha))
-    acc = Expr.zero(basis)
+    out: dict = {}
     for (a, b), c in t.terms.items():
         ea, eb = Expr.basis_element(basis, a), Expr.basis_element(basis, b)
         piece = mul(anti(ea), eb) if left else mul(ea, anti(eb))
-        acc = acc + piece.scale(c)
-    return acc
+        accumulate(out, piece.terms, c)
+    return Expr._trusted(basis, out)
 
 
 def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
@@ -329,13 +314,12 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
     singles = universe(max_total, max_fermionic)
     singles_desc = f"n+m<={max_total}, m<={max_fermionic}"
     pairs_desc = f"combined {singles_desc}"
+    sizes = [(a, sum(a.degrees()), a.fermionic_degree) for a in singles]
     pairs = [
         (a, b)
-        for a in singles
-        for b in singles
-        if a.total_degree + a.fermionic_degree + b.total_degree + b.fermionic_degree
-        <= max_total
-        and a.fermionic_degree + b.fermionic_degree <= max_fermionic
+        for a, ta, ma in sizes
+        for b, tb, mb in sizes
+        if ta + tb <= max_total and ma + mb <= max_fermionic
     ]
     report = HopfReport()
 
@@ -353,17 +337,16 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
 
         def counit_ok(alpha, basis=basis, coprod=coprod):
             e = Expr.basis_element(basis, alpha)
-            t = coprod(e)
-            left = Expr.zero(basis)
-            right = Expr.zero(basis)
-            for (a, b), c in t.terms.items():
-                left = left + Expr.basis_element(basis, b).scale(
-                    c * (1 if a == EMPTY else 0)
-                )
-                right = right + Expr.basis_element(basis, a).scale(
-                    c * (1 if b == EMPTY else 0)
-                )
-            return left == e and right == e
+            left: dict = {}
+            right: dict = {}
+            for (a, b), c in coprod(e).terms.items():
+                if a == EMPTY:
+                    left[b] = left.get(b, 0) + c
+                if b == EMPTY:
+                    right[a] = right.get(a, 0) + c
+            return (
+                Expr._trusted(basis, left) == e and Expr._trusted(basis, right) == e
+            )
 
         def coassoc_ok(alpha, basis=basis, coprod=coprod):
             t = coprod(Expr.basis_element(basis, alpha))

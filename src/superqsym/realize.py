@@ -10,17 +10,20 @@ in the package is checkable against this representation at desk scale.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .algebra import Expr, to_M
+from .algebra import Expr, _clean, _exact, _merge, accumulate, to_M
 from .composition import DottedComposition, DottedPart, def_sets
 
 Theta = tuple[int, ...]
 XPows = tuple[tuple[int, int], ...]
 Monomial = tuple[Theta, XPows]
+
+
+# Bound of each realization memo, in (composition, nvars) pairs.
+_MEMO_SIZE = 4096
 
 
 class NotQuasisymmetricError(ValueError):
@@ -63,14 +66,7 @@ class SuperPolynomial:
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         object.__setattr__(self, "nvars", nvars)
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
+        clean = _clean(_merge(terms))
         for t, xs in clean:
             if any(i > nvars or i < 1 for i in t) or any(
                 i > nvars or i < 1 for i, _ in xs
@@ -92,8 +88,8 @@ class SuperPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial):
+        return self.terms.get(mono, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -113,16 +109,13 @@ class SuperPolynomial:
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._require_same_ring(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SuperPolynomial(self.nvars, out)
+        return SuperPolynomial(self.nvars, accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SuperPolynomial":
-        c = Fraction(c)
+        c = _exact(c)
         return SuperPolynomial(self.nvars, {k: v * c for k, v in self.terms.items()})
 
     def __repr__(self) -> str:
@@ -144,7 +137,7 @@ class SuperPolynomial:
 
 def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
     p._require_same_ring(q)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, object] = {}
     for (t1, xs1), c1 in p.terms.items():
         for (t2, xs2), c2 in q.terms.items():
             sign, t = _sort_sign(t1 + t2)
@@ -154,7 +147,7 @@ def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
             for i, e in xs2:
                 xp[i] = xp.get(i, 0) + e
             key = (t, tuple(sorted(xp.items())))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2 * sign
+            out[key] = out.get(key, 0) + c1 * c2 * sign
     return SuperPolynomial(p.nvars, out)
 
 
@@ -180,12 +173,12 @@ def _check_nvars(nvars: int) -> None:
         raise ValueError(f"number of variables must be >= 0, got {nvars}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """Defining sum of the monomial basis over strictly increasing indices."""
     _check_nvars(nvars)
     l = alpha.length
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for idx in itertools.combinations(range(1, nvars + 1), l):
         theta = tuple(i for i, p in zip(idx, alpha.parts) if p.dotted)
         xpows: dict[int, int] = {}
@@ -193,7 +186,7 @@ def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
             if p.value:
                 xpows[i] = xpows.get(i, 0) + p.value
         key = (theta, tuple(sorted(xpows.items())))
-        out[key] = out.get(key, Fraction(0)) + 1
+        out[key] = out.get(key, 0) + 1
     return SuperPolynomial(nvars, out)
 
 
@@ -208,7 +201,7 @@ def _defsets_sum(
     n, m = alpha.degrees()
     total = n + m
     F = def_sets(alpha).F
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     if total == 0:
         return SuperPolynomial.one(nvars)
 
@@ -227,7 +220,7 @@ def _defsets_sum(
             if sign == 0:
                 return
             key = (t, tuple(sorted((i, e) for i, e in xpows.items() if e)))
-            out[key] = out.get(key, Fraction(0)) + sign
+            out[key] = out.get(key, 0) + sign
             return
         lo = 1 if k == 1 else seq[k - 1]
         if k > 1 and (k - 1) in strict:
@@ -253,7 +246,7 @@ def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     return _defsets_sum(alpha, nvars, D, equal)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """The D/E/F sum for the fundamental basis: strict at D, equal at E,
     free elsewhere."""
@@ -270,10 +263,9 @@ def realize_expr(e: Expr, nvars: int) -> SuperPolynomial:
     else:
         m_expr = to_M(e)
         pieces = [(realize_M(alpha, nvars), c) for alpha, c in m_expr.terms.items()]
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, object] = {}
     for poly, c in pieces:
-        for mono, v in poly.terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + c * v
+        accumulate(acc, poly.terms, c)
     return SuperPolynomial(nvars, acc)
 
 
@@ -292,7 +284,7 @@ def _monomial_type(mono: Monomial) -> tuple[DottedComposition, tuple[int, ...]]:
 
 
 def is_quasisymmetric(p: SuperPolynomial) -> bool:
-    groups: dict[DottedComposition, dict[tuple[int, ...], Fraction]] = {}
+    groups: dict[DottedComposition, dict[tuple[int, ...], object]] = {}
     for mono, c in p.terms.items():
         alpha, idx = _monomial_type(mono)
         groups.setdefault(alpha, {})[idx] = c
@@ -316,7 +308,7 @@ def extract_M(p: SuperPolynomial, require_faithful: bool = False) -> Expr:
     """
     if not is_quasisymmetric(p):
         raise NotQuasisymmetricError("polynomial is not quasisymmetric")
-    terms: dict[DottedComposition, Fraction] = {}
+    terms: dict[DottedComposition, object] = {}
     for mono, c in p.terms.items():
         t, xs = mono
         if require_faithful:

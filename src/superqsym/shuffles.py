@@ -9,24 +9,19 @@ steps, and drive the L-product.  Both carry the sign
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .composition import DottedComposition, DottedPart
+from .composition import DottedComposition, DottedPart, _coerce_part
 
-
-class Entry(NamedTuple):
-    value: int
-    dotted: bool
-
-    def __str__(self) -> str:
-        return f"d{self.value}" if self.dotted else str(self.value)
+# Bound of each memo below; the axiom suite at n+m <= 5 fills 792 entries in each.
+_MEMO_SIZE = 4096
 
 
 class DottedPermutation:
-    """A word whose non-dotted entries are pairwise distinct integers.
+    """A word of DottedParts whose non-dotted entries are pairwise distinct
+    integers.
 
     Dotted values may repeat: grid words like [d1,d1] occur in products and
     their contributions cancel in signed sums.
@@ -37,14 +32,14 @@ class DottedPermutation:
     def __init__(self, entries: Iterable):
         clean = []
         for e in entries:
-            if isinstance(e, Entry):
+            if isinstance(e, DottedPart):
                 clean.append(e)
             elif isinstance(e, tuple):
-                clean.append(Entry(int(e[0]), bool(e[1])))
+                clean.append(DottedPart(int(e[0]), bool(e[1])))
             elif isinstance(e, int):
-                clean.append(Entry(e, False))
+                clean.append(DottedPart(e, False))
             elif isinstance(e, str) and e.startswith("d"):
-                clean.append(Entry(int(e[1:]), True))
+                clean.append(DottedPart(int(e[1:]), True))
             else:
                 raise TypeError(f"cannot interpret {e!r} as a word entry")
         object.__setattr__(self, "entries", tuple(clean))
@@ -110,7 +105,7 @@ def _assemble_composition(
         parts.append(DottedPart(c - prev, False))
         parts.extend(by_anchor.get(c, []))
         prev = c
-    return DottedComposition(parts)
+    return DottedComposition._of(tuple(parts))
 
 
 def comp_of_word(w: DottedPermutation) -> DottedComposition:
@@ -127,7 +122,7 @@ def comp_of_word(w: DottedPermutation) -> DottedComposition:
     seen_nondotted = 0
     for e in entries:
         if e.dotted:
-            dotted_items.append((seen_nondotted, DottedPart(e.value, True)))
+            dotted_items.append((seen_nondotted, _coerce_part(e)))
         else:
             seen_nondotted += 1
     return _assemble_composition(n, descents, dotted_items)
@@ -140,13 +135,13 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
     right-to-left with the smallest fresh values, making every internal part
     boundary a strict descent; dotted parts become dotted entries verbatim.
     """
-    entries: list[Entry] = []
+    entries: list[DottedPart] = []
     cursor = start
     i = 0
     parts = alpha.parts
     while i < len(parts):
         if parts[i].dotted:
-            entries.append(Entry(parts[i].value, True))
+            entries.append(DottedPart(parts[i].value, True))
             i += 1
             continue
         j = i
@@ -162,7 +157,7 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
             runs.append(values[taken : taken + size])
             taken += size
         for run in reversed(runs):
-            entries.extend(Entry(v, False) for v in run)
+            entries.extend(DottedPart(v, False) for v in run)
         i = j
     return DottedPermutation(entries)
 
@@ -171,7 +166,7 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
 # overlapping shuffles (M-product engine)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _overlapping_shuffles(
     alpha: DottedComposition, beta: DottedComposition
 ) -> tuple[tuple[DottedComposition, int], ...]:
@@ -188,7 +183,7 @@ def _overlapping_shuffles(
 
     def go(x: int, y: int, acc: list[DottedPart], ndots: int):
         if x == w and y == h:
-            out.append((DottedComposition(acc), -1 if ndots % 2 else 1))
+            out.append((DottedComposition._of(tuple(acc)), -1 if ndots % 2 else 1))
             return
         if x < w:
             p = cols[x]
@@ -248,7 +243,7 @@ def path_word(
     cols = w_alpha.entries
     rows = w_beta.entries
     x = y = 0
-    out: list[Entry] = []
+    out: list[DottedPart] = []
     for step in steps:
         kind = step[0]
         if kind == "H":
@@ -259,12 +254,12 @@ def path_word(
             y += 1
         elif kind == "D3":
             k = step[1]
-            out.append(Entry(cols[x].value + k, True))
+            out.append(DottedPart(cols[x].value + k, True))
             x += 1
             y += k
         elif kind == "D4":
             k = step[1]
-            out.append(Entry(rows[y].value + k, True))
+            out.append(DottedPart(rows[y].value + k, True))
             x += k
             y += 1
         else:
@@ -283,8 +278,6 @@ def fundamental_paths(
     """All fundamental paths in the (alpha, beta)-grid with their words,
     descent compositions and signs.  Custom representatives may be supplied;
     the resulting multiset of (gamma, sign) does not depend on them."""
-    if w_alpha is None and w_beta is None:
-        return list(_fundamental_paths_canonical(alpha, beta))
     if w_alpha is None:
         w_alpha = represent(alpha, 1)
     if w_beta is None:
@@ -293,14 +286,17 @@ def fundamental_paths(
     return _enumerate_paths(w_alpha, w_beta)
 
 
-@lru_cache(maxsize=None)
-def _fundamental_paths_canonical(
+@lru_cache(maxsize=_MEMO_SIZE)
+def fundamental_product(
     alpha: DottedComposition, beta: DottedComposition
-) -> tuple[PathResult, ...]:
-    n_alpha = sum(p.value for p in alpha.parts if not p.dotted)
-    return tuple(
-        _enumerate_paths(represent(alpha, 1), represent(beta, n_alpha + 1))
-    )
+) -> tuple[tuple[DottedComposition, int], ...]:
+    """L_alpha L_beta as (gamma, coefficient) pairs: the signs of the
+    fundamental paths summed per descent composition, zeros dropped.
+    Memoized per pair; the paths themselves are not kept."""
+    acc: dict[DottedComposition, int] = {}
+    for res in fundamental_paths(alpha, beta):
+        acc[res.gamma] = acc.get(res.gamma, 0) + res.sign
+    return tuple((gamma, c) for gamma, c in acc.items() if c)
 
 
 def _enumerate_paths(
@@ -319,7 +315,7 @@ def _enumerate_paths(
 
     results: list[PathResult] = []
 
-    def go(x: int, y: int, steps: list[Step], word_acc: list[Entry], ndots: int):
+    def go(x: int, y: int, steps: list[Step], word_acc: list[DottedPart], ndots: int):
         if x == w and y == h:
             pw = DottedPermutation(word_acc)
             results.append(
@@ -353,7 +349,7 @@ def _enumerate_paths(
             ):
                 k += 1
                 steps.append(("D3", k))
-                word_acc.append(Entry(cols[x].value + k, True))
+                word_acc.append(DottedPart(cols[x].value + k, True))
                 go(x + 1, y + k, steps, word_acc, ndots + dots_below(x + 1, y))
                 word_acc.pop()
                 steps.pop()
@@ -367,7 +363,7 @@ def _enumerate_paths(
             ):
                 k += 1
                 steps.append(("D4", k))
-                word_acc.append(Entry(rows[y].value + k, True))
+                word_acc.append(DottedPart(rows[y].value + k, True))
                 extra = sum(dots_below(x + j, y) for j in range(1, k + 1))
                 go(x + k, y + 1, steps, word_acc, ndots + extra)
                 word_acc.pop()
@@ -375,23 +371,3 @@ def _enumerate_paths(
 
     go(0, 0, [], [], 0)
     return results
-
-
-def all_representatives(
-    alpha: DottedComposition, start: int = 1
-) -> list[DottedPermutation]:
-    """Every w on {start..start+N-1} representing alpha (test helper)."""
-    n = sum(p.value for p in alpha.parts if not p.dotted)
-    out = []
-    for perm in itertools.permutations(range(start, start + n)):
-        it = iter(perm)
-        entries = []
-        for p in alpha.parts:
-            if p.dotted:
-                entries.append(Entry(p.value, True))
-            else:
-                entries.extend(Entry(next(it), False) for _ in range(p.value))
-        w = DottedPermutation(entries)
-        if comp_of_word(w) == alpha:
-            out.append(w)
-    return out

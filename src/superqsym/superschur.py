@@ -4,7 +4,6 @@ expansion of superspace Schur functions into the fundamental basis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
@@ -605,11 +604,14 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         return found
 
     free, _ = walk(inner._star, inner._rows, 0, None)
-    out = Expr(
+    out = Expr._trusted(
         "L",
         {
-            DottedComposition(
-                DottedPart(p, False) if p > 0 else DottedPart(~p, True) for p in parts
+            DottedComposition._of(
+                tuple(
+                    DottedPart(p, False) if p > 0 else DottedPart(~p, True)
+                    for p in parts
+                )
             ): c
             for parts, c in free.items()
         },
@@ -653,7 +655,7 @@ def realize_s(
             (i, p.value) for i, p in enumerate(weight, start=1) if p.value
         )
         key = (theta, xp)
-        terms[key] = terms.get(key, Fraction(0)) + (-1 if inv % 2 else 1)
+        terms[key] = terms.get(key, 0) + (-1 if inv % 2 else 1)
 
     _walk(outer, inner, menu, emit)
     return SuperPolynomial(nvars, terms)

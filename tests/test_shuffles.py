@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,10 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import classical_oracle as co
-from superqsym.composition import comp, compositions_of
+from superqsym.composition import DottedPart, comp, compositions_of
 from superqsym.shuffles import (
     DottedPermutation,
-    all_representatives,
     comp_of_word,
     fundamental_paths,
     overlapping_shuffles,
@@ -16,6 +16,24 @@ from superqsym.shuffles import (
     represent,
     word,
 )
+
+
+def all_representatives(alpha, start=1):
+    """Every w on {start..start+N-1} representing alpha."""
+    n = sum(p.value for p in alpha.parts if not p.dotted)
+    out = []
+    for perm in itertools.permutations(range(start, start + n)):
+        it = iter(perm)
+        entries = []
+        for p in alpha.parts:
+            if p.dotted:
+                entries.append(DottedPart(p.value, True))
+            else:
+                entries.extend(DottedPart(next(it), False) for _ in range(p.value))
+        w = DottedPermutation(entries)
+        if comp_of_word(w) == alpha:
+            out.append(w)
+    return out
 
 
 class TestDottedPermutation:
