@@ -1,6 +1,6 @@
 """Formal linear combinations over exact rationals, indexed by dotted
 compositions (Expr) or pairs of them (TensorExpr) and tagged with a basis
-(M, L or Lbar).
+(M, L or Lbar); realize.SuperPolynomial shares their core.
 
 A stored coefficient is an int, or a Fraction whose denominator is not 1.
 Every structure constant in the package is +-1, so the arithmetic stays on
@@ -22,7 +22,8 @@ BASES = ("M", "L", "Lbar")
 
 
 class BasisMismatchError(ValueError):
-    """Binary operation on expressions tagged with different bases."""
+    """Binary operation on expressions tagged with different bases, or on
+    polynomials over different numbers of variables."""
 
 
 def _check_basis(basis: str) -> str:
@@ -83,8 +84,9 @@ def _pair(a, b):
 
 
 class _Combination:
-    """The shared core of Expr and TensorExpr: a dict from keys to nonzero
-    coefficients, and a tag that names the basis (or pair of bases)."""
+    """The shared core of Expr, TensorExpr and SuperPolynomial: a dict from
+    keys to nonzero coefficients, and a tag that names the basis, the pair of
+    bases or the number of variables."""
 
     __slots__ = ("_tag", "terms")
 
@@ -95,8 +97,9 @@ class _Combination:
     @classmethod
     def _trusted(cls, tag, terms: Mapping):
         """Wrap a dict the package built itself: the tag is valid and every
-        key is already a composition (or a pair of them), so only zeros are
-        dropped and the coefficient rule applied."""
+        key is already valid (a composition, a pair of them, or a canonical
+        monomial), so only zeros are dropped and the coefficient rule
+        applied."""
         obj = object.__new__(cls)
         obj._set(tag, terms)
         return obj
@@ -109,8 +112,8 @@ class _Combination:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def coefficient(self, *key):
-        """The coefficient of a basis element, or of a pair of them for a
-        TensorExpr; 0 when absent."""
+        """The coefficient of a basis element, of a pair of them for a
+        TensorExpr, or of a monomial; 0 when absent."""
         return self.terms.get(key[0] if len(key) == 1 else key, 0)
 
     def is_zero(self) -> bool:
@@ -150,6 +153,9 @@ class _Combination:
     def __hash__(self):
         return hash((self._tag, frozenset(self.terms.items())))
 
+    def __repr__(self) -> str:
+        return render_expr(self)
+
 
 def _as_composition(key) -> DottedComposition:
     return key if isinstance(key, DottedComposition) else DottedComposition(key)
@@ -182,8 +188,16 @@ class Expr(_Combination):
     def bidegrees(self) -> set[tuple[int, int]]:
         return {alpha.degrees() for alpha in self.terms}
 
-    def __repr__(self) -> str:
-        return render_expr(self)
+
+def _as_expr(x, basis: str) -> Expr:
+    """A composition as its basis element, or an Expr checked to be in `basis`."""
+    if isinstance(x, DottedComposition):
+        return Expr.basis_element(basis, x)
+    if isinstance(x, Expr):
+        if x.basis != basis:
+            raise BasisMismatchError(f"expected basis {basis}, got {x.basis}")
+        return x
+    raise TypeError(f"expected Expr or DottedComposition, got {type(x).__name__}")
 
 
 def unit(basis: str = "M") -> Expr:
@@ -198,10 +212,9 @@ def counit(e: Expr):
 # basis conversions
 
 
-def L_to_M(e: Expr) -> Expr:
+def L_to_M(e) -> Expr:
     """L_alpha = sum of M_beta over strong refinements beta of alpha."""
-    if e.basis != "L":
-        raise BasisMismatchError(f"L_to_M needs basis L, got {e.basis}")
+    e = _as_expr(e, "L")
     out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         for beta in strong_refinements(alpha):
@@ -209,11 +222,10 @@ def L_to_M(e: Expr) -> Expr:
     return Expr._trusted("M", out)
 
 
-def M_to_L(e: Expr) -> Expr:
+def M_to_L(e) -> Expr:
     """Moebius inversion of L_to_M: the interval below alpha is Boolean, so
     M_alpha = sum over refinements beta of (-1)^(len(beta)-len(alpha)) L_beta."""
-    if e.basis != "M":
-        raise BasisMismatchError(f"M_to_L needs basis M, got {e.basis}")
+    e = _as_expr(e, "M")
     out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         la = alpha.length
@@ -222,14 +234,9 @@ def M_to_L(e: Expr) -> Expr:
     return Expr._trusted("L", out)
 
 
-def cofundamental_to_M(arg) -> Expr:
+def cofundamental_to_M(e) -> Expr:
     """Lbar_alpha = sum of M_beta over weak refinements beta of alpha."""
-    if isinstance(arg, DottedComposition):
-        e = Expr.basis_element("Lbar", arg)
-    else:
-        e = arg
-        if e.basis != "Lbar":
-            raise BasisMismatchError(f"cofundamental_to_M needs basis Lbar, got {e.basis}")
+    e = _as_expr(e, "Lbar")
     out: dict[DottedComposition, object] = {}
     for alpha, c in e.terms.items():
         for beta in weak_refinements(alpha):
@@ -270,9 +277,6 @@ class TensorExpr(_Combination):
             self.terms,
             key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
         )
-
-    def __repr__(self) -> str:
-        return render_tensor(self)
 
     def map_slots(self, f_left, f_right, bases: tuple[str, str]) -> "TensorExpr":
         """Apply Expr-valued maps to the two slots (no sign; maps are even)."""
@@ -339,40 +343,35 @@ def _join_terms(rendered: list[str]) -> str:
     return out
 
 
-def render_expr(e: Expr, fmt: str = "plain") -> str:
+def _labeler(basis: str, latex: bool) -> Callable[[DottedComposition], str]:
+    """The label of an element of `basis`: L[d1,2], or \\bar L_{(\\dot{1},2)}."""
+    if latex:
+        head = "\\bar L" if basis == "Lbar" else basis
+        return lambda alpha: f"{head}_{{{alpha.latex()}}}"
+    return lambda alpha: f"{basis}{alpha}"
+
+
+def render_expr(e: Expr | TensorExpr, fmt: str = "plain") -> str:
+    """Plain text, LaTeX or JSON for an Expr or a TensorExpr."""
+    tensor = isinstance(e, TensorExpr)
     if fmt == "json":
         import json
 
-        return json.dumps(expr_to_json(e))
-    latex = fmt == "latex"
-    pieces = []
-    for alpha in e.support():
-        if latex:
-            head = "\\bar L" if e.basis == "Lbar" else e.basis
-            name = f"{head}_{{{alpha.latex()}}}"
-        else:
-            name = f"{e.basis}{alpha}"
-        pieces.append(_coeff_prefix(e.terms[alpha], name, latex))
-    return _join_terms(pieces)
-
-
-def render_tensor(t: TensorExpr, fmt: str = "plain") -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(tensor_to_json(t))
+        return json.dumps(tensor_to_json(e) if tensor else expr_to_json(e))
     latex = fmt == "latex"
     sep = " \\otimes " if latex else " @ "
+    label = [_labeler(basis, latex) for basis in (e._tag if tensor else (e._tag,))]
     pieces = []
-    for a, b in t.support():
-        if latex:
-            name = (
-                f"{t.bases[0]}_{{{a.latex()}}}" + sep + f"{t.bases[1]}_{{{b.latex()}}}"
-            )
+    for key in e.support():
+        if tensor:
+            name = label[0](key[0]) + sep + label[1](key[1])
         else:
-            name = f"{t.bases[0]}{a}{sep}{t.bases[1]}{b}"
-        pieces.append(_coeff_prefix(t.terms[(a, b)], name, latex))
+            name = label[0](key)
+        pieces.append(_coeff_prefix(e.terms[key], name, latex))
     return _join_terms(pieces)
+
+
+render_tensor = render_expr
 
 
 def _coeff_json(c) -> dict:

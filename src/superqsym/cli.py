@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import algebra, hopf, realize, shuffles, superschur
-from .algebra import BasisMismatchError, Expr, render_expr, render_tensor
+from .algebra import BasisMismatchError, Expr, render_expr
 from .composition import (
     CompositionParseError,
     def_sets,
@@ -32,10 +32,6 @@ def _parse_expr_atom(text: str) -> Expr:
     raise CompositionParseError("expected basis prefix M, L or Lbar", 0)
 
 
-def _print_expr(e: Expr, fmt: str):
-    print(render_expr(e, fmt))
-
-
 def _cmd_product(args) -> int:
     a = parse_composition(args.A)
     b = parse_composition(args.B)
@@ -56,24 +52,22 @@ def _cmd_product(args) -> int:
                 for r in shuffles.fundamental_paths(a, b)
             ]
         print(json.dumps(trace))
-    if args.basis == "M":
-        _print_expr(hopf.product_M(a, b), args.format)
-    else:
-        _print_expr(hopf.product_L(a, b), args.format)
+    ea = Expr.basis_element(args.basis, a)
+    eb = Expr.basis_element(args.basis, b)
+    print(render_expr(hopf.product(ea, eb), args.format))
     return 0
 
 
 def _cmd_coproduct(args) -> int:
-    alpha = parse_composition(args.A)
-    t = hopf.coproduct_M(alpha) if args.basis == "M" else hopf.coproduct_L(alpha)
-    print(render_tensor(t, args.format))
+    e = Expr.basis_element(args.basis, parse_composition(args.A))
+    print(render_expr(hopf.coproduct(e), args.format))
     return 0
 
 
 def _cmd_antipode(args) -> int:
     alpha = parse_composition(args.A)
     e = Expr.basis_element(args.basis, alpha)
-    _print_expr(hopf.antipode(e, via=args.via), args.format)
+    print(render_expr(hopf.antipode(e, via=args.via), args.format))
     return 0
 
 
@@ -89,7 +83,7 @@ def _cmd_convert(args) -> int:
         out = algebra.cofundamental_to_M(e)
     else:
         raise DomainError(f"unsupported conversion {key[0]} -> {key[1]}")
-    _print_expr(out, args.format)
+    print(render_expr(out, args.format))
     return 0
 
 
@@ -133,7 +127,7 @@ def _cmd_schur(args) -> int:
             print(f"{sign} L{superschur.comp_of_tableau(tab)}")
             print(tab.ascii())
             print()
-    _print_expr(superschur.schur_to_L(outer, inner), args.format)
+    print(render_expr(superschur.schur_to_L(outer, inner), args.format))
     return 0
 
 

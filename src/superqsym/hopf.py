@@ -14,6 +14,7 @@ from .algebra import (
     TensorExpr,
     L_to_M,
     M_to_L,
+    _as_expr,
     accumulate,
     bilinear,
     koszul_mul,
@@ -35,16 +36,6 @@ from .shuffles import fundamental_product, overlapping_shuffles
 
 class NotAColumnError(ValueError):
     pass
-
-
-def _as_expr(x, basis: str) -> Expr:
-    if isinstance(x, DottedComposition):
-        return Expr.basis_element(basis, x)
-    if isinstance(x, Expr):
-        if x.basis != basis:
-            raise BasisMismatchError(f"expected basis {basis}, got {x.basis}")
-        return x
-    raise TypeError(f"expected Expr or DottedComposition, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,17 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .algebra import Expr, _clean, _exact, _merge, accumulate, to_M
+from .algebra import (
+    Expr,
+    _coeff_json,
+    _coeff_prefix,
+    _Combination,
+    _join_terms,
+    _merge,
+    accumulate,
+    bilinear,
+    to_M,
+)
 from .composition import DottedComposition, DottedPart, def_sets
 
 Theta = tuple[int, ...]
@@ -61,94 +71,52 @@ def monomial(theta: Iterable[int], xpows: Mapping[int, int]) -> tuple[int, Monom
     return sign, (t, xs)
 
 
-class SuperPolynomial:
-    __slots__ = ("nvars", "terms")
+class SuperPolynomial(_Combination):
+    """A combination of canonical monomials, tagged with the number of
+    variables; +, -, scale, ==, hash and coefficient come from the shared
+    core, and combining polynomials over different rings raises."""
+
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
-        object.__setattr__(self, "nvars", nvars)
-        clean = _clean(_merge(terms))
-        for t, xs in clean:
+        self._set(nvars, _merge(terms))
+        for t, xs in self.terms:
             if any(i > nvars or i < 1 for i in t) or any(
                 i > nvars or i < 1 for i, _ in xs
             ):
                 raise ValueError("variable index out of range")
-        object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperPolynomial is immutable")
-
-    @classmethod
-    def zero(cls, nvars: int) -> "SuperPolynomial":
-        return cls(nvars)
+    @property
+    def nvars(self) -> int:
+        return self._tag
 
     @classmethod
     def one(cls, nvars: int) -> "SuperPolynomial":
         return cls(nvars, {((), ()): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperPolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _require_same_ring(self, other: "SuperPolynomial"):
-        if not isinstance(other, SuperPolynomial):
-            raise TypeError(f"expected SuperPolynomial, got {type(other).__name__}")
-        if self.nvars != other.nvars:
-            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        self._require_same_ring(other)
-        return SuperPolynomial(self.nvars, accumulate(dict(self.terms), other.terms))
-
-    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SuperPolynomial":
-        c = _exact(c)
-        return SuperPolynomial(self.nvars, {k: v * c for k, v in self.terms.items()})
-
     def __repr__(self) -> str:
         return render_poly(self)
 
     def to_json(self) -> list[dict]:
-        out = []
-        for (t, xs), c in sorted(self.terms.items()):
-            out.append(
-                {
-                    "theta": list(t),
-                    "x": [[i, e] for i, e in xs],
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-            )
-        return out
+        return [
+            {"theta": list(t), "x": [[i, e] for i, e in xs], **_coeff_json(c)}
+            for (t, xs), c in sorted(self.terms.items())
+        ]
+
+
+def _mono_mul(m1: Monomial, m2: Monomial):
+    (t1, xs1), (t2, xs2) = m1, m2
+    sign, t = _sort_sign(t1 + t2)
+    if sign == 0:
+        return ()
+    xp = dict(xs1)
+    for i, e in xs2:
+        xp[i] = xp.get(i, 0) + e
+    return (((t, tuple(sorted(xp.items()))), sign),)
 
 
 def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    p._require_same_ring(q)
-    out: dict[Monomial, object] = {}
-    for (t1, xs1), c1 in p.terms.items():
-        for (t2, xs2), c2 in q.terms.items():
-            sign, t = _sort_sign(t1 + t2)
-            if sign == 0:
-                continue
-            xp = dict(xs1)
-            for i, e in xs2:
-                xp[i] = xp.get(i, 0) + e
-            key = (t, tuple(sorted(xp.items())))
-            out[key] = out.get(key, 0) + c1 * c2 * sign
-    return SuperPolynomial(p.nvars, out)
+    return SuperPolynomial._trusted(p._same_tag(q), bilinear(_mono_mul, p.terms, q.terms))
 
 
 def shift_indices(p: SuperPolynomial, offset: int, nvars: int) -> SuperPolynomial:
@@ -187,7 +155,7 @@ def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
                 xpows[i] = xpows.get(i, 0) + p.value
         key = (theta, tuple(sorted(xpows.items())))
         out[key] = out.get(key, 0) + 1
-    return SuperPolynomial(nvars, out)
+    return SuperPolynomial._trusted(nvars, out)
 
 
 def _defsets_sum(
@@ -234,7 +202,7 @@ def _defsets_sum(
             go(k + 1)
 
     go(1)
-    return SuperPolynomial(nvars, out)
+    return SuperPolynomial._trusted(nvars, out)
 
 
 def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
@@ -266,7 +234,7 @@ def realize_expr(e: Expr, nvars: int) -> SuperPolynomial:
     acc: dict[Monomial, object] = {}
     for poly, c in pieces:
         accumulate(acc, poly.terms, c)
-    return SuperPolynomial(nvars, acc)
+    return SuperPolynomial._trusted(nvars, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +293,9 @@ def extract_M(p: SuperPolynomial, require_faithful: bool = False) -> Expr:
 
 
 def render_poly(p: SuperPolynomial) -> str:
-    if not p.terms:
-        return "0"
     pieces = []
     for (t, xs), c in sorted(p.terms.items()):
         factors = [f"theta[{i}]" for i in t]
-        for i, e in xs:
-            factors.append(f"x[{i}]" if e == 1 else f"x[{i}]^{e}")
-        body = "*".join(factors) if factors else "1"
-        if c == 1:
-            pieces.append(body)
-        elif c == -1:
-            pieces.append(f"-{body}")
-        else:
-            pieces.append(f"{c}*{body}")
-    out = pieces[0]
-    for s in pieces[1:]:
-        out += " - " + s[1:] if s.startswith("-") else " + " + s
-    return out
+        factors += [f"x[{i}]" if e == 1 else f"x[{i}]^{e}" for i, e in xs]
+        pieces.append(_coeff_prefix(c, "*".join(factors) or "1", False))
+    return _join_terms(pieces)

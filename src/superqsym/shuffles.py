@@ -21,7 +21,7 @@ _MEMO_SIZE = 4096
 
 class DottedPermutation:
     """A word of DottedParts whose non-dotted entries are pairwise distinct
-    integers.
+    positive integers; entries are read as composition parts are.
 
     Dotted values may repeat: grid words like [d1,d1] occur in products and
     their contributions cancel in signed sums.
@@ -30,22 +30,18 @@ class DottedPermutation:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        clean = []
-        for e in entries:
-            if isinstance(e, DottedPart):
-                clean.append(e)
-            elif isinstance(e, tuple):
-                clean.append(DottedPart(int(e[0]), bool(e[1])))
-            elif isinstance(e, int):
-                clean.append(DottedPart(e, False))
-            elif isinstance(e, str) and e.startswith("d"):
-                clean.append(DottedPart(int(e[1:]), True))
-            else:
-                raise TypeError(f"cannot interpret {e!r} as a word entry")
-        object.__setattr__(self, "entries", tuple(clean))
-        nondotted = [e.value for e in self.entries if not e.dotted]
+        object.__setattr__(self, "entries", tuple(_coerce_part(e) for e in entries))
+        nondotted = self.undotted()
         if len(set(nondotted)) != len(nondotted):
             raise ValueError("non-dotted entries must be pairwise distinct")
+
+    @classmethod
+    def _of(cls, entries: tuple[DottedPart, ...]) -> "DottedPermutation":
+        """Wrap a word the package built from valid entries with distinct
+        non-dotted values, without re-reading them."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", entries)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("DottedPermutation is immutable")
@@ -122,7 +118,7 @@ def comp_of_word(w: DottedPermutation) -> DottedComposition:
     seen_nondotted = 0
     for e in entries:
         if e.dotted:
-            dotted_items.append((seen_nondotted, _coerce_part(e)))
+            dotted_items.append((seen_nondotted, e))
         else:
             seen_nondotted += 1
     return _assemble_composition(n, descents, dotted_items)
@@ -302,6 +298,9 @@ def fundamental_product(
 def _enumerate_paths(
     w_alpha: DottedPermutation, w_beta: DottedPermutation
 ) -> list[PathResult]:
+    # a path word takes its non-dotted entries from the two words, so checking
+    # their concatenation once covers every path word built below
+    DottedPermutation(w_alpha.entries + w_beta.entries)
     cols = w_alpha.entries
     rows = w_beta.entries
     w, h = len(cols), len(rows)
@@ -317,7 +316,7 @@ def _enumerate_paths(
 
     def go(x: int, y: int, steps: list[Step], word_acc: list[DottedPart], ndots: int):
         if x == w and y == h:
-            pw = DottedPermutation(word_acc)
+            pw = DottedPermutation._of(tuple(word_acc))
             results.append(
                 PathResult(
                     GridPath(tuple(steps)),

@@ -658,4 +658,4 @@ def realize_s(
         terms[key] = terms.get(key, 0) + (-1 if inv % 2 else 1)
 
     _walk(outer, inner, menu, emit)
-    return SuperPolynomial(nvars, terms)
+    return SuperPolynomial._trusted(nvars, terms)

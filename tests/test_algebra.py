@@ -119,6 +119,8 @@ class TestConversions:
             L_to_M(M(1))
         with pytest.raises(BasisMismatchError):
             M_to_L(L(1))
+        with pytest.raises(BasisMismatchError):
+            cofundamental_to_M(L(1))
 
 
 class TestCounitUnit:

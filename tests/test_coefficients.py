@@ -1,8 +1,10 @@
 """The coefficient rule (a stored coefficient is an int, or a Fraction whose
-denominator is not 1), the rendering of non-integral coefficients, the
+denominator is not 1), the rendering of non-integral coefficients in
+expressions, tensors and polynomials, the
 compact L-product memo against its path enumeration, and the memo bounds."""
 
 import importlib
+import json
 import pkgutil
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +28,7 @@ from superqsym.algebra import (
 )
 from superqsym.composition import comp, compositions_with_total, universe
 from superqsym.hopf import coproduct, product, product_L
+from superqsym.realize import SuperPolynomial, poly_mul, render_poly
 from superqsym.shuffles import fundamental_paths, fundamental_product
 
 
@@ -51,6 +54,23 @@ def exprs(draw, basis):
     return Expr(basis, {k: draw(scalars) for k in keys})
 
 
+# canonical monomials (theta indices increasing, x exponents positive) in 2 variables
+MONOS = [
+    ((), ()),
+    ((1,), ()),
+    ((2,), ((1, 1),)),
+    ((1, 2), ()),
+    ((), ((1, 2), (2, 1))),
+    ((1,), ((2, 3),)),
+]
+
+
+@st.composite
+def polys(draw):
+    keys = draw(st.lists(st.sampled_from(MONOS), max_size=4))
+    return SuperPolynomial(2, {k: draw(scalars) for k in keys})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("M", "L")), st.data())
 def test_every_operation_keeps_the_rule(basis, data):
@@ -69,6 +89,10 @@ def test_every_operation_keeps_the_rule(basis, data):
     for x in (t, t + t, t - t, coproduct(a), tensor_from_json(tensor_to_json(t))):
         assert_rule(x)
     assert follows_rule(counit(a))
+    p = data.draw(polys())
+    q = data.draw(polys())
+    for x in (p, q, p + q, p - q, p.scale(c), poly_mul(p, q)):
+        assert_rule(x)
 
 
 def test_integral_fractions_are_stored_as_int():
@@ -103,7 +127,18 @@ T = TensorExpr(
         (comp(2, "d3"), comp()): Fraction(-5, 4),
     },
 )
+# Rendered before SuperPolynomial shared the Expr core.
+P = SuperPolynomial(
+    3,
+    {((1, 3), ((2, 1),)): Fraction(1, 2), ((), ((1, 2), (3, 1))): -2, ((), ()): 1},
+)
 GOLDEN = {
+    ("poly", "plain"): "1 - 2*x[1]^2*x[3] + 1/2*theta[1]*theta[3]*x[2]",
+    ("poly", "json"): (
+        '[{"theta": [], "x": [], "num": "1", "den": "1"}, '
+        '{"theta": [], "x": [[1, 2], [3, 1]], "num": "-2", "den": "1"}, '
+        '{"theta": [1, 3], "x": [[2, 1]], "num": "1", "den": "2"}]'
+    ),
     ("expr", "plain"): "2*L[] + 1/2*L[d1,2] - 3/2*L[1,d0] - L[3]",
     ("tensor", "plain"): "-M[] @ L[1,1] + 1/2*M[d1] @ L[2] - 5/4*M[2,d3] @ L[]",
     ("expr", "latex"): (
@@ -135,6 +170,16 @@ def test_rendering_is_byte_identical():
         assert render_tensor(T, fmt) == GOLDEN[("tensor", fmt)]
     assert repr(E) == GOLDEN[("expr", "plain")]
     assert repr(T) == GOLDEN[("tensor", "plain")]
+    assert render_poly(P) == repr(P) == GOLDEN[("poly", "plain")]
+    assert json.dumps(P.to_json()) == GOLDEN[("poly", "json")]
+    assert render_poly(SuperPolynomial.zero(3)) == "0"
+
+
+def test_lbar_slot_of_a_tensor_renders_as_in_an_expr():
+    t = TensorExpr(("Lbar", "L"), {(comp("d1"), comp(2)): 1})
+    assert render_tensor(t, "latex") == "\\bar L_{(\\dot{1})} \\otimes L_{(2)}"
+    assert render_tensor(t) == "Lbar[d1] @ L[2]"
+    assert render_expr(Expr("Lbar", {comp("d1"): 1}), "latex") == "\\bar L_{(\\dot{1})}"
 
 
 def test_compact_memo_matches_path_sums():

@@ -48,6 +48,15 @@ class TestDottedPermutation:
     def test_size(self):
         assert word(6, 7, 8, "d6", "d3", 9).size == 6
 
+    def test_malformed_entries_rejected_when_built(self):
+        # entries are read as composition parts: non-dotted >= 1, dotted >= 0
+        with pytest.raises(ValueError):
+            word(0)
+        with pytest.raises(ValueError):
+            word("d-1")
+        with pytest.raises(ValueError):
+            represent(comp(2), 0)
+
 
 class TestCompOfWord:
     def test_paper_example(self):
@@ -195,6 +204,11 @@ class TestFundamentalPaths:
                     for r in fundamental_paths(a, b, wa, wb)
                 )
                 assert got == reference, (a, b, wa, wb)
+
+    def test_overlapping_representatives_rejected(self):
+        # path words are built unchecked, so the two words are checked once
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            fundamental_paths(comp("d1", 1), comp(1), word("d1", 1), word(1))
 
     def test_classical_degeneration(self):
         # no dots: exactly the classical shuffles, all signs +1
