@@ -111,6 +111,9 @@ class _Combination:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (self._trusted, (self._tag, self.terms))
+
     def coefficient(self, *key):
         """The coefficient of a basis element, of a pair of them for a
         TensorExpr, or of a monomial; 0 when absent."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class CompositionParseError(ValueError):
@@ -60,64 +60,41 @@ def _coerce_part(p, min_plain: int = 1) -> DottedPart:
     return part
 
 
-class DottedComposition:
-    """Immutable sequence of dotted parts; hashable, usable as a basis key."""
+class DottedComposition(tuple):
+    """Immutable tuple of dotted parts; hashable, usable as a basis key."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable = ()):
-        parts = tuple(_coerce_part(p) for p in parts)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
+    def __new__(cls, parts: Iterable = ()):
+        return tuple.__new__(cls, (_coerce_part(p) for p in parts))
 
-    @classmethod
-    def _of(cls, parts: tuple[DottedPart, ...]) -> "DottedComposition":
-        """Wrap a tuple of valid DottedParts the package built itself,
-        without re-reading them."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "parts", parts)
-        object.__setattr__(obj, "_hash", hash(parts))
-        return obj
+    # wraps a tuple of valid DottedParts the package built itself, without
+    # re-reading them
+    _of = classmethod(tuple.__new__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DottedComposition is immutable")
-
-    # -- container protocol -------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[DottedPart]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DottedComposition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def parts(self) -> tuple[DottedPart, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return str(self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(str(p) for p in self) + "]"
 
     # -- statistics ----------------------------------------------------------
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     @property
     def total_degree(self) -> int:
-        return sum(p.value for p in self.parts)
+        return sum(p.value for p in self)
 
     @property
     def fermionic_degree(self) -> int:
-        return sum(1 for p in self.parts if p.dotted)
+        return sum(1 for p in self if p.dotted)
 
     def degrees(self) -> tuple[int, int]:
         """(n, m) with alpha |- (n, m)."""
@@ -125,22 +102,22 @@ class DottedComposition:
 
     def eta(self) -> tuple[int, ...]:
         """0/1 indicator of dotted positions."""
-        return tuple(1 if p.dotted else 0 for p in self.parts)
+        return tuple(1 if p.dotted else 0 for p in self)
 
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self
 
     # -- structural operations ------------------------------------------------
 
     def reverse(self) -> "DottedComposition":
-        return DottedComposition._of(self.parts[::-1])
+        return DottedComposition._of(self[::-1])
 
     def concat(self, other: "DottedComposition") -> "DottedComposition":
-        return DottedComposition._of(self.parts + other.parts)
+        return DottedComposition._of(self + other)
 
     def sort_key(self) -> tuple:
         # dotted sorts before non-dotted at equal value, for stable output
-        return tuple((p.value, 0 if p.dotted else 1) for p in self.parts)
+        return tuple((p.value, 0 if p.dotted else 1) for p in self)
 
     # -- text / json ----------------------------------------------------------
 
@@ -150,12 +127,12 @@ class DottedComposition:
 
     def latex(self) -> str:
         body = ",".join(
-            rf"\dot{{{p.value}}}" if p.dotted else str(p.value) for p in self.parts
+            rf"\dot{{{p.value}}}" if p.dotted else str(p.value) for p in self
         )
         return f"({body})"
 
     def to_json(self) -> list[dict]:
-        return [{"v": p.value, "dot": p.dotted} for p in self.parts]
+        return [{"v": p.value, "dot": p.dotted} for p in self]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "DottedComposition":
@@ -235,13 +212,13 @@ def def_sets(alpha: DottedComposition) -> DefSets:
     E: list[int] = []
     F: list[int] = []
     acc = 0
-    for i, p in enumerate(alpha.parts):
+    for i, p in enumerate(alpha):
         prev = acc
         acc += p.value + (1 if p.dotted else 0)
         if p.dotted:
             E.extend(range(prev + 1, acc))
             F.append(acc)
-        if i < len(alpha.parts) - 1:
+        if i < len(alpha) - 1:
             D.append(acc)
     fset = frozenset(F)
     fminus = fset
@@ -298,14 +275,14 @@ def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
     # reachable[j] = set of beta-positions i such that beta[:i] matches alpha[:j]
     reachable = {0}
     for j in range(la):
-        target = alpha.parts[j]
+        target = alpha[j]
         nxt: set[int] = set()
         for i in reachable:
             acc = 0
             dots = 0
             for k in range(i, lb):
-                acc += beta.parts[k].value
-                dots += 1 if beta.parts[k].dotted else 0
+                acc += beta[k].value
+                dots += 1 if beta[k].dotted else 0
                 if dots > (1 if target.dotted else 0) or acc > target.value:
                     break
                 if acc == target.value and dots == (1 if target.dotted else 0):
@@ -356,7 +333,9 @@ def _splits_weak(part: DottedPart) -> list[tuple[DottedPart, ...]]:
     return out
 
 
-# Bound of each refinement memo, in compositions.
+# Bound of every memo in the package (the refinements here, both shuffle
+# engines, realize_M and realize_L); the axiom suite at n+m <= 5 fills 192
+# entries in each refinement memo and 792 in each shuffle memo.
 _MEMO_SIZE = 4096
 
 
@@ -366,7 +345,7 @@ def _sorted_unique(items: Iterable[DottedComposition]) -> tuple[DottedCompositio
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _strong_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
-    choices = [_splits_strong(p) for p in alpha.parts]
+    choices = [_splits_strong(p) for p in alpha]
     return _sorted_unique(
         DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*choices)
@@ -380,7 +359,7 @@ def strong_refinements(alpha: DottedComposition) -> list[DottedComposition]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
-    choices = [_splits_weak(p) for p in alpha.parts]
+    choices = [_splits_weak(p) for p in alpha]
     return _sorted_unique(
         DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*choices)
@@ -394,8 +373,7 @@ def weak_refinements(alpha: DottedComposition) -> list[DottedComposition]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
-    parts = alpha.parts
-    l = len(parts)
+    l = len(alpha)
     results: list[DottedComposition] = []
 
     def go(i: int, acc: list[DottedPart]):
@@ -405,8 +383,8 @@ def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]
         value = 0
         dots = 0
         for j in range(i, l):
-            value += parts[j].value
-            dots += 1 if parts[j].dotted else 0
+            value += alpha[j].value
+            dots += 1 if alpha[j].dotted else 0
             if dots > 1:
                 break
             acc.append(DottedPart(value, dots == 1))
@@ -432,11 +410,11 @@ def near_concat(
     """alpha (.) beta, or None when both boundary parts are dotted."""
     if alpha.is_empty() or beta.is_empty():
         return None
-    a, b = alpha.parts[-1], beta.parts[0]
+    a, b = alpha[-1], beta[0]
     if a.dotted and b.dotted:
         return None
     fused = DottedPart(a.value + b.value, a.dotted or b.dotted)
-    return DottedComposition._of(alpha.parts[:-1] + (fused,) + beta.parts[1:])
+    return DottedComposition._of(alpha[:-1] + (fused,) + beta[1:])
 
 
 def near_concat_list(factors: Iterable[DottedComposition]) -> DottedComposition:
@@ -453,19 +431,19 @@ def near_concat_list(factors: Iterable[DottedComposition]) -> DottedComposition:
 
 
 def is_column(alpha: DottedComposition) -> bool:
-    return all(p.value == 1 for p in alpha.parts if not p.dotted)
+    return all(p.value == 1 for p in alpha if not p.dotted)
 
 
 def is_maximal(alpha: DottedComposition) -> bool:
     return not any(
         not a.dotted and not b.dotted
-        for a, b in zip(alpha.parts, alpha.parts[1:])
+        for a, b in zip(alpha, alpha[1:])
     )
 
 
 def maximal_strong_coarsening(alpha: DottedComposition) -> DottedComposition:
     parts: list[DottedPart] = []
-    for p in alpha.parts:
+    for p in alpha:
         if not p.dotted and parts and not parts[-1].dotted:
             parts[-1] = DottedPart(parts[-1].value + p.value, False)
         else:
@@ -496,7 +474,7 @@ def column_decomposition(gamma: DottedComposition) -> list[DottedComposition]:
     if gamma.is_empty():
         return []
     columns: list[list[DottedPart]] = [[]]
-    for p in gamma.parts:
+    for p in gamma:
         if p.dotted:
             columns[-1].append(p)
         else:

@@ -69,10 +69,10 @@ def product(a: Expr, b: Expr) -> Expr:
 # coproducts
 
 
-def _deconcatenations(parts: tuple, out: dict, c) -> None:
+def _deconcatenations(alpha: DottedComposition, out: dict, c) -> None:
     of = DottedComposition._of
-    for k in range(len(parts) + 1):
-        key = (of(parts[:k]), of(parts[k:]))
+    for k in range(len(alpha) + 1):
+        key = (of(alpha[:k]), of(alpha[k:]))
         out[key] = out.get(key, 0) + c
 
 
@@ -81,7 +81,7 @@ def coproduct_M(a) -> TensorExpr:
     e = _as_expr(a, "M")
     out: dict = {}
     for alpha, c in e.terms.items():
-        _deconcatenations(alpha.parts, out, c)
+        _deconcatenations(alpha, out, c)
     return TensorExpr._trusted(("M", "M"), out)
 
 
@@ -96,15 +96,14 @@ def coproduct_L(a) -> TensorExpr:
     of = DottedComposition._of
     out: dict = {}
     for alpha, c in e.terms.items():
-        parts = alpha.parts
-        _deconcatenations(parts, out, c)
-        for h, p in enumerate(parts):
+        _deconcatenations(alpha, out, c)
+        for h, p in enumerate(alpha):
             if p.dotted:
                 continue
             for u in range(1, p.value):
                 key = (
-                    of(parts[:h] + (DottedPart(u, False),)),
-                    of((DottedPart(p.value - u, False),) + parts[h + 1 :]),
+                    of(alpha[:h] + (DottedPart(u, False),)),
+                    of((DottedPart(p.value - u, False),) + alpha[h + 1 :]),
                 )
                 out[key] = out.get(key, 0) + c
     return TensorExpr._trusted(("L", "L"), out)
@@ -134,10 +133,10 @@ def _near_concat(alpha: DottedComposition, beta: DottedComposition):
 def _odot_L(alpha: DottedComposition, beta: DottedComposition):
     """Eq. (5.4) when both boundary parts are non-dotted, else the M route."""
     if (
-        alpha.parts
-        and beta.parts
-        and not alpha.parts[-1].dotted
-        and not beta.parts[0].dotted
+        alpha
+        and beta
+        and not alpha[-1].dotted
+        and not beta[0].dotted
     ):
         return ((near_concat(alpha, beta), 1), (alpha.concat(beta), -1))
     return _odot_L_via_M(
@@ -285,10 +284,8 @@ def _triple(t: TensorExpr, side: str, coprod) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _convolution(alpha: DottedComposition, basis: str, left: bool) -> Expr:
-    coprod = coproduct_M if basis == "M" else coproduct_L
-    anti = antipode_M if basis == "M" else antipode_L
-    mul = product_M if basis == "M" else product_L
+def _convolution(alpha: DottedComposition, basis: str, ops, left: bool) -> Expr:
+    mul, coprod, anti = ops
     t = coprod(Expr.basis_element(basis, alpha))
     out: dict = {}
     for (a, b), c in t.terms.items():
@@ -313,6 +310,11 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         if ta + tb <= max_total and ma + mb <= max_fermionic
     ]
     report = HopfReport()
+    # (product, coproduct, antipode) of each basis, read when the suite runs
+    ops = {
+        "M": (product_M, coproduct_M, antipode_M),
+        "L": (product_L, coproduct_L, antipode_L),
+    }
 
     def run(name: str, desc: str, items, test: Callable) -> None:
         for item in items:
@@ -323,8 +325,7 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
                 return
         report.checks.append(CheckResult(name, desc, "pass"))
 
-    for basis in ("M", "L"):
-        coprod = coproduct_M if basis == "M" else coproduct_L
+    for basis, (mul, coprod, _) in ops.items():
 
         def counit_ok(alpha, basis=basis, coprod=coprod):
             e = Expr.basis_element(basis, alpha)
@@ -346,17 +347,16 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         def convolution_ok(alpha, basis=basis):
             target = unit(basis).scale(1 if alpha == EMPTY else 0)
             return (
-                _convolution(alpha, basis, True) == target
-                and _convolution(alpha, basis, False) == target
+                _convolution(alpha, basis, ops[basis], True) == target
+                and _convolution(alpha, basis, ops[basis], False) == target
             )
 
         run(f"counit_{basis}", singles_desc, singles, counit_ok)
         run(f"coassociativity_{basis}", singles_desc, singles, coassoc_ok)
         run(f"convolution_{basis}", singles_desc, singles, convolution_ok)
 
-        def bialgebra_ok(pair, basis=basis, coprod=coprod):
+        def bialgebra_ok(pair, basis=basis, mul=mul, coprod=coprod):
             a, b = pair
-            mul = product_M if basis == "M" else product_L
             ea, eb = Expr.basis_element(basis, a), Expr.basis_element(basis, b)
             lhs = coprod(mul(ea, eb))
             rhs = koszul_mul(coprod(ea), coprod(eb), mul)
@@ -393,9 +393,9 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
     def odot_L_ok(pair):
         # Eq. (5.4), with odot recomputed through the M basis
         a, b = pair
-        if not (a.parts and b.parts):
+        if not (a and b):
             return True
-        if a.parts[-1].dotted or b.parts[0].dotted:
+        if a[-1].dotted or b[0].dotted:
             return True
         ea, eb = Expr.basis_element("L", a), Expr.basis_element("L", b)
         lhs = bullet(ea, eb) + _odot_L_via_M(ea, eb)

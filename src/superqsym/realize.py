@@ -25,15 +25,11 @@ from .algebra import (
     bilinear,
     to_M,
 )
-from .composition import DottedComposition, DottedPart, def_sets
+from .composition import _MEMO_SIZE, DottedComposition, DottedPart, def_sets
 
 Theta = tuple[int, ...]
 XPows = tuple[tuple[int, int], ...]
 Monomial = tuple[Theta, XPows]
-
-
-# Bound of each realization memo, in (composition, nvars) pairs.
-_MEMO_SIZE = 4096
 
 
 class NotQuasisymmetricError(ValueError):
@@ -148,9 +144,9 @@ def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     l = alpha.length
     out: dict[Monomial, int] = {}
     for idx in itertools.combinations(range(1, nvars + 1), l):
-        theta = tuple(i for i, p in zip(idx, alpha.parts) if p.dotted)
+        theta = tuple(i for i, p in zip(idx, alpha) if p.dotted)
         xpows: dict[int, int] = {}
-        for i, p in zip(idx, alpha.parts):
+        for i, p in zip(idx, alpha):
             if p.value:
                 xpows[i] = xpows.get(i, 0) + p.value
         key = (theta, tuple(sorted(xpows.items())))

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .composition import DottedComposition, DottedPart, _coerce_part
-
-# Bound of each memo below; the axiom suite at n+m <= 5 fills 792 entries in each.
-_MEMO_SIZE = 4096
+from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _coerce_part
 
 
-class DottedPermutation:
+class DottedPermutation(tuple):
     """A word of DottedParts whose non-dotted entries are pairwise distinct
     positive integers; entries are read as composition parts are.
 
@@ -27,49 +24,32 @@ class DottedPermutation:
     their contributions cancel in signed sums.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(_coerce_part(e) for e in entries))
+    def __new__(cls, entries: Iterable):
+        self = tuple.__new__(cls, (_coerce_part(e) for e in entries))
         nondotted = self.undotted()
         if len(set(nondotted)) != len(nondotted):
             raise ValueError("non-dotted entries must be pairwise distinct")
+        return self
 
-    @classmethod
-    def _of(cls, entries: tuple[DottedPart, ...]) -> "DottedPermutation":
-        """Wrap a word the package built from valid entries with distinct
-        non-dotted values, without re-reading them."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", entries)
-        return obj
+    # wraps a word the package built from valid entries with distinct
+    # non-dotted values, without re-reading them
+    _of = classmethod(tuple.__new__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DottedPermutation is immutable")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, DottedPermutation) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    @property
+    def entries(self) -> tuple[DottedPart, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return "[" + ",".join(str(e) for e in self.entries) + "]"
+        return "[" + ",".join(str(e) for e in self) + "]"
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def undotted(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.entries if not e.dotted)
+        return tuple(e.value for e in self if not e.dotted)
 
 
 def word(*entries) -> DottedPermutation:
@@ -106,17 +86,16 @@ def _assemble_composition(
 
 def comp_of_word(w: DottedPermutation) -> DottedComposition:
     """Descent composition of a dotted permutation."""
-    entries = w.entries
-    nondotted = [(pos, e.value) for pos, e in enumerate(entries) if not e.dotted]
+    nondotted = [(pos, e.value) for pos, e in enumerate(w) if not e.dotted]
     n = len(nondotted)
     descents = []
     for i, (pos, value) in enumerate(nondotted):
-        next_is_dotted = pos + 1 < len(entries) and entries[pos + 1].dotted
+        next_is_dotted = pos + 1 < len(w) and w[pos + 1].dotted
         if next_is_dotted or (i + 1 < n and value > nondotted[i + 1][1]):
             descents.append(i + 1)
     dotted_items = []
     seen_nondotted = 0
-    for e in entries:
+    for e in w:
         if e.dotted:
             dotted_items.append((seen_nondotted, e))
         else:
@@ -134,16 +113,15 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
     entries: list[DottedPart] = []
     cursor = start
     i = 0
-    parts = alpha.parts
-    while i < len(parts):
-        if parts[i].dotted:
-            entries.append(DottedPart(parts[i].value, True))
+    while i < len(alpha):
+        if alpha[i].dotted:
+            entries.append(alpha[i])
             i += 1
             continue
         j = i
-        while j < len(parts) and not parts[j].dotted:
+        while j < len(alpha) and not alpha[j].dotted:
             j += 1
-        block = [p.value for p in parts[i:j]]
+        block = [p.value for p in alpha[i:j]]
         total = sum(block)
         values = list(range(cursor, cursor + total))
         cursor += total
@@ -166,8 +144,7 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
 def _overlapping_shuffles(
     alpha: DottedComposition, beta: DottedComposition
 ) -> tuple[tuple[DottedComposition, int], ...]:
-    cols = alpha.parts
-    rows = beta.parts
+    cols, rows = alpha, beta
     w, h = len(cols), len(rows)
     dotted_rows = [i for i, p in enumerate(rows, start=1) if p.dotted]
     out: list[tuple[DottedComposition, int]] = []
@@ -236,8 +213,7 @@ def path_word(
     w_alpha: DottedPermutation, w_beta: DottedPermutation, steps: Iterable[Step]
 ) -> DottedPermutation:
     """Pi(P): the dotted permutation a fundamental path spells out."""
-    cols = w_alpha.entries
-    rows = w_beta.entries
+    cols, rows = w_alpha, w_beta
     x = y = 0
     out: list[DottedPart] = []
     for step in steps:
@@ -277,7 +253,7 @@ def fundamental_paths(
     if w_alpha is None:
         w_alpha = represent(alpha, 1)
     if w_beta is None:
-        n_alpha = sum(p.value for p in alpha.parts if not p.dotted)
+        n_alpha = sum(p.value for p in alpha if not p.dotted)
         w_beta = represent(beta, n_alpha + 1)
     return _enumerate_paths(w_alpha, w_beta)
 
@@ -300,9 +276,8 @@ def _enumerate_paths(
 ) -> list[PathResult]:
     # a path word takes its non-dotted entries from the two words, so checking
     # their concatenation once covers every path word built below
-    DottedPermutation(w_alpha.entries + w_beta.entries)
-    cols = w_alpha.entries
-    rows = w_beta.entries
+    DottedPermutation(w_alpha + w_beta)
+    cols, rows = w_alpha, w_beta
     w, h = len(cols), len(rows)
     dotted_rows = [i for i, e in enumerate(rows, start=1) if e.dotted]
 

@@ -79,6 +79,9 @@ class Superpartition:
     def __setattr__(self, name, value):
         raise AttributeError("Superpartition is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.fermionic, self.bosonic))
+
     def __eq__(self, other):
         return (
             isinstance(other, Superpartition)
@@ -296,6 +299,20 @@ def fermionic_strips(
 # s-tableaux
 
 
+def _circle_word(circles) -> tuple[int, ...]:
+    # top-to-bottom = decreasing circle value; unfilled circles are skipped
+    return tuple(
+        letter for value, letter in sorted(circles, reverse=True) if letter is not None
+    )
+
+
+def _circle_inversions(circles) -> int:
+    w = _circle_word(circles)
+    return sum(
+        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
+    )
+
+
 @dataclass(frozen=True)
 class STableau:
     inner: Superpartition
@@ -309,21 +326,10 @@ class STableau:
         return dict(self.cells)
 
     def circle_word(self) -> tuple[int, ...]:
-        # top-to-bottom = decreasing circle value; unfilled circles are skipped
-        return tuple(
-            letter
-            for value, letter in sorted(self.circles, reverse=True)
-            if letter is not None
-        )
+        return _circle_word(self.circles)
 
     def inv(self) -> int:
-        w = self.circle_word()
-        return sum(
-            1
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if w[i] > w[j]
-        )
+        return _circle_inversions(self.circles)
 
     def sign(self) -> int:
         return -1 if self.inv() % 2 else 1
@@ -639,23 +645,13 @@ def realize_s(
         return [DottedPart(v, d) for d in (False, True) for v in range(remaining + 1)]
 
     def emit(chain, weight, cells, circles):
-        word = [
-            letter
-            for value, letter in sorted(circles, reverse=True)
-            if letter is not None
-        ]
-        inv = sum(
-            1
-            for i in range(len(word))
-            for j in range(i + 1, len(word))
-            if word[i] > word[j]
-        )
         theta = tuple(i for i, p in enumerate(weight, start=1) if p.dotted)
         xp = tuple(
             (i, p.value) for i, p in enumerate(weight, start=1) if p.value
         )
         key = (theta, xp)
-        terms[key] = terms.get(key, 0) + (-1 if inv % 2 else 1)
+        sign = -1 if _circle_inversions(circles) % 2 else 1
+        terms[key] = terms.get(key, 0) + sign
 
     _walk(outer, inner, menu, emit)
     return SuperPolynomial._trusted(nvars, terms)

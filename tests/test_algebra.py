@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,9 @@ from superqsym.composition import (
     weak_leq,
 )
 from superqsym.hopf import product_M
+from superqsym.realize import realize_L
+from superqsym.shuffles import fundamental_paths, word
+from superqsym.superschur import EMPTY_SHAPE, Superpartition, dot_standard_tableaux
 
 
 def M(*parts):
@@ -37,6 +42,21 @@ def M(*parts):
 
 def L(*parts):
     return Expr.basis_element("L", comp(*parts))
+
+
+# one value of each immutable type, built lazily so collection stays cheap
+VALUES = {
+    "DottedComposition": lambda: comp(1, "d2"),
+    "DottedPermutation": lambda: word(3, "d1"),
+    "Expr": lambda: M(2, "d0").scale(Fraction(1, 2)) + M(1),
+    "TensorExpr": lambda: tensor(L(1), L("d2")),
+    "SuperPolynomial": lambda: realize_L(comp(1, "d1"), 2),
+    "Superpartition": lambda: Superpartition((1,), (2,)),
+    "STableau": lambda: dot_standard_tableaux(
+        Superpartition((1,), (2,)), EMPTY_SHAPE
+    )[0],
+    "PathResult": lambda: fundamental_paths(comp(1), comp("d1"))[0],
+}
 
 
 class TestExprArithmetic:
@@ -168,6 +188,13 @@ class TestSerialization:
         assert data["basis"] == "M"
         assert all(isinstance(t["num"], str) for t in data["terms"])
         assert expr_from_json(json.loads(json.dumps(data))) == e
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        x = VALUES[name]()
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x)
+            assert y == x
 
     def test_tensor_json_round_trip(self):
         t = tensor(L(1), L("d2")) - tensor(L("d2"), L(1))

@@ -5,6 +5,7 @@ from superqsym.composition import (
     EMPTY,
     CompositionParseError,
     DottedComposition,
+    DottedPart,
     InconsistentDefSetsError,
     classify,
     column_decomposition,
@@ -25,6 +26,7 @@ from superqsym.composition import (
     weak_leq,
     weak_refinements,
 )
+from superqsym.shuffles import DottedPermutation
 
 RUNNING_EXAMPLE = comp(2, 3, "d1", "d2", 4, "d1", "d0", 2, "d1")
 
@@ -261,6 +263,13 @@ class TestStructure:
         assert a.reverse() == comp("d1", 2)
         assert a.concat(b) == comp(2, "d1", 3, 4)
         assert EMPTY.reverse() == EMPTY
+        # a composition is the tuple of its parts
+        pair = (DottedPart(2, False), DottedPart(1, True))
+        assert a == pair and hash(a) == hash(pair)
+        assert type(a.parts) is tuple and a.parts == a
+        assert type(a.concat(b)) is DottedComposition
+        assert type(DottedComposition._of(pair)) is DottedComposition
+        assert type(DottedPermutation._of(pair)) is DottedPermutation
 
     def test_near_concat(self):
         assert near_concat(comp(2, 1), comp(3, 4)) == comp(2, 4, 4)
