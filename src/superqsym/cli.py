@@ -225,9 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process: building it costs
+    more than parsing a typical query."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CompositionParseError, SuperpartitionParseError) as exc:

@@ -130,6 +130,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "convolution_M" in out and "pass" in out
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        import superqsym.cli as cli
+
+        build, built = cli.build_parser, []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(3):
+            assert main(["convert", "[2]", "--from", "L", "--to", "M"]) == 0
+        assert capsys.readouterr().out == "M[1,1] + M[2]\n" * 3
+        assert len(built) <= 1
+
     def test_verify_failure_exits_3(self, capsys, monkeypatch):
         import superqsym.hopf as hopf
         from superqsym.hopf import CheckResult, HopfReport
@@ -166,6 +181,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error: number of variables must be >= 0, got -3" in err
+
+    @pytest.mark.parametrize("bounds", [("-1", "1"), ("3", "-1")])
+    def test_negative_verify_bounds_is_1(self, capsys, bounds):
+        degree, fermionic = bounds
+        code = main(["verify", "--max-degree", degree, "--max-fermionic", fermionic])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: verify bounds must be >= 0")
 
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")

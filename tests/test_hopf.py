@@ -4,7 +4,7 @@ import pytest
 
 import classical_oracle as co
 import superqsym.hopf as hopf
-from superqsym.algebra import Expr, L_to_M, M_to_L, tensor, unit
+from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, tensor, unit
 from superqsym.composition import EMPTY, comp, compositions_of, universe
 from superqsym.hopf import (
     NotAColumnError,
@@ -269,6 +269,52 @@ class TestAntipodeL:
             antipode(e, via="nonsense")
 
 
+# Broken versions of the operations the axiom suite reads.  Each stays
+# linear, so the suite's verdict does not depend on whether it passes a basis
+# element or a composition.
+
+
+def _drop_empty_left(good):
+    def broken(a):
+        t = good(a)
+        return TensorExpr(t.bases, {k: c for k, c in t.terms.items() if k[0] != EMPTY})
+
+    return broken
+
+
+def _deconcatenation_only(good):
+    def broken(a):
+        terms = a.terms if isinstance(a, Expr) else {a: 1}
+        return TensorExpr(("L", "L"), coproduct_M(Expr("M", terms)).terms)
+
+    return broken
+
+
+def _negate_odd_fermionic(good):
+    # S preserves the bidegree, so this negates S on odd elements
+    def broken(a):
+        return Expr(
+            "L",
+            {k: -c if k.fermionic_degree % 2 else c for k, c in good(a).terms.items()},
+        )
+
+    return broken
+
+
+def _negate_nonunit(good):
+    def broken(a, b):
+        return [(g, -s) for g, s in good(a, b)] if a and b else good(a, b)
+
+    return broken
+
+
+def _drop_last_nonunit(good):
+    def broken(a, b):
+        return tuple(good(a, b))[:-1] if a and b else good(a, b)
+
+    return broken
+
+
 class TestVerifySuite:
     def test_small_universe_passes(self):
         report = verify_hopf(3, 1)
@@ -296,6 +342,59 @@ class TestVerifySuite:
         failing = [c for c in report.checks if c.status == "fail"]
         assert any("convolution" in c.name for c in failing)
         assert all(c.counterexample for c in failing)
+
+    @pytest.mark.parametrize(
+        "op, sabotage, expected",
+        [
+            pytest.param(
+                "coproduct_M", _drop_empty_left,
+                [
+                    ("counit_M", "[]"),
+                    ("coassociativity_M", "[d0]"),
+                    ("convolution_M", "[]"),
+                    ("bialgebra_M", "([], [d0])"),
+                ],
+                id="coproduct_M",
+            ),
+            pytest.param(
+                "coproduct_L", _deconcatenation_only,
+                [("convolution_L", "[2]"), ("bialgebra_L", "([d0], [2])")],
+                id="coproduct_L",
+            ),
+            pytest.param(
+                "antipode_L", _negate_odd_fermionic,
+                [("convolution_L", "[d0]")],
+                id="antipode_L",
+            ),
+            pytest.param(
+                "overlapping_shuffles", _negate_nonunit,
+                [("convolution_M", "[d0,1]"), ("bialgebra_M", "([d0], [1])")],
+                id="overlapping_shuffles",
+            ),
+            pytest.param(
+                "fundamental_product", _drop_last_nonunit,
+                [("convolution_L", "[d0,1]"), ("bialgebra_L", "([d0], [1,1])")],
+                id="fundamental_product",
+            ),
+        ],
+    )
+    def test_sabotaged_op_is_detected(self, monkeypatch, op, sabotage, expected):
+        # pins which checks see the broken op and the first item each fails on
+        monkeypatch.setattr(hopf, op, sabotage(getattr(hopf, op)))
+        report = hopf.verify_hopf(3, 1)
+        failing = [(c.name, c.counterexample) for c in report.checks if c.status == "fail"]
+        assert failing == expected
+        assert len(report.checks) == 12
+
+    @pytest.mark.parametrize("bounds", [(-1, 1), (3, -1), (-2, -2)])
+    def test_negative_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            verify_hopf(*bounds)
+
+    def test_zero_bounds_check_the_unit(self):
+        report = verify_hopf(0, 0)
+        assert report.passed
+        assert len(report.checks) == 12
 
 
 class TestGrading:
