@@ -110,7 +110,7 @@ _MEMOS = (
     _composition._strong_refinements,
     _composition._weak_refinements,
     _composition._weak_coarsenings,
-    _shuffles._overlapping_shuffles,
+    _shuffles.overlapping_shuffles,
     _shuffles.fundamental_product,
     _realize.realize_M,
     _realize.realize_L,

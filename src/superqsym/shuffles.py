@@ -3,15 +3,18 @@
 Overlapping shuffles walk an l(beta) x l(alpha) grid labeled by the parts
 themselves and drive the M-product.  Fundamental paths walk a grid labeled by
 dotted permutations representing alpha and beta, admit multi-cell diagonal
-steps, and drive the L-product.  Both carry the sign
-(-1)^(doubly-dotted cells strictly below the path).
+steps, and drive the L-product.  Both are one walk over a table of the moves
+each grid point allows, and carry the sign
+(-1)^(doubly-dotted cells strictly below the path); an engine supplies only
+its diagonal moves and what a finished path yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Optional
 
 from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _coerce_part
 
@@ -57,50 +60,24 @@ def word(*entries) -> DottedPermutation:
     return DottedPermutation(entries)
 
 
-def _assemble_composition(
-    n_nondotted: int,
-    descents: Sequence[int],
-    dotted_items: Sequence[tuple[int, DottedPart]],
-) -> DottedComposition:
-    """Shared skeleton of comp(w) and comp(T).
-
-    descents: strictly increasing positions within the non-dotted subsequence
-    (a value of n_nondotted is allowed and yields no trailing part).
-    dotted_items: (anchor, part) with anchor = number of non-dotted items
-    before the dotted one; items sharing an anchor keep their order.
-    """
-    cuts = list(descents)
-    if n_nondotted and (not cuts or cuts[-1] != n_nondotted):
-        cuts.append(n_nondotted)
-    by_anchor: dict[int, list[DottedPart]] = {}
-    for anchor, part in dotted_items:
-        by_anchor.setdefault(anchor, []).append(part)
-    parts: list[DottedPart] = list(by_anchor.get(0, []))
-    prev = 0
-    for c in cuts:
-        parts.append(DottedPart(c - prev, False))
-        parts.extend(by_anchor.get(c, []))
-        prev = c
-    return DottedComposition._of(tuple(parts))
-
-
 def comp_of_word(w: DottedPermutation) -> DottedComposition:
-    """Descent composition of a dotted permutation."""
-    nondotted = [(pos, e.value) for pos, e in enumerate(w) if not e.dotted]
-    n = len(nondotted)
-    descents = []
-    for i, (pos, value) in enumerate(nondotted):
-        next_is_dotted = pos + 1 < len(w) and w[pos + 1].dotted
-        if next_is_dotted or (i + 1 < n and value > nondotted[i + 1][1]):
-            descents.append(i + 1)
-    dotted_items = []
-    seen_nondotted = 0
+    """Descent composition of a dotted permutation: a run of non-dotted
+    entries ends at a dotted entry or at a strict descent; each dotted entry
+    is a part of its own."""
+    parts: list[DottedPart] = []
+    run = prev = 0
     for e in w:
+        if run and (e.dotted or e.value < prev):
+            parts.append(DottedPart(run, False))
+            run = 0
         if e.dotted:
-            dotted_items.append((seen_nondotted, e))
+            parts.append(e)
         else:
-            seen_nondotted += 1
-    return _assemble_composition(n, descents, dotted_items)
+            run += 1
+            prev = e.value
+    if run:
+        parts.append(DottedPart(run, False))
+    return DottedComposition._of(tuple(parts))
 
 
 def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
@@ -137,61 +114,95 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
 
 
 # ---------------------------------------------------------------------------
+# the grid walk both engines share
+
+# step encodings: ("H",), ("V",), ("D",) the M product's unit diagonal,
+# ("D3", k) column-diagonal over k rows, ("D4", k) row-diagonal over k columns
+Step = tuple
+
+
+def _moves(cols, rows, diagonals) -> list[list[dict]]:
+    """The move table of a grid: table[x][y] maps each step leaving (x, y)
+    to (entry, x', y'), in the order H, V, then the diagonals, which
+    diagonals(cols, rows) lists as (step, entry, x, y, x', y')."""
+    w, h = len(cols), len(rows)
+    table = []
+    for x in range(w + 1):
+        column = []
+        for y in range(h + 1):
+            cell = {}
+            if x < w:
+                cell[("H",)] = (cols[x], x + 1, y)
+            if y < h:
+                cell[("V",)] = (rows[y], x, y + 1)
+            column.append(cell)
+        table.append(column)
+    for step, entry, x, y, x2, y2 in diagonals(cols, rows):
+        table[x][y][step] = (entry, x2, y2)
+    return table
+
+
+def _walk(cols, rows, diagonals, leaf) -> list:
+    """The values leaf(steps, entries, sign) of every path from (0, 0) to
+    the far corner, in the order of the move table.
+
+    sign = (-1)^(doubly-dotted cells strictly below the path): a step that
+    leaves height y and crosses columns x+1..x' adds the dotted rows at or
+    below y once per dotted column it crosses.  steps and entries are the
+    walk's own lists, so a leaf copies what it keeps."""
+    table = _moves(cols, rows, diagonals)
+    below = list(accumulate((e.dotted for e in rows), initial=0))
+    dotted_cols = list(accumulate((e.dotted for e in cols), initial=0))
+    steps: list[Step] = []
+    entries: list[DottedPart] = []
+    out = []
+
+    def go(x: int, y: int, ndots: int):
+        moves = table[x][y]
+        if not moves:
+            out.append(leaf(steps, entries, -1 if ndots % 2 else 1))
+            return
+        for step, (entry, x2, y2) in moves.items():
+            steps.append(step)
+            entries.append(entry)
+            go(x2, y2, ndots + below[y] * (dotted_cols[x2] - dotted_cols[x]))
+            entries.pop()
+            steps.pop()
+
+    go(0, 0, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # overlapping shuffles (M-product engine)
 
 
+def _overlap_diagonals(cols, rows):
+    # one cell, whose labels may not both be dotted
+    return [
+        (("D",), DottedPart(a.value + b.value, a.dotted or b.dotted), x, y, x + 1, y + 1)
+        for x, a in enumerate(cols)
+        for y, b in enumerate(rows)
+        if not (a.dotted and b.dotted)
+    ]
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _overlapping_shuffles(
-    alpha: DottedComposition, beta: DottedComposition
-) -> tuple[tuple[DottedComposition, int], ...]:
-    cols, rows = alpha, beta
-    w, h = len(cols), len(rows)
-    dotted_rows = [i for i, p in enumerate(rows, start=1) if p.dotted]
-    out: list[tuple[DottedComposition, int]] = []
-
-    def dots_below(col: int, y: int) -> int:
-        if not cols[col - 1].dotted:
-            return 0
-        return sum(1 for r in dotted_rows if r <= y)
-
-    def go(x: int, y: int, acc: list[DottedPart], ndots: int):
-        if x == w and y == h:
-            out.append((DottedComposition._of(tuple(acc)), -1 if ndots % 2 else 1))
-            return
-        if x < w:
-            p = cols[x]
-            acc.append(p)
-            go(x + 1, y, acc, ndots + dots_below(x + 1, y))
-            acc.pop()
-        if y < h:
-            acc.append(rows[y])
-            go(x, y + 1, acc, ndots)
-            acc.pop()
-        if x < w and y < h:
-            a, b = cols[x], rows[y]
-            if not (a.dotted and b.dotted):
-                acc.append(DottedPart(a.value + b.value, a.dotted or b.dotted))
-                go(x + 1, y + 1, acc, ndots + dots_below(x + 1, y))
-                acc.pop()
-
-    go(0, 0, [], 0)
-    return tuple(out)
-
-
 def overlapping_shuffles(
     alpha: DottedComposition, beta: DottedComposition
-) -> list[tuple[DottedComposition, int]]:
+) -> tuple[tuple[DottedComposition, int], ...]:
     """All lattice paths with unit H/V/diagonal steps on the parts grid;
-    diagonals may not cross doubly-dotted cells; one (gamma, sign) per path."""
-    return list(_overlapping_shuffles(alpha, beta))
+    diagonals may not cross doubly-dotted cells; one (gamma, sign) per path.
+    Memoized per pair."""
+    return tuple(_walk(alpha, beta, _overlap_diagonals, _shuffle_term))
+
+
+def _shuffle_term(steps, entries, sign):
+    return DottedComposition._of(tuple(entries)), sign
 
 
 # ---------------------------------------------------------------------------
 # fundamental paths (L-product engine)
-
-# step encodings: ("H",), ("V",), ("D3", k) column-diagonal over k rows,
-# ("D4", k) row-diagonal over k columns
-Step = tuple
 
 
 @dataclass(frozen=True)
@@ -209,34 +220,53 @@ class PathResult(NamedTuple):
     sign: int
 
 
+def _rising(labels, i: int):
+    """k = 1, 2, ... while labels[i:i+k] are non-dotted and rise."""
+    prev = 0
+    for k, e in enumerate(labels[i:], start=1):
+        if e.dotted or e.value <= prev:
+            return
+        prev = e.value
+        yield k
+
+
+def _fundamental_diagonals(cols, rows):
+    moves = []
+    # type (3): dotted column label, k rows with increasing non-dotted labels
+    for x, a in enumerate(cols):
+        if a.dotted:
+            for y in range(len(rows)):
+                for k in _rising(rows, y):
+                    moves.append(
+                        (("D3", k), DottedPart(a.value + k, True), x, y, x + 1, y + k)
+                    )
+    # type (4): dotted row label, k columns with increasing non-dotted labels
+    for y, b in enumerate(rows):
+        if b.dotted:
+            for x in range(len(cols)):
+                for k in _rising(cols, x):
+                    moves.append(
+                        (("D4", k), DottedPart(b.value + k, True), x, y, x + k, y + 1)
+                    )
+    return moves
+
+
 def path_word(
     w_alpha: DottedPermutation, w_beta: DottedPermutation, steps: Iterable[Step]
 ) -> DottedPermutation:
-    """Pi(P): the dotted permutation a fundamental path spells out."""
-    cols, rows = w_alpha, w_beta
+    """Pi(P): the dotted permutation a fundamental path spells out.  A step
+    that no fundamental path takes from where the path stands, and a path
+    that stops short of the grid corner, raise ValueError."""
+    table = _moves(w_alpha, w_beta, _fundamental_diagonals)
     x = y = 0
     out: list[DottedPart] = []
     for step in steps:
-        kind = step[0]
-        if kind == "H":
-            out.append(cols[x])
-            x += 1
-        elif kind == "V":
-            out.append(rows[y])
-            y += 1
-        elif kind == "D3":
-            k = step[1]
-            out.append(DottedPart(cols[x].value + k, True))
-            x += 1
-            y += k
-        elif kind == "D4":
-            k = step[1]
-            out.append(DottedPart(rows[y].value + k, True))
-            x += k
-            y += 1
-        else:
-            raise ValueError(f"unknown step {step!r}")
-    if (x, y) != (len(cols), len(rows)):
+        move = table[x][y].get(tuple(step))
+        if move is None:
+            raise ValueError(f"no fundamental path takes step {step!r} at ({x}, {y})")
+        entry, x, y = move
+        out.append(entry)
+    if table[x][y]:
         raise ValueError("path does not end at the grid corner")
     return DottedPermutation(out)
 
@@ -249,13 +279,26 @@ def fundamental_paths(
 ) -> list[PathResult]:
     """All fundamental paths in the (alpha, beta)-grid with their words,
     descent compositions and signs.  Custom representatives may be supplied;
-    the resulting multiset of (gamma, sign) does not depend on them."""
+    each must represent its composition, and the resulting multiset of
+    (gamma, sign) does not depend on them."""
     if w_alpha is None:
         w_alpha = represent(alpha, 1)
+    elif comp_of_word(w_alpha) != alpha:
+        raise ValueError(f"{w_alpha!r} does not represent {alpha!r}")
     if w_beta is None:
         n_alpha = sum(p.value for p in alpha if not p.dotted)
         w_beta = represent(beta, n_alpha + 1)
-    return _enumerate_paths(w_alpha, w_beta)
+    elif comp_of_word(w_beta) != beta:
+        raise ValueError(f"{w_beta!r} does not represent {beta!r}")
+    # a path word takes its non-dotted entries from the two words, so checking
+    # their concatenation once covers every path word built below
+    DottedPermutation(w_alpha + w_beta)
+    return _walk(w_alpha, w_beta, _fundamental_diagonals, _path_result)
+
+
+def _path_result(steps, entries, sign) -> PathResult:
+    pw = DottedPermutation._of(tuple(entries))
+    return PathResult(GridPath(tuple(steps)), pw, comp_of_word(pw), sign)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -269,79 +312,3 @@ def fundamental_product(
     for res in fundamental_paths(alpha, beta):
         acc[res.gamma] = acc.get(res.gamma, 0) + res.sign
     return tuple((gamma, c) for gamma, c in acc.items() if c)
-
-
-def _enumerate_paths(
-    w_alpha: DottedPermutation, w_beta: DottedPermutation
-) -> list[PathResult]:
-    # a path word takes its non-dotted entries from the two words, so checking
-    # their concatenation once covers every path word built below
-    DottedPermutation(w_alpha + w_beta)
-    cols, rows = w_alpha, w_beta
-    w, h = len(cols), len(rows)
-    dotted_rows = [i for i, e in enumerate(rows, start=1) if e.dotted]
-
-    def dots_below(col: int, y: int) -> int:
-        # cells (r, col) with both labels dotted and r <= departure height y
-        if not cols[col - 1].dotted:
-            return 0
-        return sum(1 for r in dotted_rows if r <= y)
-
-    results: list[PathResult] = []
-
-    def go(x: int, y: int, steps: list[Step], word_acc: list[DottedPart], ndots: int):
-        if x == w and y == h:
-            pw = DottedPermutation._of(tuple(word_acc))
-            results.append(
-                PathResult(
-                    GridPath(tuple(steps)),
-                    pw,
-                    comp_of_word(pw),
-                    -1 if ndots % 2 else 1,
-                )
-            )
-            return
-        if x < w:
-            steps.append(("H",))
-            word_acc.append(cols[x])
-            go(x + 1, y, steps, word_acc, ndots + dots_below(x + 1, y))
-            word_acc.pop()
-            steps.pop()
-        if y < h:
-            steps.append(("V",))
-            word_acc.append(rows[y])
-            go(x, y + 1, steps, word_acc, ndots)
-            word_acc.pop()
-            steps.pop()
-        # type (3): dotted column label, k rows with increasing non-dotted labels
-        if x < w and cols[x].dotted:
-            k = 0
-            while (
-                y + k < h
-                and not rows[y + k].dotted
-                and (k == 0 or rows[y + k].value > rows[y + k - 1].value)
-            ):
-                k += 1
-                steps.append(("D3", k))
-                word_acc.append(DottedPart(cols[x].value + k, True))
-                go(x + 1, y + k, steps, word_acc, ndots + dots_below(x + 1, y))
-                word_acc.pop()
-                steps.pop()
-        # type (4): dotted row label, k columns with increasing non-dotted labels
-        if y < h and rows[y].dotted:
-            k = 0
-            while (
-                x + k < w
-                and not cols[x + k].dotted
-                and (k == 0 or cols[x + k].value > cols[x + k - 1].value)
-            ):
-                k += 1
-                steps.append(("D4", k))
-                word_acc.append(DottedPart(rows[y].value + k, True))
-                extra = sum(dots_below(x + j, y) for j in range(1, k + 1))
-                go(x + k, y + 1, steps, word_acc, ndots + extra)
-                word_acc.pop()
-                steps.pop()
-
-    go(0, 0, [], [], 0)
-    return results

@@ -10,7 +10,7 @@ from typing import Iterable, Optional
 from .algebra import Expr
 from .composition import DottedComposition, DottedPart, _coerce_part
 from .realize import SuperPolynomial, _check_nvars
-from .shuffles import _assemble_composition
+from .shuffles import DottedPermutation, comp_of_word
 
 
 class NotDotStandardError(ValueError):
@@ -464,29 +464,21 @@ def inv_sign(tab: STableau) -> int:
 
 
 def comp_of_tableau(tab: STableau) -> DottedComposition:
-    """Descent composition of a dot-standard s-tableau."""
+    """Descent composition of a dot-standard s-tableau: that of the dotted
+    word whose non-dotted letters fall as their rows rise, with ties in
+    letter order."""
     if not tab.is_dot_standard():
         raise NotDotStandardError("every non-dotted weight entry must equal 1")
     wt = tab.weight
-    n_letters = len(wt)
-    rows: dict[int, int] = {}
-    for (r, _c), letter in tab.cells:
-        rows[letter] = r
-    descents = []  # adjusted positions within the non-dotted subsequence
-    dotted_items = []
-    seen_nondotted = 0
-    for i in range(1, n_letters + 1):
-        p = wt[i - 1]
-        if p.dotted:
-            dotted_items.append((seen_nondotted, DottedPart(p.value, True)))
-            continue
-        seen_nondotted += 1
-        if i + 1 <= n_letters:
-            nxt = wt[i]
-            if nxt.dotted or rows[i + 1] > rows[i]:
-                descents.append(seen_nondotted)
-    n_nondotted = seen_nondotted
-    return _assemble_composition(n_nondotted, descents, dotted_items)
+    n = len(wt)
+    rows = {letter: r for (r, _c), letter in tab.cells}
+    depth = max(rows.values(), default=0) + 1
+    return comp_of_word(
+        DottedPermutation(
+            p if p.dotted else DottedPart((depth - rows[i]) * n + i, False)
+            for i, p in enumerate(wt, start=1)
+        )
+    )
 
 
 def standardize(tab: STableau) -> STableau:

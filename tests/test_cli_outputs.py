@@ -59,6 +59,10 @@ BRANCHES = [
     "product '[d1,2]' '[1,d0]' --basis M --trace",
     "coproduct '[2,d1,3]' --basis L",
     "antipode '[d1,2,d0]' --basis M",
+    # L paths with D3 and D4 steps over two cells and doubly-dotted cells
+    "product '[d1,2]' '[d0,2]' --basis L --trace",
+    # comp_of_tableau on 52 tableaux
+    "schur '(2,0;2,1)' --show-tableaux",
 ]
 
 COMMANDS = [

@@ -36,6 +36,17 @@ def all_representatives(alpha, start=1):
     return out
 
 
+def pairs_up_to(size):
+    """Every pair of dotted compositions with combined n+m <= size."""
+    def weight(a):
+        return a.total_degree + a.fermionic_degree
+
+    singles = [
+        a for t in range(size + 1) for m in range(t + 1) for a in compositions_of(t - m, m)
+    ]
+    return [(a, b) for a in singles for b in singles if weight(a) + weight(b) <= size]
+
+
 class TestDottedPermutation:
     def test_repeated_nondotted_rejected(self):
         with pytest.raises(ValueError):
@@ -110,8 +121,8 @@ class TestOverlappingShuffles:
 
     def test_empty_factor(self):
         beta = comp(3, "d1")
-        assert overlapping_shuffles(comp(), beta) == [(beta, 1)]
-        assert overlapping_shuffles(beta, comp()) == [(beta, 1)]
+        assert overlapping_shuffles(comp(), beta) == ((beta, 1),)
+        assert overlapping_shuffles(beta, comp()) == ((beta, 1),)
 
     def test_matches_classical_quasi_shuffle(self):
         for na in range(4):
@@ -167,6 +178,21 @@ class TestFundamentalPaths:
         with pytest.raises(ValueError):
             path_word(word(1), word(2), [("H",)])
 
+    def test_path_word_rejects_steps_no_fundamental_path_takes(self):
+        # a column diagonal needs a dotted column label
+        with pytest.raises(ValueError):
+            path_word(word(1, 2), word(3), [("D3", 1), ("H",)])
+        # and may not cross a doubly-dotted cell
+        with pytest.raises(ValueError):
+            path_word(word("d1"), word("d2"), [("D3", 1)])
+
+    def test_path_word_spells_every_enumerated_path(self):
+        for a, b in pairs_up_to(5):
+            w_a = represent(a, 1)
+            w_b = represent(b, sum(p.value for p in a if not p.dotted) + 1)
+            for r in fundamental_paths(a, b):
+                assert path_word(w_a, w_b, r.path.steps) == r.word, (a, b, r)
+
     def test_example_4_3_signed_multiset(self):
         results = fundamental_paths(comp("d1", 2), comp("d2", 1))
         counted = Counter((r.gamma, r.sign) for r in results)
@@ -204,6 +230,13 @@ class TestFundamentalPaths:
                     for r in fundamental_paths(a, b, wa, wb)
                 )
                 assert got == reference, (a, b, wa, wb)
+
+    def test_representatives_must_represent_their_compositions(self):
+        # [2,1] has a descent, so it represents [1,1], not [2]
+        with pytest.raises(ValueError, match="does not represent"):
+            fundamental_paths(comp(2), comp(1), word(2, 1), word(3))
+        with pytest.raises(ValueError, match="does not represent"):
+            fundamental_paths(comp(1), comp(2), word(1), word(3, 2))
 
     def test_overlapping_representatives_rejected(self):
         # path words are built unchecked, so the two words are checked once
