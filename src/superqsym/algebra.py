@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 from .composition import (
     EMPTY,
     DottedComposition,
+    DottedPart,
     strong_refinements,
     weak_refinements,
 )
@@ -186,10 +187,28 @@ class Expr(_Combination):
         return cls._trusted(_check_basis(basis), {_as_composition(alpha): coeff})
 
     def support(self) -> list[DottedComposition]:
-        return sorted(self.terms, key=DottedComposition.sort_key)
+        """The keys in the order of DottedComposition.sort_key."""
+        rank = _part_table(self.terms, _rank)
+        return sorted(self.terms, key=lambda alpha: [rank[p] for p in alpha])
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {alpha.degrees() for alpha in self.terms}
+
+
+def _part_table(compositions, f) -> dict:
+    """f(p) for each distinct part of the compositions, so that sorting and
+    rendering read a part once per call rather than once per term."""
+    return {p: f(p) for p in set().union(*compositions)}
+
+
+def _rank(p: DottedPart) -> int:
+    # a part's place in DottedComposition.sort_key: by value, dotted first
+    return 2 * p.value + (not p.dotted)
+
+
+def _compositions(e) -> set:
+    """The compositions the keys of an Expr or a TensorExpr are made of."""
+    return set().union(*e.terms) if isinstance(e, TensorExpr) else e.terms
 
 
 def _as_expr(x, basis: str) -> Expr:
@@ -276,9 +295,12 @@ class TensorExpr(_Combination):
         return self._tag
 
     def support(self):
+        """The pairs in the order of DottedComposition.sort_key, left slot
+        first."""
+        rank = _part_table(_compositions(self), _rank)
         return sorted(
             self.terms,
-            key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
+            key=lambda pair: ([rank[p] for p in pair[0]], [rank[p] for p in pair[1]]),
         )
 
     def map_slots(self, f_left, f_right, bases: tuple[str, str]) -> "TensorExpr":
@@ -346,12 +368,13 @@ def _join_terms(rendered: list[str]) -> str:
     return out
 
 
-def _labeler(basis: str, latex: bool) -> Callable[[DottedComposition], str]:
-    """The label of an element of `basis`: L[d1,2], or \\bar L_{(\\dot{1},2)}."""
+def _labeler(basis: str, latex: bool, part: dict) -> Callable[[DottedComposition], str]:
+    """The label of an element of `basis`, L[d1,2] or \\bar L_{(\\dot{1},2)},
+    from `part`, a table of part labels in the same format."""
     if latex:
         head = "\\bar L" if basis == "Lbar" else basis
-        return lambda alpha: f"{head}_{{{alpha.latex()}}}"
-    return lambda alpha: f"{basis}{alpha}"
+        return lambda alpha: head + "_{(" + ",".join([part[p] for p in alpha]) + ")}"
+    return lambda alpha: basis + "[" + ",".join([part[p] for p in alpha]) + "]"
 
 
 def render_expr(e: Expr | TensorExpr, fmt: str = "plain") -> str:
@@ -363,7 +386,8 @@ def render_expr(e: Expr | TensorExpr, fmt: str = "plain") -> str:
         return json.dumps(tensor_to_json(e) if tensor else expr_to_json(e))
     latex = fmt == "latex"
     sep = " \\otimes " if latex else " @ "
-    label = [_labeler(basis, latex) for basis in (e._tag if tensor else (e._tag,))]
+    part = _part_table(_compositions(e), DottedPart.latex if latex else str)
+    label = [_labeler(basis, latex, part) for basis in (e._tag if tensor else (e._tag,))]
     pieces = []
     for key in e.support():
         if tensor:
@@ -382,10 +406,13 @@ def _coeff_json(c) -> dict:
 
 
 def expr_to_json(e: Expr) -> dict:
+    """The JSON document of an Expr; terms with a part in common share that
+    part's dict."""
+    part = _part_table(e.terms, DottedPart.to_json)
     return {
         "basis": e.basis,
         "terms": [
-            {"comp": alpha.to_json(), **_coeff_json(e.terms[alpha])}
+            {"comp": [part[p] for p in alpha], **_coeff_json(e.terms[alpha])}
             for alpha in e.support()
         ],
     }
@@ -400,10 +427,17 @@ def expr_from_json(data: dict) -> Expr:
 
 
 def tensor_to_json(t: TensorExpr) -> dict:
+    """The JSON document of a TensorExpr; part dicts are shared as in
+    expr_to_json."""
+    part = _part_table(_compositions(t), DottedPart.to_json)
     return {
         "bases": list(t.bases),
         "terms": [
-            {"left": a.to_json(), "right": b.to_json(), **_coeff_json(t.terms[(a, b)])}
+            {
+                "left": [part[p] for p in a],
+                "right": [part[p] for p in b],
+                **_coeff_json(t.terms[(a, b)]),
+            }
             for a, b in t.support()
         ],
     }

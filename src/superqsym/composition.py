@@ -34,6 +34,12 @@ class DottedPart(NamedTuple):
     def __str__(self) -> str:
         return f"d{self.value}" if self.dotted else str(self.value)
 
+    def latex(self) -> str:
+        return rf"\dot{{{self.value}}}" if self.dotted else str(self.value)
+
+    def to_json(self) -> dict:
+        return {"v": self.value, "dot": self.dotted}
+
 
 def _coerce_part(p, min_plain: int = 1) -> DottedPart:
     """Read a part from a DottedPart, a (value, dotted) pair, an int or text
@@ -126,13 +132,10 @@ class DottedComposition(tuple):
         return parse_composition(text)
 
     def latex(self) -> str:
-        body = ",".join(
-            rf"\dot{{{p.value}}}" if p.dotted else str(p.value) for p in self
-        )
-        return f"({body})"
+        return "(" + ",".join(p.latex() for p in self) + ")"
 
     def to_json(self) -> list[dict]:
-        return [{"v": p.value, "dot": p.dotted} for p in self]
+        return [p.to_json() for p in self]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "DottedComposition":

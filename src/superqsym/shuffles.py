@@ -87,6 +87,8 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
     right-to-left with the smallest fresh values, making every internal part
     boundary a strict descent; dotted parts become dotted entries verbatim.
     """
+    if start < 1:
+        raise ValueError(f"non-dotted values must be >= 1, got start {start}")
     entries: list[DottedPart] = []
     cursor = start
     i = 0
@@ -98,19 +100,15 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
         j = i
         while j < len(alpha) and not alpha[j].dotted:
             j += 1
-        block = [p.value for p in alpha[i:j]]
-        total = sum(block)
-        values = list(range(cursor, cursor + total))
-        cursor += total
-        runs: list[list[int]] = []
-        taken = 0
-        for size in reversed(block):
-            runs.append(values[taken : taken + size])
-            taken += size
-        for run in reversed(runs):
-            entries.extend(DottedPart(v, False) for v in run)
+        block = alpha[i:j]
+        cursor += sum(p.value for p in block)
+        top = cursor
+        for p in block:
+            top -= p.value
+            entries.extend(DottedPart(v, False) for v in range(top, top + p.value))
         i = j
-    return DottedPermutation(entries)
+    # the values are fresh and distinct by construction
+    return DottedPermutation._of(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +140,23 @@ def _moves(cols, rows, diagonals) -> list[list[dict]]:
     return table
 
 
+def _dot_prefixes(cols, rows) -> tuple[list[int], list[int]]:
+    """The counts behind the sign (-1)^(doubly-dotted cells strictly below
+    the path): below[y] dotted rows at or below height y, and dotted[x]
+    dotted columns among the first x.  A step that leaves height y and
+    crosses columns x+1..x' adds below[y] * (dotted[x'] - dotted[x])."""
+    below = list(accumulate((e.dotted for e in rows), initial=0))
+    dotted = list(accumulate((e.dotted for e in cols), initial=0))
+    return below, dotted
+
+
 def _walk(cols, rows, diagonals, leaf) -> list:
     """The values leaf(steps, entries, sign) of every path from (0, 0) to
-    the far corner, in the order of the move table.
-
-    sign = (-1)^(doubly-dotted cells strictly below the path): a step that
-    leaves height y and crosses columns x+1..x' adds the dotted rows at or
-    below y once per dotted column it crosses.  steps and entries are the
-    walk's own lists, so a leaf copies what it keeps."""
+    the far corner, in the order of the move table, with the sign of
+    _dot_prefixes.  steps and entries are the walk's own lists, so a leaf
+    copies what it keeps."""
     table = _moves(cols, rows, diagonals)
-    below = list(accumulate((e.dotted for e in rows), initial=0))
-    dotted_cols = list(accumulate((e.dotted for e in cols), initial=0))
+    below, dotted_cols = _dot_prefixes(cols, rows)
     steps: list[Step] = []
     entries: list[DottedPart] = []
     out = []
@@ -280,20 +284,25 @@ def fundamental_paths(
     """All fundamental paths in the (alpha, beta)-grid with their words,
     descent compositions and signs.  Custom representatives may be supplied;
     each must represent its composition, and the resulting multiset of
-    (gamma, sign) does not depend on them."""
-    if w_alpha is None:
-        w_alpha = represent(alpha, 1)
-    elif comp_of_word(w_alpha) != alpha:
+    (gamma, sign) does not depend on them.  A default representative takes
+    values above those of the other word."""
+    if w_alpha is not None and comp_of_word(w_alpha) != alpha:
         raise ValueError(f"{w_alpha!r} does not represent {alpha!r}")
-    if w_beta is None:
-        n_alpha = sum(p.value for p in alpha if not p.dotted)
-        w_beta = represent(beta, n_alpha + 1)
-    elif comp_of_word(w_beta) != beta:
+    if w_beta is not None and comp_of_word(w_beta) != beta:
         raise ValueError(f"{w_beta!r} does not represent {beta!r}")
+    if w_alpha is None:
+        w_alpha = represent(alpha, 1 if w_beta is None else _above(w_beta))
+    if w_beta is None:
+        w_beta = represent(beta, _above(w_alpha))
     # a path word takes its non-dotted entries from the two words, so checking
     # their concatenation once covers every path word built below
     DottedPermutation(w_alpha + w_beta)
     return _walk(w_alpha, w_beta, _fundamental_diagonals, _path_result)
+
+
+def _above(w: DottedPermutation) -> int:
+    """The least value above every non-dotted entry of w."""
+    return max(w.undotted(), default=0) + 1
 
 
 def _path_result(steps, entries, sign) -> PathResult:
@@ -307,8 +316,35 @@ def fundamental_product(
 ) -> tuple[tuple[DottedComposition, int], ...]:
     """L_alpha L_beta as (gamma, coefficient) pairs: the signs of the
     fundamental paths summed per descent composition, zeros dropped.
-    Memoized per pair; the paths themselves are not kept."""
+
+    One walk over the move table of fundamental_paths' default grid, which
+    reads gamma as comp_of_word does while it steps: the parts closed so
+    far, and the length and last value of the open non-dotted run.  No path
+    is built.  Memoized per pair."""
+    w_alpha = represent(alpha, 1)
+    w_beta = represent(beta, _above(w_alpha))
+    table = _moves(w_alpha, w_beta, _fundamental_diagonals)
+    below, dotted_cols = _dot_prefixes(w_alpha, w_beta)
+    runs = [DottedPart(k, False) for k in range(len(w_alpha) + len(w_beta) + 1)]
     acc: dict[DottedComposition, int] = {}
-    for res in fundamental_paths(alpha, beta):
-        acc[res.gamma] = acc.get(res.gamma, 0) + res.sign
+
+    def go(x: int, y: int, ndots: int, parts: tuple, run: int, last: int):
+        moves = table[x][y]
+        if not moves:
+            gamma = DottedComposition._of(parts + (runs[run],) if run else parts)
+            acc[gamma] = acc.get(gamma, 0) + (-1 if ndots % 2 else 1)
+            return
+        for entry, x2, y2 in moves.values():
+            n2 = ndots + below[y] * (dotted_cols[x2] - dotted_cols[x])
+            if entry.dotted:
+                # closes the open run and is a part of its own
+                closed = parts + (runs[run],) if run else parts
+                go(x2, y2, n2, closed + (entry,), 0, 0)
+            elif entry.value < last:
+                # a strict descent closes the run and opens the next
+                go(x2, y2, n2, parts + (runs[run],), 1, entry.value)
+            else:
+                go(x2, y2, n2, parts, run + 1, entry.value)
+
+    go(0, 0, 0, (), 0, 0)
     return tuple((gamma, c) for gamma, c in acc.items() if c)

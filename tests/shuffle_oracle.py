@@ -3,12 +3,20 @@ before both engines ran on one grid walk: comp_of_word and comp_of_tableau
 assembled a composition from descents in a second pass, and each engine was
 its own recursion with its own doubly-dotted sign.  They stay here, as they
 were apart from the dropped memo on _overlapping_shuffles, as the oracle for
-comp_of_word, comp_of_tableau, overlapping_shuffles and fundamental_paths."""
+comp_of_word, comp_of_tableau, overlapping_shuffles and fundamental_paths.
+fundamental_product is the L product as it was before it read gamma during
+the walk: the signs of the enumerated fundamental paths, summed per gamma."""
 
 from typing import Sequence
 
 from superqsym.composition import DottedComposition, DottedPart
-from superqsym.shuffles import DottedPermutation, GridPath, PathResult, Step
+from superqsym.shuffles import (
+    DottedPermutation,
+    GridPath,
+    PathResult,
+    Step,
+    fundamental_paths,
+)
 from superqsym.superschur import NotDotStandardError, STableau
 
 
@@ -169,6 +177,15 @@ def _enumerate_paths(
 
     go(0, 0, [], [], 0)
     return results
+
+
+def fundamental_product(
+    alpha: DottedComposition, beta: DottedComposition
+) -> tuple[tuple[DottedComposition, int], ...]:
+    acc: dict[DottedComposition, int] = {}
+    for res in fundamental_paths(alpha, beta):
+        acc[res.gamma] = acc.get(res.gamma, 0) + res.sign
+    return tuple((gamma, c) for gamma, c in acc.items() if c)
 
 
 def comp_of_tableau(tab: STableau) -> DottedComposition:

@@ -80,6 +80,14 @@ class TestExprArithmetic:
     def test_support_sorted(self):
         e = M(2) + M(1, 1) + M("d1", 1)
         assert e.support() == sorted(e.terms, key=lambda a: a.sort_key())
+        # equal values dotted and not, and prefixes of longer keys
+        e = Expr("L", {alpha: 1 for alpha in universe(5, 2)})
+        assert e.support() == sorted(e.terms, key=lambda a: a.sort_key())
+        s = Expr("L", {alpha: 1 for alpha in universe(3, 2)})
+        t = tensor(s, s)
+        assert t.support() == sorted(
+            t.terms, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key())
+        )
 
 
 class TestConversions:

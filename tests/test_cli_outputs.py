@@ -63,6 +63,11 @@ BRANCHES = [
     "product '[d1,2]' '[d0,2]' --basis L --trace",
     # comp_of_tableau on 52 tableaux
     "schur '(2,0;2,1)' --show-tableaux",
+    # L products whose signs cancel: two paths to 0; 99 paths, 22 gammas
+    # cancelled, 55 terms; and a coefficient of 2
+    "product '[d1]' '[d1]' --basis L",
+    "product '[d0,1,d0]' '[1,d0,2]' --basis L",
+    "product '[1,1]' '[1,1]' --basis L",
 ]
 
 COMMANDS = [

@@ -1,15 +1,20 @@
-"""The one grid walk behind overlapping_shuffles and fundamental_paths, and
-the one-pass descent readers, against the engines and readers they replace
-(shuffle_oracle): same outputs in the same order."""
+"""The one grid walk behind overlapping_shuffles and fundamental_paths, the
+path-free fundamental_product, and the one-pass descent readers, against the
+engines and readers they replace (shuffle_oracle): same outputs in the same
+order."""
+
+from functools import lru_cache
 
 from hypothesis import given, strategies as st
 
 import shuffle_oracle as oracle
-from superqsym.composition import DottedPart, compositions_of
+from superqsym.composition import DottedPart, comp, compositions_of
+from superqsym import shuffles
 from superqsym.shuffles import (
     DottedPermutation,
     comp_of_word,
     fundamental_paths,
+    fundamental_product,
     overlapping_shuffles,
     represent,
 )
@@ -21,6 +26,7 @@ from superqsym.superschur import (
 )
 
 
+@lru_cache(maxsize=None)
 def compositions(size, max_dots):
     """Every dotted composition with n+m <= size and m <= max_dots."""
     return [
@@ -92,3 +98,41 @@ def test_comp_of_tableau_matches_the_oracle_up_to_six():
     for lam in shapes:
         for tab in dot_standard_tableaux(lam, EMPTY_SHAPE):
             assert comp_of_tableau(tab) == oracle.comp_of_tableau(tab), tab
+
+
+# every pair with combined n+m <= 7, any number of dots
+PAIRS_UP_TO_7 = [(a, b) for a in compositions(7, 7) for b in compositions(7 - weight(a), 7)]
+
+
+def test_product_matches_the_path_sum_on_every_pair_up_to_seven():
+    assert len(PAIRS_UP_TO_7) == 12393
+    for a, b in PAIRS_UP_TO_7:
+        want = dict(oracle.fundamental_product(a, b))
+        assert dict(fundamental_product.__wrapped__(a, b)) == want, (a, b)
+
+
+@st.composite
+def pairs_up_to_nine(draw):
+    """Two compositions with combined n+m <= 9 and m <= 4."""
+    a = draw(st.sampled_from(compositions(9, 4)))
+    b = draw(st.sampled_from(compositions(9 - weight(a), 4 - a.fermionic_degree)))
+    return a, b
+
+
+@given(pairs_up_to_nine())
+def test_drawn_products_up_to_nine_match_the_path_sum(pair):
+    assert dict(fundamental_product.__wrapped__(*pair)) == dict(
+        oracle.fundamental_product(*pair)
+    )
+
+
+def test_product_enumerates_no_paths(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fundamental_product enumerated a path")
+
+    a, b = comp("d1", 2, 1, "d0"), comp(1, "d2", 1)
+    monkeypatch.setattr(shuffles, "fundamental_paths", refuse)
+    monkeypatch.setattr(shuffles, "_path_result", refuse)
+    got = fundamental_product.__wrapped__(a, b)
+    monkeypatch.undo()
+    assert got == oracle.fundamental_product(a, b)

@@ -11,6 +11,7 @@ from superqsym.shuffles import (
     DottedPermutation,
     comp_of_word,
     fundamental_paths,
+    fundamental_product,
     overlapping_shuffles,
     path_word,
     represent,
@@ -237,6 +238,27 @@ class TestFundamentalPaths:
             fundamental_paths(comp(2), comp(1), word(2, 1), word(3))
         with pytest.raises(ValueError, match="does not represent"):
             fundamental_paths(comp(1), comp(2), word(1), word(3, 2))
+
+    @pytest.mark.parametrize(
+        "alpha,beta,w_alpha,w_beta",
+        [
+            (comp(2), comp(1), word(2, 3), None),
+            (comp(1), comp(1), None, word(1)),
+        ],
+    )
+    def test_default_representative_avoids_the_supplied_one(
+        self, alpha, beta, w_alpha, w_beta
+    ):
+        # the default word takes values above every value the other word uses
+        def product(results):
+            sums = Counter()
+            for r in results:
+                sums[r.gamma] += r.sign
+            return {gamma: c for gamma, c in sums.items() if c}
+
+        got = product(fundamental_paths(alpha, beta, w_alpha, w_beta))
+        assert got == product(fundamental_paths(alpha, beta))
+        assert got == dict(fundamental_product(alpha, beta))
 
     def test_overlapping_representatives_rejected(self):
         # path words are built unchecked, so the two words are checked once
