@@ -3,6 +3,7 @@ expansion of superspace Schur functions into the fundamental basis."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
@@ -211,15 +212,19 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 
 def _strips(star, rows, sizes: range, dotted, cap=None):
     """Every horizontal strip of type s over the diagram (star, rows) whose
-    cell count lies in `sizes`, built row by row.  Yields (new star, new
-    circle rows, cells, index of the new circle among the circles from below,
-    or None for a bosonic strip).  With `cap`, a star such as an outer
-    shape's, no row grows past it.
+    cell count lies in `sizes`.  Yields (cell count, new star, new circle
+    rows, index of the new circle among the circles from below, or None for a
+    bosonic strip).  With `cap`, a star such as an outer shape's, no row grows
+    past it.
 
-    An old circle keeps its row, or moves one row down when the strip has a
-    cell in its row; it must then end the topmost row of its length.  A
-    fermionic strip's new circle ends the row whose length is one less than
-    the first column the strip leaves empty."""
+    The strips are read off the vectors of cells added per row, in
+    lexicographic order: each row has room up to the old length of the row
+    above, so every vector is a horizontal strip.  An old circle keeps its
+    row, or moves one row down when the strip has a cell in its row; either
+    way it still ends the topmost row of its length, so a vector fails only
+    when a circle moves onto the row of a circle that stays.  A fermionic
+    strip's new circle ends the row whose length is the run of columns 1, 2,
+    ... the strip fills, read bottom-up; no old circle may end that row."""
     padded = star + (0,)
     most = max(sizes, default=0)
     room = []
@@ -228,51 +233,75 @@ def _strips(star, rows, sizes: range, dotted, cap=None):
         if cap is not None:
             top = min(top, cap[i] if i < len(cap) else 0)
         room.append(range(max(0, top - here) + 1))
+    stacked = [r for r in rows if r + 1 in rows]
     for add in product(*room):
-        if sum(add) not in sizes:
-            continue
-        new = tuple(v for v in (s + a for s, a in zip(padded, add)) if v)
-        length = len(new)
-
-        def topmost(r):
-            here = new[r - 1] if r <= length else 0
-            return r == 1 or new[r - 2] > here
-
-        moved = tuple(r + 1 if add[r - 1] else r for r in rows)
-        if not all(map(topmost, moved)) or any(
-            lo <= hi for lo, hi in zip(moved, moved[1:])
+        size = sum(add)
+        if size not in sizes or (
+            stacked and any(add[r - 1] and not add[r] for r in stacked)
         ):
             continue
-        cells = tuple(
-            (i + 1, c)
-            for i, a in enumerate(add)
-            for c in range(padded[i] + 1, padded[i] + a + 1)
-        )
+        new = tuple(map(operator.add, padded, add))
+        if not new[-1]:
+            new = new[:-1]
+        moved = tuple([r + 1 if add[r - 1] else r for r in rows])
         if not dotted:
-            yield new, moved, cells, None
+            yield size, new, moved, None
             continue
-        filled = {c for _, c in cells}
-        value = 0
-        while value + 1 in filled:
-            value += 1
-        row = 1 + sum(1 for v in new if v > value)
-        if (new[row - 1] if row <= length else 0) != value or row in moved:
+        value, row = 0, len(padded) + 1
+        for here, a in zip(reversed(padded), reversed(add)):
+            if here != value:
+                break
+            value += a
+            row -= 1
+        if row in moved:
             continue
         idx = sum(1 for r in moved if r > row)
-        yield new, moved[:idx] + (row,) + moved[idx:], cells, idx
+        yield size, new, moved[:idx] + (row,) + moved[idx:], idx
+
+
+def _cells(star, rows, cap=None):
+    """The bosonic one-cell strips of _strips, as (new star, new circle rows,
+    row of the cell): the addable corners, bottom row first, unless the cell
+    pushes a circle onto the circle in the row below."""
+    padded = star + (0,)
+    for i in range(len(star), -1, -1):
+        here = padded[i]
+        if i and padded[i - 1] == here:
+            continue
+        if cap is not None and here >= (cap[i] if i < len(cap) else 0):
+            continue
+        row = i + 1
+        if row in rows:
+            if row + 1 in rows:
+                continue
+            moved = tuple([row + 1 if r == row else r for r in rows])
+        else:
+            moved = rows
+        yield star[:i] + (here + 1,) + star[i + 1 :], moved, row
 
 
 def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
     """The strips over sp as (target, cells, new-circle index), sorted by
     target; with `outer`, only the targets it contains."""
+    if size < 0:
+        raise ValueError(f"strip size must be >= 0, got {size}")
     if outer is not None and dotted and sp.n_circles >= outer.n_circles:
         return []
     cap = None if outer is None else outer._star
+    padded = sp._star + (0,)
     found = [
-        (Superpartition._from_rows(star, rows), cells, idx)
-        for star, rows, cells, idx in _strips(
-        sp._star, sp._rows, range(size, size + 1), dotted, cap
-    )
+        (
+            Superpartition._from_rows(star, rows),
+            tuple(
+                (r, c)
+                for r, (lo, hi) in enumerate(zip(padded, star), 1)
+                for c in range(lo + 1, hi + 1)
+            ),
+            idx,
+        )
+        for _, star, rows, idx in _strips(
+            sp._star, sp._rows, range(size, size + 1), dotted, cap
+        )
     ]
     found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
     return found
@@ -554,19 +583,10 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     def moves_from(star, rows):
         found = moves.get((star, rows))
         if found is None:
-            remaining = degree - sum(star)
-            cells = [
-                (new, new_rows, new_cells[0][0])
-                for new, new_rows, new_cells, _ in _strips(
-                    star, rows, range(1, min(remaining, 1) + 1), False, cap
-                )
-            ]
-            dotted = [
-                (~len(new_cells), new, new_rows, idx)
-                for new, new_rows, new_cells, idx in _strips(
-                    star, rows, range(remaining + 1), True, cap
-                )
-            ] if len(rows) < n_circles else []
+            cells = list(_cells(star, rows, cap))
+            dotted = list(
+                _strips(star, rows, range(degree - sum(star) + 1), True, cap)
+            ) if len(rows) < n_circles else []
             found = moves[(star, rows)] = (cells, dotted)
         return found
 
@@ -589,7 +609,8 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
             for parts, c in sub_glued.items():
                 key1 = (parts[0] + 1,) + parts[1:]
                 out[key1] = out.get(key1, 0) + c
-        for part, new, new_rows, idx in dotted:
+        for size, new, new_rows, idx in dotted:
+            part = ~size
             below = filled & ((1 << idx) - 1)
             sign = -1 if below.bit_count() & 1 else 1
             sub_free, _ = walk(
@@ -602,15 +623,12 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         return found
 
     free, _ = walk(inner._star, inner._rows, 0, None)
+    part_of = {v: DottedPart(v, False) for v in range(1, degree + 1)}
+    part_of.update((~v, DottedPart(v, True)) for v in range(degree + 1))
     out = Expr._trusted(
         "L",
         {
-            DottedComposition._of(
-                tuple(
-                    DottedPart(p, False) if p > 0 else DottedPart(~p, True)
-                    for p in parts
-                )
-            ): c
+            DottedComposition._of(map(part_of.__getitem__, parts)): c
             for parts, c in free.items()
         },
     )

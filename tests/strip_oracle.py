@@ -1,7 +1,18 @@
-"""Horizontal strips of type s by filtering: scan every superpartition of the
-next degree and keep those that satisfy the strip conditions.  This was the
-package's strip generator before strips were built row by row; it stays here
-as the oracle for the constructive bosonic_strips and fermionic_strips."""
+"""Horizontal strips of type s by filtering, the two ways the package once
+made them.
+
+bosonic_strips and fermionic_strips scan every superpartition of the next
+degree and keep those that satisfy the strip conditions: the package's strip
+generator before strips were read off row-room vectors.  They are the oracle
+for the package's bosonic_strips and fermionic_strips.
+
+_strips is the generator the package had before its strips were built
+directly: it walks every vector of cells added per row, builds each vector's
+cells, and keeps those whose circles land legally.  It is the oracle for the
+one-cell and fermionic moves of the Schur walk, superschur._cells and
+superschur._strips."""
+
+from itertools import product
 
 from superqsym.superschur import Superpartition, superpartitions
 
@@ -71,3 +82,56 @@ def fermionic_strips(gamma: Superpartition, size: int):
                 out.append((cand, col))
                 break  # the column conditions pin the new circle uniquely
     return tuple(out)
+
+
+def _strips(star, rows, sizes: range, dotted, cap=None):
+    """Every horizontal strip of type s over the diagram (star, rows) whose
+    cell count lies in `sizes`, kept from every vector of cells added per
+    row.  Yields (new star, new circle rows, cells, index of the new circle
+    among the circles from below, or None for a bosonic strip).  With `cap`, a star such as an outer
+    shape's, no row grows past it.
+
+    An old circle keeps its row, or moves one row down when the strip has a
+    cell in its row; it must then end the topmost row of its length.  A
+    fermionic strip's new circle ends the row whose length is one less than
+    the first column the strip leaves empty."""
+    padded = star + (0,)
+    most = max(sizes, default=0)
+    room = []
+    for i, here in enumerate(padded):
+        top = min(padded[i - 1], here + most) if i else here + most
+        if cap is not None:
+            top = min(top, cap[i] if i < len(cap) else 0)
+        room.append(range(max(0, top - here) + 1))
+    for add in product(*room):
+        if sum(add) not in sizes:
+            continue
+        new = tuple(v for v in (s + a for s, a in zip(padded, add)) if v)
+        length = len(new)
+
+        def topmost(r):
+            here = new[r - 1] if r <= length else 0
+            return r == 1 or new[r - 2] > here
+
+        moved = tuple(r + 1 if add[r - 1] else r for r in rows)
+        if not all(map(topmost, moved)) or any(
+            lo <= hi for lo, hi in zip(moved, moved[1:])
+        ):
+            continue
+        cells = tuple(
+            (i + 1, c)
+            for i, a in enumerate(add)
+            for c in range(padded[i] + 1, padded[i] + a + 1)
+        )
+        if not dotted:
+            yield new, moved, cells, None
+            continue
+        filled = {c for _, c in cells}
+        value = 0
+        while value + 1 in filled:
+            value += 1
+        row = 1 + sum(1 for v in new if v > value)
+        if (new[row - 1] if row <= length else 0) != value or row in moved:
+            continue
+        idx = sum(1 for r in moved if r > row)
+        yield new, moved[:idx] + (row,) + moved[idx:], cells, idx

@@ -1,9 +1,10 @@
 """The memoized walk behind schur_to_L against the tableau enumeration it
-replaces, and the constructive strips against the filtering oracle."""
+replaces, and the constructive strips against the filtering oracles."""
 
 from hypothesis import given, settings, strategies as st
 
 import strip_oracle
+from superqsym import superschur
 from superqsym.algebra import Expr
 from superqsym.superschur import (
     EMPTY_SHAPE,
@@ -70,14 +71,57 @@ def test_random_shapes_up_to_seven(shape):
 
 
 def test_strips_match_the_filter():
-    for gamma in shapes(5):
-        for size in range(4):
+    for gamma in shapes(6):
+        for size in range(5):
             assert bosonic_strips(gamma, size) == strip_oracle.bosonic_strips(
                 gamma, size
             ), (gamma, size)
             assert fermionic_strips(gamma, size) == strip_oracle.fermionic_strips(
                 gamma, size
             ), (gamma, size)
+
+
+def test_walk_moves_match_the_product_filter():
+    """The walk's moves from every diagram state inside every outer shape,
+    capped by the outer shape and not, against the generator the package had
+    before, which filtered every row-room vector: same tuples, same order."""
+    universe = shapes(7)
+    for lam in universe:
+        for mu in universe:
+            if not lam.contains(mu):
+                continue
+            star, rows = mu.star(), mu._rows
+            sizes = range(lam.degree - mu.degree + 1)
+            for cap in (lam.star(), None):
+                want = [
+                    (new, new_rows, cells[0][0])
+                    for new, new_rows, cells, _ in strip_oracle._strips(
+                        star, rows, range(1, 2), False, cap
+                    )
+                ]
+                assert list(superschur._cells(star, rows, cap)) == want, (lam, mu, cap)
+                for dotted in (False, True):
+                    want = [
+                        (len(cells), new, new_rows, idx)
+                        for new, new_rows, cells, idx in strip_oracle._strips(
+                            star, rows, sizes, dotted, cap
+                        )
+                    ]
+                    got = list(superschur._strips(star, rows, sizes, dotted, cap))
+                    assert got == want, (lam, mu, cap, dotted)
+
+
+def test_schur_walk_lists_no_tableaux(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("schur_to_L listed strips or tableaux")
+
+    lam, mu = Superpartition((3, 1), (3, 2, 1)), Superpartition((0,), (1,))
+    want = enumerated(lam, mu)
+    monkeypatch.setattr(superschur, "_targets", refuse)
+    monkeypatch.setattr(superschur, "dot_standard_tableaux", refuse)
+    got = schur_to_L(lam, mu)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_cached_diagram():

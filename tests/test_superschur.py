@@ -91,6 +91,13 @@ class TestStrips:
         for gamma in (EMPTY_SHAPE, sp((1,), (2,)), sp((), (3, 1))):
             assert bosonic_strips(gamma, 0) == (gamma,)
 
+    def test_negative_size_is_rejected(self):
+        gamma = sp((1,), (2,))
+        with pytest.raises(ValueError, match="strip size"):
+            bosonic_strips(gamma, -1)
+        with pytest.raises(ValueError, match="strip size"):
+            fermionic_strips(gamma, -2)
+
     def test_classical_pieri_case(self):
         assert set(bosonic_strips(sp((), (2,)), 1)) == {
             sp((), (3,)),
