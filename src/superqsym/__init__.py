@@ -107,9 +107,9 @@ from . import composition as _composition, realize as _realize, shuffles as _shu
 __version__ = "0.1.0"
 
 _MEMOS = (
-    _composition._strong_refinements,
-    _composition._weak_refinements,
-    _composition._weak_coarsenings,
+    _composition.strong_refinements,
+    _composition.weak_refinements,
+    _composition.weak_coarsenings,
     _shuffles.overlapping_shuffles,
     _shuffles.fundamental_product,
     _realize.realize_M,

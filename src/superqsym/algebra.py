@@ -48,7 +48,7 @@ def _clean(terms: Mapping) -> dict:
     return {k: v if type(v) is int else _exact(v) for k, v in terms.items() if v}
 
 
-def _merge(terms: Mapping | None, key: Callable = lambda k: k) -> dict:
+def _merge(terms: Mapping | None, key: Callable) -> dict:
     """Sum the coefficients of a caller's mapping after reading each key."""
     out: dict = {}
     for k, c in (terms or {}).items():
@@ -91,6 +91,9 @@ class _Combination:
 
     __slots__ = ("_tag", "terms")
 
+    # how the constructor and `coefficient` read a caller's key
+    _key = staticmethod(lambda k: k)
+
     def _set(self, tag, terms: Mapping) -> None:
         object.__setattr__(self, "_tag", tag)
         object.__setattr__(self, "terms", _clean(terms))
@@ -118,7 +121,7 @@ class _Combination:
     def coefficient(self, *key):
         """The coefficient of a basis element, of a pair of them for a
         TensorExpr, or of a monomial; 0 when absent."""
-        return self.terms.get(key[0] if len(key) == 1 else key, 0)
+        return self.terms.get(self._key(key[0] if len(key) == 1 else key), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -174,9 +177,10 @@ class Expr(_Combination):
     """
 
     __slots__ = ()
+    _key = staticmethod(_as_composition)
 
     def __init__(self, basis: str, terms: Mapping[DottedComposition, object] | None = None):
-        self._set(_check_basis(basis), _merge(terms, _as_composition))
+        self._set(_check_basis(basis), _merge(terms, self._key))
 
     @property
     def basis(self) -> str:
@@ -278,6 +282,10 @@ def to_M(e: Expr) -> Expr:
 # tensor squares
 
 
+def _as_pair(key) -> tuple[DottedComposition, DottedComposition]:
+    return (_as_composition(key[0]), _as_composition(key[1]))
+
+
 def _check_bases(bases) -> tuple[str, str]:
     return (_check_basis(bases[0]), _check_basis(bases[1]))
 
@@ -286,9 +294,10 @@ class TensorExpr(_Combination):
     """Finite rational combination of pairs of dotted compositions."""
 
     __slots__ = ()
+    _key = staticmethod(_as_pair)
 
     def __init__(self, bases: tuple[str, str], terms=None):
-        self._set(_check_bases(bases), _merge(terms))
+        self._set(_check_bases(bases), _merge(terms, self._key))
 
     @property
     def bases(self) -> tuple[str, str]:

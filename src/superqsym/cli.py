@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import algebra, hopf, realize, shuffles, superschur
-from .algebra import BasisMismatchError, Expr, render_expr
+from .algebra import Expr, render_expr
 from .composition import (
     CompositionParseError,
     def_sets,
@@ -244,16 +244,8 @@ def main(argv=None) -> int:
     except (CompositionParseError, SuperpartitionParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DomainError,
-        BasisMismatchError,
-        hopf.NotAColumnError,
-        superschur.IncompatibleShapeError,
-        superschur.NotDotStandardError,
-        realize.NotQuasisymmetricError,
-        realize.FaithfulnessError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
+        # every domain error of the package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ refinement orders, the D/E/F set coordinates, and the structural operations
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -41,14 +42,27 @@ class DottedPart(NamedTuple):
         return {"v": self.value, "dot": self.dotted}
 
 
+def _as_int(v) -> int:
+    """v as an int; a bool, or a number with a fractional part, is refused
+    rather than read as 0/1 or truncated."""
+    if type(v) is int:
+        return v
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    i = int(v)
+    if isinstance(v, numbers.Number) and i != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return i
+
+
 def _coerce_part(p, min_plain: int = 1) -> DottedPart:
     """Read a part from a DottedPart, a (value, dotted) pair, an int or text
     like "d3"; a non-dotted value below `min_plain` is rejected."""
     if isinstance(p, DottedPart):
         part = p
     elif isinstance(p, tuple) and len(p) == 2:
-        part = DottedPart(int(p[0]), bool(p[1]))
-    elif isinstance(p, int):
+        part = DottedPart(_as_int(p[0]), bool(p[1]))
+    elif isinstance(p, int) and not isinstance(p, bool):
         part = DottedPart(p, False)
     elif isinstance(p, str):
         s = p.strip()
@@ -232,6 +246,8 @@ def def_sets(alpha: DottedComposition) -> DefSets:
 
 def from_def_sets(n: int, m: int, D: Iterable[int], F: Iterable[int]) -> DottedComposition:
     """Inverse of def_sets at fixed bidegree (n, m)."""
+    if n < 0 or m < 0:
+        raise InconsistentDefSetsError(f"bidegree must be >= 0, got ({n}, {m})")
     total = n + m
     Dset = frozenset(D)
     Fset = frozenset(F)
@@ -271,69 +287,22 @@ def strong_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
 
 def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
     """beta weakly refines alpha: alpha groups beta into consecutive blocks,
-    each holding at most one dotted part, block dotted iff a member is."""
-    if beta.degrees() != alpha.degrees():
-        return False
-    lb, la = len(beta), len(alpha)
-    # reachable[j] = set of beta-positions i such that beta[:i] matches alpha[:j]
-    reachable = {0}
-    for j in range(la):
-        target = alpha[j]
-        nxt: set[int] = set()
-        for i in reachable:
-            acc = 0
-            dots = 0
-            for k in range(i, lb):
-                acc += beta[k].value
-                dots += 1 if beta[k].dotted else 0
-                if dots > (1 if target.dotted else 0) or acc > target.value:
-                    break
-                if acc == target.value and dots == (1 if target.dotted else 0):
-                    nxt.add(k + 1)
-                # no early exit at acc == value: a trailing d0 may still
-                # supply the dot a dotted target needs
-        reachable = nxt
-        if not reachable:
+    each holding at most one dotted part, block dotted iff a member is.  The
+    blocks are forced: each takes parts until it reaches its target's value,
+    then a d0 if its target is dotted and it has no dot yet."""
+    i, lb = 0, len(beta)
+    for target in alpha:
+        value = dots = 0
+        while value < target.value and i < lb:
+            value += beta[i].value
+            dots += beta[i].dotted
+            i += 1
+        if target.dotted and not dots and i < lb and beta[i] == (0, True):
+            dots = 1
+            i += 1
+        if value != target.value or dots != target.dotted:
             return False
-    return lb in reachable
-
-
-def _splits_strong(part: DottedPart) -> list[tuple[DottedPart, ...]]:
-    if part.dotted:
-        return [(part,)]
-    v = part.value
-    out = []
-    for cuts in itertools.product((0, 1), repeat=v - 1):
-        pieces = []
-        run = 1
-        for c in cuts:
-            if c:
-                pieces.append(DottedPart(run, False))
-                run = 1
-            else:
-                run += 1
-        pieces.append(DottedPart(run, False))
-        out.append(tuple(pieces))
-    return out
-
-
-def _nondotted_compositions(v: int) -> list[tuple[DottedPart, ...]]:
-    if v == 0:
-        return [()]
-    return _splits_strong(DottedPart(v, False))
-
-
-def _splits_weak(part: DottedPart) -> list[tuple[DottedPart, ...]]:
-    if not part.dotted:
-        return _splits_strong(part)
-    out = []
-    v = part.value
-    for d in range(v + 1):
-        for lsum in range(v - d + 1):
-            for left in _nondotted_compositions(lsum):
-                for right in _nondotted_compositions(v - d - lsum):
-                    out.append(left + (DottedPart(d, True),) + right)
-    return out
+    return i == lb
 
 
 # Bound of every memo in the package (the refinements here, both shuffle
@@ -342,40 +311,64 @@ def _splits_weak(part: DottedPart) -> list[tuple[DottedPart, ...]]:
 _MEMO_SIZE = 4096
 
 
-def _sorted_unique(items: Iterable[DottedComposition]) -> tuple[DottedComposition, ...]:
-    return tuple(sorted(set(items), key=DottedComposition.sort_key))
+def _sorted(items: Iterable[DottedComposition]) -> tuple[DottedComposition, ...]:
+    return tuple(sorted(items, key=DottedComposition.sort_key))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _strong_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
-    choices = [_splits_strong(p) for p in alpha]
-    return _sorted_unique(
+def _runs(top: int) -> list[list[tuple[DottedPart, ...]]]:
+    """runs[k]: the non-dotted compositions of k <= top."""
+    plain = [DottedPart(v, False) for v in range(top + 1)]
+    runs: list[list[tuple[DottedPart, ...]]] = [[()]]
+    for k in range(1, top + 1):
+        runs.append([(plain[v],) + run for v in range(1, k + 1) for run in runs[k - v]])
+    return runs
+
+
+def _splits(part: DottedPart, weak: bool, runs) -> list[tuple[DottedPart, ...]]:
+    """A part's refinements: a run of its value if it is non-dotted; if it
+    is dotted, itself, or in the weak order a dotted part between two runs."""
+    v = part.value
+    if not part.dotted:
+        return runs[v]
+    if not weak:
+        return [(part,)]
+    return [
+        left + (DottedPart(d, True),) + right
+        for d in range(v + 1)
+        for lsum in range(v - d + 1)
+        for left in runs[lsum]
+        for right in runs[v - d - lsum]
+    ]
+
+
+def _refinements(alpha: DottedComposition, weak: bool) -> tuple[DottedComposition, ...]:
+    # every split of a part has its value and its number of dots, so none is
+    # a proper prefix of another: distinct choices give distinct refinements.
+    # A strong split never reads the runs of a dotted part.
+    runs = _runs(max((p.value for p in alpha if weak or not p.dotted), default=0))
+    return _sorted(
         DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*choices)
+        for combo in itertools.product(*(_splits(p, weak, runs) for p in alpha))
     )
 
 
-def strong_refinements(alpha: DottedComposition) -> list[DottedComposition]:
+@lru_cache(maxsize=_MEMO_SIZE)
+def strong_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     """All beta with beta <= alpha in the strong order, sorted."""
-    return list(_strong_refinements(alpha))
+    return _refinements(alpha, False)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
-    choices = [_splits_weak(p) for p in alpha]
-    return _sorted_unique(
-        DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*choices)
-    )
-
-
-def weak_refinements(alpha: DottedComposition) -> list[DottedComposition]:
+def weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     """All beta with beta <= alpha in the weak order, sorted."""
-    return list(_weak_refinements(alpha))
+    return _refinements(alpha, True)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
+def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
+    """All gamma with alpha <= gamma in the weak order, sorted.  Each block
+    structure gives its own gamma: blocks A and a longer A' from one start
+    have equal parts only if A' adds d0s to a dotted A, a second dot."""
     l = len(alpha)
     results: list[DottedComposition] = []
 
@@ -395,12 +388,7 @@ def _weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]
             acc.pop()
 
     go(0, [])
-    return _sorted_unique(results)
-
-
-def weak_coarsenings(alpha: DottedComposition) -> list[DottedComposition]:
-    """All gamma with alpha <= gamma in the weak order, sorted."""
-    return list(_weak_coarsenings(alpha))
+    return _sorted(results)
 
 
 # ---------------------------------------------------------------------------

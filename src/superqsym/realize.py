@@ -75,7 +75,7 @@ class SuperPolynomial(_Combination):
     __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
-        self._set(nvars, _merge(terms))
+        self._set(nvars, _merge(terms, self._key))
         for t, xs in self.terms:
             if any(i > nvars or i < 1 for i in t) or any(
                 i > nvars or i < 1 for i, _ in xs

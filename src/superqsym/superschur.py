@@ -9,7 +9,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import Expr
-from .composition import DottedComposition, DottedPart, _coerce_part
+from .composition import DottedComposition, DottedPart, _as_int, _coerce_part
 from .realize import SuperPolynomial, _check_nvars
 from .shuffles import DottedPermutation, comp_of_word
 
@@ -39,8 +39,8 @@ class Superpartition:
     __slots__ = ("fermionic", "bosonic", "_star", "_below", "_rows")
 
     def __init__(self, fermionic: Iterable[int] = (), bosonic: Iterable[int] = ()):
-        f = tuple(sorted((int(v) for v in fermionic), reverse=True))
-        b = tuple(sorted((int(v) for v in bosonic), reverse=True))
+        f = tuple(sorted(map(_as_int, fermionic), reverse=True))
+        b = tuple(sorted(map(_as_int, bosonic), reverse=True))
         if any(v < 0 for v in f):
             raise ValueError("fermionic parts must be >= 0")
         if len(set(f)) != len(f):
@@ -462,6 +462,7 @@ def enumerate_s_tableaux(
 ) -> list[STableau]:
     """All s-tableaux of shape outer/inner with the given weight (entries are
     ints for bosonic strips, 'd<k>' strings or (k, True) pairs for fermionic)."""
+    _require_inside(outer, inner)
     wt = tuple(_coerce_part(p, min_plain=0) for p in weight)
 
     def menu(sp, weight):

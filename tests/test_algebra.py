@@ -89,6 +89,12 @@ class TestExprArithmetic:
             t.terms, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key())
         )
 
+    def test_coefficient_reads_its_key_as_the_constructor_does(self):
+        e = Expr("L", {(1,): 1, (2, "d1"): 3})
+        assert e.coefficient((1,)) == 1
+        assert e.coefficient([2, "d1"]) == 3
+        assert e.coefficient(comp(2)) == 0
+
 
 class TestConversions:
     def test_L_to_M_figure_one_posets(self):
@@ -187,6 +193,12 @@ class TestTensor:
         t2 = tensor(L(1), L(1))
         with pytest.raises(BasisMismatchError):
             koszul_mul(t1, t2, product_M)
+
+    def test_raw_tuple_keys_are_read_as_compositions(self):
+        t = TensorExpr(("M", "M"), {((1,), (2,)): 1})
+        assert t == tensor(M(1), M(2))
+        assert render_expr(t) == "M[1] @ M[2]"
+        assert t.coefficient((1,), (2,)) == 1
 
 
 class TestSerialization:

@@ -65,6 +65,18 @@ class TestBasics:
             comp("d-1")
         comp("d0")  # legal
 
+    def test_bools_and_fractions_are_not_parts(self):
+        # True is not read as 1, and a fractional value is not truncated
+        with pytest.raises(TypeError):
+            comp(True)
+        with pytest.raises(TypeError):
+            comp((True, False))
+        with pytest.raises(ValueError):
+            comp((2.5, False))
+        with pytest.raises(ValueError):
+            comp((1.5, True))
+        assert comp((2.0, False), (3, True)) == comp(2, "d3")
+
     def test_text_round_trip(self):
         for text in ("[]", "[d0]", "[2,d3,1]", "[1,1,d5,1,1,1]"):
             assert str(parse_composition(text)) == text
@@ -124,6 +136,12 @@ class TestDefSets:
             from_def_sets(2, 1, {1}, {2})  # 2 not in D and not the endpoint
         with pytest.raises(InconsistentDefSetsError):
             from_def_sets(2, 0, {5}, set())  # D out of range
+
+    def test_from_def_sets_negative_bidegree(self):
+        with pytest.raises(InconsistentDefSetsError):
+            from_def_sets(-1, 0, [], [])
+        with pytest.raises(InconsistentDefSetsError):
+            from_def_sets(1, -1, [], [])
 
     def test_round_trip_exhaustive(self):
         # spec bound: everything with n + m <= 8
@@ -231,7 +249,7 @@ class TestEnumeration:
         assert len(weak_coarsenings(base)) == 16
 
     def test_weak_coarsenings_examples(self):
-        assert weak_coarsenings(comp("d1", "d2")) == [comp("d1", "d2")]
+        assert weak_coarsenings(comp("d1", "d2")) == (comp("d1", "d2"),)
         assert set(weak_coarsenings(comp(1, 1))) == {comp(1, 1), comp(2)}
 
     def test_strong_refinements_examples(self):
@@ -241,13 +259,13 @@ class TestEnumeration:
             comp(1, 2),
             comp(1, 1, 1),
         }
-        assert strong_refinements(comp("d1")) == [comp("d1")]
+        assert strong_refinements(comp("d1")) == (comp("d1"),)
         # the down-set of (2,d2,3) factors over the non-dotted parts: 2*4 = 8
         assert len(strong_refinements(comp(2, "d2", 3))) == 8
 
     def test_enumeration_order_is_deterministic(self):
         refs = strong_refinements(comp(2, "d2", 3))
-        assert refs == sorted(refs, key=DottedComposition.sort_key)
+        assert refs == tuple(sorted(refs, key=DottedComposition.sort_key))
 
     def test_compositions_of_counts(self):
         # 2 * 3^(t-1) dotted compositions with n + m = t

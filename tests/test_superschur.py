@@ -47,6 +47,17 @@ class TestSuperpartition:
         with pytest.raises(ValueError):
             sp((-1,), ())
 
+    def test_bools_and_fractions_are_not_parts(self):
+        with pytest.raises(ValueError):
+            sp((1.5,), (2.7,))
+        with pytest.raises(ValueError):
+            sp((), (2, 0.5))
+        with pytest.raises(TypeError):
+            sp((True,), ())
+        with pytest.raises(TypeError):
+            sp((), (True,))
+        assert sp((3.0,), (2,)) == sp((3,), (2,))
+
     def test_parse_and_str(self):
         assert str(Superpartition.parse("(3,0;5,3,2)")) == "(3,0;5,3,2)"
         assert Superpartition.parse("(;)") == EMPTY_SHAPE
@@ -330,6 +341,15 @@ class TestSchurToL:
     def test_incompatible_shape(self):
         with pytest.raises(IncompatibleShapeError):
             schur_to_L(sp((), (1,)), sp((), (2,)))
+
+    def test_incompatible_shape_in_every_walker(self):
+        outer, inner = sp((), (1,)), sp((), (2,))
+        with pytest.raises(IncompatibleShapeError):
+            enumerate_s_tableaux(outer, inner, [1])
+        with pytest.raises(IncompatibleShapeError):
+            dot_standard_tableaux(outer, inner)
+        with pytest.raises(IncompatibleShapeError):
+            realize_s(outer, inner, 2)
 
     def test_ascii_rendering(self):
         tabs = dot_standard_tableaux(sp((1,), (2, 2)), EMPTY_SHAPE)
