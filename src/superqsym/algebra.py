@@ -8,16 +8,11 @@ machine integers until a non-integral scalar enters."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .composition import (
-    EMPTY,
-    DottedComposition,
-    DottedPart,
-    strong_refinements,
-    weak_refinements,
-)
+from .composition import EMPTY, DottedComposition, DottedPart, strong_refinements, weak_refinements
 
 BASES = ("M", "L", "Lbar")
 
@@ -192,27 +187,36 @@ class Expr(_Combination):
 
     def support(self) -> list[DottedComposition]:
         """The keys in the order of DottedComposition.sort_key."""
-        rank = _part_table(self.terms, _rank)
-        return sorted(self.terms, key=lambda alpha: [rank[p] for p in alpha])
+        rank = _PartTable(_rank).__getitem__
+        return sorted(self.terms, key=lambda alpha: list(map(rank, alpha)))
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {alpha.degrees() for alpha in self.terms}
 
+    def _texts(self, keys, fmt: str):
+        """For render_expr: the JSON head, the term names in `keys` order, the JSON tail."""
+        label = _labeler(self._tag, fmt)
+        if fmt != "json":
+            return "", list(map(label, keys)), ""
+        names = ['{"comp": ' + label(alpha) for alpha in keys]
+        return '{"basis": ' + json.dumps(self._tag) + ', "terms": [', names, "]}"
 
-def _part_table(compositions, f) -> dict:
-    """f(p) for each distinct part of the compositions, so that sorting and
+
+class _PartTable(dict):
+    """f(p) for each part p looked up, made at its first lookup: sorting and
     rendering read a part once per call rather than once per term."""
-    return {p: f(p) for p in set().union(*compositions)}
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __missing__(self, p: DottedPart):
+        self[p] = value = self.f(p)
+        return value
 
 
 def _rank(p: DottedPart) -> int:
     # a part's place in DottedComposition.sort_key: by value, dotted first
     return 2 * p.value + (not p.dotted)
-
-
-def _compositions(e) -> set:
-    """The compositions the keys of an Expr or a TensorExpr are made of."""
-    return set().union(*e.terms) if isinstance(e, TensorExpr) else e.terms
 
 
 def _as_expr(x, basis: str) -> Expr:
@@ -306,11 +310,19 @@ class TensorExpr(_Combination):
     def support(self):
         """The pairs in the order of DottedComposition.sort_key, left slot
         first."""
-        rank = _part_table(_compositions(self), _rank)
+        rank = _PartTable(_rank).__getitem__
         return sorted(
-            self.terms,
-            key=lambda pair: ([rank[p] for p in pair[0]], [rank[p] for p in pair[1]]),
+            self.terms, key=lambda pair: (list(map(rank, pair[0])), list(map(rank, pair[1])))
         )
+
+    def _texts(self, keys, fmt: str):
+        # as Expr._texts
+        left, right = (_labeler(basis, fmt) for basis in self._tag)
+        if fmt != "json":
+            sep = " \\otimes " if fmt == "latex" else " @ "
+            return "", [left(a) + sep + right(b) for a, b in keys], ""
+        names = ['{"left": ' + left(a) + ', "right": ' + right(b) for a, b in keys]
+        return '{"bases": ' + json.dumps(list(self._tag)) + ', "terms": [', names, "]}"
 
     def map_slots(self, f_left, f_right, bases: tuple[str, str]) -> "TensorExpr":
         """Apply Expr-valued maps to the two slots (no sign; maps are even)."""
@@ -338,12 +350,8 @@ def koszul_mul(
 
     def pieces(ab, cd):
         (a, b), (c, d) = ab, cd
-        left = mul(
-            Expr.basis_element(left_basis, a), Expr.basis_element(left_basis, c)
-        )
-        right = mul(
-            Expr.basis_element(right_basis, b), Expr.basis_element(right_basis, d)
-        )
+        left = mul(Expr.basis_element(left_basis, a), Expr.basis_element(left_basis, c))
+        right = mul(Expr.basis_element(right_basis, b), Expr.basis_element(right_basis, d))
         sign = -1 if (b.fermionic_degree * c.fermionic_degree) % 2 else 1
         return bilinear(_pair, left.terms, right.terms, sign).items()
 
@@ -354,57 +362,51 @@ def koszul_mul(
 # rendering and JSON
 
 
-def _coeff_prefix(c, name: str, latex: bool) -> str:
-    if c == 1:
-        return name
-    if c == -1:
-        return f"-{name}"
-    if latex and c.denominator != 1:
-        num = f"\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-        return f"-{num}{name}" if c < 0 else f"{num}{name}"
-    return f"{c}*{name}"
+FORMATS = ("plain", "latex", "json")
+
+_PART_TEXT = {"plain": str, "latex": DottedPart.latex, "json": lambda p: json.dumps(p.to_json())}
 
 
-def _join_terms(rendered: list[str]) -> str:
-    if not rendered:
-        return "0"
-    out = rendered[0]
-    for r in rendered[1:]:
-        if r.startswith("-"):
-            out += " - " + r[1:]
-        else:
-            out += " + " + r
-    return out
+def _labeler(basis: str, fmt: str) -> Callable[[DottedComposition], str]:
+    """The text of an element of `basis` in `fmt`, read from a table of part
+    texts: L[d1,2], \\bar L_{(\\dot{1},2)} or [{"v": 1, "dot": true}, ...]."""
+    head, sep, tail = basis + "[", ",", "]"
+    if fmt == "latex":
+        head, tail = ("\\bar L" if basis == "Lbar" else basis) + "_{(", ")}"
+    elif fmt == "json":
+        head, sep = "[", ", "
+    get = _PartTable(_PART_TEXT[fmt]).__getitem__
+    return lambda alpha: head + sep.join(map(get, alpha)) + tail
 
 
-def _labeler(basis: str, latex: bool, part: dict) -> Callable[[DottedComposition], str]:
-    """The label of an element of `basis`, L[d1,2] or \\bar L_{(\\dot{1},2)},
-    from `part`, a table of part labels in the same format."""
-    if latex:
-        head = "\\bar L" if basis == "Lbar" else basis
-        return lambda alpha: head + "_{(" + ",".join([part[p] for p in alpha]) + ")}"
-    return lambda alpha: basis + "[" + ",".join([part[p] for p in alpha]) + "]"
-
-
-def render_expr(e: Expr | TensorExpr, fmt: str = "plain") -> str:
-    """Plain text, LaTeX or JSON for an Expr or a TensorExpr."""
-    tensor = isinstance(e, TensorExpr)
+def _coeff_text(c, fmt: str) -> str:
+    """What coefficient c adds to a term's name: in text the sign and factor
+    before it, as for a term that is not the first; in JSON the "num" and
+    "den" members after it."""
     if fmt == "json":
-        import json
+        return f', "num": "{c.numerator}", "den": "{c.denominator}"}}'
+    sign, c = (" - " if c < 0 else " + "), abs(c)
+    if fmt == "latex" and c.denominator != 1:
+        return f"{sign}\\frac{{{c.numerator}}}{{{c.denominator}}}"
+    return sign if c == 1 else f"{sign}{c}*"
 
-        return json.dumps(tensor_to_json(e) if tensor else expr_to_json(e))
-    latex = fmt == "latex"
-    sep = " \\otimes " if latex else " @ "
-    part = _part_table(_compositions(e), DottedPart.latex if latex else str)
-    label = [_labeler(basis, latex, part) for basis in (e._tag if tensor else (e._tag,))]
-    pieces = []
-    for key in e.support():
-        if tensor:
-            name = label[0](key[0]) + sep + label[1](key[1])
-        else:
-            name = label[0](key)
-        pieces.append(_coeff_prefix(e.terms[key], name, latex))
-    return _join_terms(pieces)
+
+def render_expr(e: _Combination, fmt: str = "plain") -> str:
+    """Plain text, LaTeX or JSON (json.dumps of expr_to_json, tensor_to_json
+    or SuperPolynomial.to_json) for an Expr, a TensorExpr or a
+    SuperPolynomial, which has no LaTeX form.  Each distinct part and each
+    distinct coefficient is written once per call, and the terms once."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    keys = e.support()
+    head, names, tail = e._texts(keys, fmt)
+    coeffs = [e.terms[k] for k in keys]
+    text = {c: _coeff_text(c, fmt) for c in set(coeffs)}
+    if fmt == "json":
+        return head + ", ".join([n + text[c] for n, c in zip(names, coeffs)]) + tail
+    out = "".join([text[c] + n for n, c in zip(names, coeffs)])
+    # the first term keeps only its sign: "2*L[1]" or "-L[1]", not " + 2*L[1]"
+    return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
 
 
 render_tensor = render_expr
@@ -417,7 +419,7 @@ def _coeff_json(c) -> dict:
 def expr_to_json(e: Expr) -> dict:
     """The JSON document of an Expr; terms with a part in common share that
     part's dict."""
-    part = _part_table(e.terms, DottedPart.to_json)
+    part = _PartTable(DottedPart.to_json)
     return {
         "basis": e.basis,
         "terms": [
@@ -438,7 +440,7 @@ def expr_from_json(data: dict) -> Expr:
 def tensor_to_json(t: TensorExpr) -> dict:
     """The JSON document of a TensorExpr; part dicts are shared as in
     expr_to_json."""
-    part = _part_table(_compositions(t), DottedPart.to_json)
+    part = _PartTable(DottedPart.to_json)
     return {
         "bases": list(t.bases),
         "terms": [
@@ -453,11 +455,9 @@ def tensor_to_json(t: TensorExpr) -> dict:
 
 
 def tensor_from_json(data: dict) -> TensorExpr:
+    read = DottedComposition.from_json
     terms = {
-        (
-            DottedComposition.from_json(t["left"]),
-            DottedComposition.from_json(t["right"]),
-        ): Fraction(int(t["num"]), int(t["den"]))
+        (read(t["left"]), read(t["right"])): Fraction(int(t["num"]), int(t["den"]))
         for t in data["terms"]
     }
     return TensorExpr(tuple(data["bases"]), terms)

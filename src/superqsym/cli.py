@@ -134,10 +134,8 @@ def _cmd_schur(args) -> int:
 def _cmd_realize(args) -> int:
     e = _parse_expr_atom(args.EXPR)
     p = realize.realize_expr(e, args.vars)
-    if args.format == "json":
-        print(json.dumps(p.to_json()))
-    else:
-        print(realize.render_poly(p))
+    # a polynomial has no LaTeX form: --format latex prints plain text
+    print(render_expr(p, "json" if args.format == "json" else "plain"))
     return 0
 
 
@@ -162,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
-        p.add_argument(
-            "--format", choices=("plain", "latex", "json"), default="plain"
-        )
+        p.add_argument("--format", choices=algebra.FORMATS, default="plain")
 
     p = sub.add_parser("product", help="product of two basis elements")
     p.add_argument("A")

@@ -55,13 +55,24 @@ def _as_int(v) -> int:
     return i
 
 
+def _as_flag(f) -> bool:
+    """f as a dot flag: only a bool or the int 0 or 1 is one, so that an
+    object such as "False" or None is refused rather than read by its truth
+    value."""
+    if isinstance(f, bool):
+        return f
+    if type(f) is int and f in (0, 1):
+        return f == 1
+    raise TypeError(f"expected a bool dot flag, got {f!r}")
+
+
 def _coerce_part(p, min_plain: int = 1) -> DottedPart:
     """Read a part from a DottedPart, a (value, dotted) pair, an int or text
     like "d3"; a non-dotted value below `min_plain` is rejected."""
     if isinstance(p, DottedPart):
         part = p
     elif isinstance(p, tuple) and len(p) == 2:
-        part = DottedPart(_as_int(p[0]), bool(p[1]))
+        part = DottedPart(_as_int(p[0]), _as_flag(p[1]))
     elif isinstance(p, int) and not isinstance(p, bool):
         part = DottedPart(p, False)
     elif isinstance(p, str):

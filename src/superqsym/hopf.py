@@ -226,14 +226,15 @@ def antipode_L(a) -> Expr:
 
 
 def antipode(a: Expr, via: str = "columns") -> Expr:
+    """S(a) on the M or L basis.  On L, `via` picks the column decomposition
+    ("columns") or the M-basis formula ("monomial"); on M both name the
+    M-basis formula."""
+    if via not in ("columns", "monomial"):
+        raise ValueError(f"unknown antipode route {via!r}")
     if a.basis == "M":
         return antipode_M(a)
     if a.basis == "L":
-        if via == "columns":
-            return antipode_L(a)
-        if via == "monomial":
-            return M_to_L(antipode_M(L_to_M(a)))
-        raise ValueError(f"unknown antipode route {via!r}")
+        return antipode_L(a) if via == "columns" else M_to_L(antipode_M(L_to_M(a)))
     raise ValueError("no antipode is implemented on the Lbar basis")
 
 

@@ -10,6 +10,7 @@ in the package is checkable against this representation at desk scale.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
@@ -17,12 +18,11 @@ from typing import Iterable, Mapping
 from .algebra import (
     Expr,
     _coeff_json,
-    _coeff_prefix,
     _Combination,
-    _join_terms,
     _merge,
     accumulate,
     bilinear,
+    render_expr,
     to_M,
 )
 from .composition import _MEMO_SIZE, DottedComposition, DottedPart, def_sets
@@ -90,14 +90,30 @@ class SuperPolynomial(_Combination):
     def one(cls, nvars: int) -> "SuperPolynomial":
         return cls(nvars, {((), ()): 1})
 
-    def __repr__(self) -> str:
-        return render_poly(self)
+    def support(self) -> list[Monomial]:
+        """The monomials in sorted order."""
+        return sorted(self.terms)
+
+    def _texts(self, keys, fmt: str):
+        """For render_expr: the JSON head, the term names in `keys` order, the JSON tail."""
+        if fmt == "latex":
+            raise ValueError("a SuperPolynomial has no LaTeX form")
+        if fmt == "json":
+            names = ['{"theta": ' + json.dumps(t) + ', "x": ' + json.dumps(xs) for t, xs in keys]
+            return "[", names, "]"
+        return "", [_monomial_text(t, xs) for t, xs in keys], ""
 
     def to_json(self) -> list[dict]:
         return [
             {"theta": list(t), "x": [[i, e] for i, e in xs], **_coeff_json(c)}
             for (t, xs), c in sorted(self.terms.items())
         ]
+
+
+def _monomial_text(t: Theta, xs: XPows) -> str:
+    factors = [f"theta[{i}]" for i in t]
+    factors += [f"x[{i}]" if e == 1 else f"x[{i}]^{e}" for i, e in xs]
+    return "*".join(factors) or "1"
 
 
 def _mono_mul(m1: Monomial, m2: Monomial):
@@ -288,10 +304,4 @@ def extract_M(p: SuperPolynomial, require_faithful: bool = False) -> Expr:
     return Expr("M", terms)
 
 
-def render_poly(p: SuperPolynomial) -> str:
-    pieces = []
-    for (t, xs), c in sorted(p.terms.items()):
-        factors = [f"theta[{i}]" for i in t]
-        factors += [f"x[{i}]" if e == 1 else f"x[{i}]^{e}" for i, e in xs]
-        pieces.append(_coeff_prefix(c, "*".join(factors) or "1", False))
-    return _join_terms(pieces)
+render_poly = render_expr

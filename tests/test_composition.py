@@ -77,6 +77,13 @@ class TestBasics:
             comp((1.5, True))
         assert comp((2.0, False), (3, True)) == comp(2, "d3")
 
+    def test_dot_flag_is_a_bool_or_0_or_1(self):
+        # a truthy object is not read as a dot
+        for flag in ("False", None, 2, 1.0, "d"):
+            with pytest.raises(TypeError):
+                comp((2, flag))
+        assert comp((2, 1), (3, 0), (0, True)) == comp("d2", 3, "d0")
+
     def test_text_round_trip(self):
         for text in ("[]", "[d0]", "[2,d3,1]", "[1,1,d5,1,1,1]"):
             assert str(parse_composition(text)) == text

@@ -192,6 +192,14 @@ class TestAntipodeM:
             ).scale(c)
         assert acc.is_zero()
 
+    def test_routes_are_checked_on_both_bases(self):
+        # the CLI passes via="columns" for M too; both names read the M formula
+        m, l = M(1, 2), Expr.basis_element("L", comp(1, 2))
+        assert antipode(m, via="columns") == antipode(m, via="monomial") == antipode_M(m)
+        for e in (m, l):
+            with pytest.raises(ValueError, match="unknown antipode route 'bogus'"):
+                antipode(e, via="bogus")
+
 
 class TestBulletOdot:
     def test_odot_zero_on_dotted_boundary(self):
