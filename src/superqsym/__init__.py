@@ -118,6 +118,11 @@ _MEMOS = (
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package."""
+    """Empty every memo of the package.
+
+    The memos are bounded by entry count, not by size, so a long-lived
+    process that needs flat memory calls this between units of work.
+    ``cli.main`` calls it when each command returns; library calls leave
+    the memos filled."""
     for memo in _MEMOS:
         memo.cache_clear()

@@ -1,5 +1,11 @@
 """Command-line surface: batch subcommands over the library, one result per
-invocation.  Exit codes: 0 ok, 1 domain error, 2 parse error, 3 verify failure."""
+invocation.  Exit codes: 0 ok, 1 domain error, 2 parse error, 3 verify failure.
+
+main() empties the package memos (superqsym.clear_caches) when a command
+returns, whatever its exit: they are bounded by entry count, not by size,
+and one command shares little with the next.  A command run in-process then
+leaves memory as a process of its own would.  Library calls keep their
+process-wide memos."""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import algebra, hopf, realize, shuffles, superschur
+from . import algebra, clear_caches, hopf, realize, shuffles, superschur
 from .algebra import Expr, render_expr
 from .composition import (
     CompositionParseError,
@@ -141,12 +147,13 @@ def _cmd_realize(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = hopf.verify_hopf(args.max_degree, args.max_fermionic)
-    if args.format == "plain":
+    if args.format == "json":
+        print(json.dumps(report.to_json()))
+    else:
+        # a report has no LaTeX form: --format latex prints plain text
         for check in report.checks:
             print(f"{check.name} [{check.universe}]: {check.status}"
                   + (f" ({check.counterexample})" if check.counterexample else ""))
-    else:
-        print(json.dumps(report.to_json()))
     return 0 if report.passed else 3
 
 
@@ -244,6 +251,8 @@ def main(argv=None) -> int:
         # every domain error of the package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        clear_caches()
 
 
 if __name__ == "__main__":

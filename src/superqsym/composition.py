@@ -199,7 +199,7 @@ def parse_composition(text: str) -> DottedComposition:
                 dotted = True
                 i += 1
             start = i
-            while i < n and s[i].isdigit():
+            while i < n and "0" <= s[i] <= "9":
                 i += 1
             if i == start:
                 raise CompositionParseError("expected digit", i)

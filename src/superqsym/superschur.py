@@ -152,7 +152,7 @@ class Superpartition:
             out = []
             for piece in chunk.split(","):
                 piece = piece.strip()
-                if not piece.isdigit():
+                if not (piece.isascii() and piece.isdigit()):
                     raise SuperpartitionParseError(
                         f"expected integer, got {piece!r}", offset
                     )

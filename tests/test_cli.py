@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from superqsym.composition import comp
 # the child interpreter imports the same package as the tests, however
 # pytest found it
 SRC = str(Path(superqsym.__file__).resolve().parent.parent)
+CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_session.json"
 
 
 def run_cli(*args):
@@ -130,6 +133,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "convolution_M" in out and "pass" in out
 
+    def test_verify_latex_prints_the_plain_report(self, capsys):
+        argv = ["verify", "--max-degree", "2", "--max-fermionic", "1"]
+        assert main(argv + ["--format", "plain"]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--format", "latex"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_parser_is_built_once(self, capsys, monkeypatch):
         import superqsym.cli as cli
 
@@ -191,6 +201,92 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: verify bounds must be >= 0")
 
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (["product", "[\u00b2]", "[1]", "--basis", "L"], 1),
+            (["product", "[1]", "[\u0663]", "--basis", "M"], 1),
+            (["schur", "(\u0661;)"], 1),
+        ],
+    )
+    def test_non_ascii_digit_is_2(self, capsys, argv, position):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parse error at position {position}:" in captured.err
+
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")
         assert code == 2
+
+
+def memo_sizes() -> dict:
+    return {f"{m.__module__}.{m.__qualname__}": m.cache_info().currsize for m in superqsym._MEMOS}
+
+
+class TestMemos:
+    """main() releases the package memos when a command returns."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["product", "[d1,2]", "[d2,1]", "--basis", "L"], 0),
+            (["product", "[d1,2]", "[1,d0]", "--basis", "M"], 0),
+            (["realize", "L[1]", "--vars", "-1"], 1),
+            (["product", "[0]", "[1]", "--basis", "L"], 2),
+        ],
+    )
+    def test_every_exit_code_leaves_the_memos_empty(self, capsys, argv, code):
+        # fill the memos first, so that an empty memo afterwards means main()
+        # emptied it
+        superqsym.product_L(comp(1, "d1"), comp(2))
+        superqsym.product_M(comp(1, "d1"), comp(2))
+        superqsym.strong_refinements(comp(3, "d1"))
+        assert all(memo_sizes()[f"superqsym.{name}"] for name in (
+            "shuffles.fundamental_product", "shuffles.overlapping_shuffles",
+            "composition.strong_refinements",
+        ))
+        assert main(argv) == code
+        capsys.readouterr()
+        assert memo_sizes() == dict.fromkeys(memo_sizes(), 0)
+
+    def test_an_uncaught_exception_leaves_the_memos_empty(self, capsys, monkeypatch):
+        import superqsym.cli as cli
+
+        def failing(e, via):
+            superqsym.product_L(comp(1, "d1"), comp(2))
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.hopf, "antipode", failing)
+        with pytest.raises(RuntimeError):
+            main(["antipode", "[2]", "--basis", "L"])
+        capsys.readouterr()
+        assert memo_sizes() == dict.fromkeys(memo_sizes(), 0)
+
+    def test_a_long_lived_process_stays_flat(self, capsys):
+        """Two rounds of 20 distinct L products from the benchmark's catalogue:
+        the second leaves no more traced memory than the first, within 256 KB.
+        Without the release, the memos of round 2 alone hold about 1.5 MB."""
+        entries = sorted(
+            (e for e in json.loads(CATALOGUE.read_text())["entries"] if e["group"] == "product_L"),
+            key=lambda e: (e["work"], e["argv"]),
+        )
+        # 40 distinct pairs over the whole range of work, dealt to the two
+        # rounds in turn
+        picked = [entries[i * len(entries) // 40]["argv"] for i in range(40)]
+        assert len({tuple(argv[1:3]) for argv in picked}) == 40
+        rounds = (picked[0::2], picked[1::2])
+        assert main(["product", "[1]", "[1]", "--basis", "L"]) == 0  # builds the parser
+        capsys.readouterr()
+        traced = []
+        tracemalloc.start()
+        try:
+            for argvs in rounds:
+                for argv in argvs:
+                    assert main(argv) == 0
+                    capsys.readouterr()
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert abs(traced[1] - traced[0]) <= 256 * 1024, traced

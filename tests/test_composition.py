@@ -97,6 +97,16 @@ class TestBasics:
         with pytest.raises(CompositionParseError):
             parse_composition("[2] trailing")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("[\u00b2]", 1), ("[\u0663]", 1), ("[2,d\u0661]", 4), ("[1\u00b2]", 2)],
+    )
+    def test_parse_reads_ascii_digits_only(self, text, position):
+        # '²' and the Arabic-Indic digits pass str.isdigit; only 0-9 are parts
+        with pytest.raises(CompositionParseError) as err:
+            parse_composition(text)
+        assert err.value.position == position
+
     def test_latex(self):
         assert comp(2, "d3", 1).latex() == r"(2,\dot{3},1)"
 

@@ -68,6 +68,11 @@ class TestSuperpartition:
         with pytest.raises(SuperpartitionParseError):
             Superpartition.parse("(a;b)")
 
+    @pytest.mark.parametrize("text", ["(\u0661;)", "(;\u0663)", "(;2,\u00b2)"])
+    def test_parse_reads_ascii_digits_only(self, text):
+        with pytest.raises(SuperpartitionParseError):
+            Superpartition.parse(text)
+
     def test_enumeration(self):
         # one circle, degree 2: (2;), (1;1), (0;2), (0;1,1)
         assert len(superpartitions(2, 1)) == 4
