@@ -15,8 +15,6 @@ from .algebra import (
     L_to_M,
     M_to_L,
     _as_expr,
-    _clean,
-    _pair,
     accumulate,
     bilinear,
     unit,
@@ -273,9 +271,19 @@ class HopfReport:
         return json.dumps(self.to_json(), indent=2)
 
 
+def _same(x: dict, y: dict) -> bool:
+    """x == y once zero coefficients are dropped.  The zeros are deleted in
+    place, so both dicts must be the caller's own, never a memoized result."""
+    for d in (x, y):
+        if 0 in d.values():
+            for k in [k for k, v in d.items() if not v]:
+                del d[k]
+    return x == y
+
+
 def _triple(t: dict, coprod: Callable, left: bool) -> dict:
     """(Delta x id) or (id x Delta) applied to a tensor's terms; keys are
-    triples."""
+    triples, and cancelled terms stay as zeros for `_same` to drop."""
     out: dict = {}
     get = out.get
     for (a, b), c in t.items():
@@ -287,27 +295,87 @@ def _triple(t: dict, coprod: Callable, left: bool) -> dict:
             for (u, v), d in coprod(b).items():
                 key = (a, u, v)
                 out[key] = get(key, 0) + c * d
-    return _clean(out)
+    return out
 
 
 def _convolution(alpha: DottedComposition, ops, left: bool) -> dict:
-    """(S * id) or (id * S) of one basis element, as terms."""
+    """(S * id) or (id * S) of one basis element: S(a)·b or a·S(b) summed
+    over the coproduct's splits (a, b), read straight from the product
+    kernel's pairs; cancelled terms stay as zeros for `_same` to drop."""
     mul, coprod, anti = ops
     out: dict = {}
+    get = out.get
     for (a, b), c in coprod(alpha).items():
-        if left:
-            bilinear(mul, anti(a), {b: 1}, c, out)
-        else:
-            bilinear(mul, {a: 1}, anti(b), c, out)
-    return _clean(out)
-
-
-def _summed(pairs) -> dict:
-    """The (key, coefficient) pairs of a product kernel, summed per key."""
-    out: dict = {}
-    for k, v in pairs:
-        out[k] = out.get(k, 0) + v
+        for s, cs in anti(a if left else b).items():
+            cs *= c
+            for key, v in mul(s, b) if left else mul(a, s):
+                out[key] = get(key, 0) + cs * v
     return out
+
+
+def _bialgebra_sides(pair, mul: Callable, coprod: Callable) -> tuple[dict, dict]:
+    """Delta(ab) and Delta(a)Delta(b), with the Koszul sign, as terms with
+    the zeros kept.  Each product's (key, coefficient) pairs are read as the
+    kernel gives them: by linearity a repeated key needs no summing first."""
+    a, b = pair
+    lhs: dict = {}
+    for gamma, v in mul(a, b):
+        accumulate(lhs, coprod(gamma), v)
+    rhs: dict = {}
+    get = rhs.get
+    b_splits = [
+        (b1, b2, c2, b1.fermionic_degree % 2) for (b1, b2), c2 in coprod(b).items()
+    ]
+    for (a1, a2), c1 in coprod(a).items():
+        a_odd = a2.fermionic_degree % 2
+        for b1, b2, c2, b_odd in b_splits:
+            c = -c1 * c2 if a_odd and b_odd else c1 * c2
+            right = mul(a2, b2)
+            for u, cu in mul(a1, b1):
+                cu *= c
+                for v, cv in right:
+                    key = (u, v)
+                    rhs[key] = get(key, 0) + cu * cv
+    return lhs, rhs
+
+
+def _bullet_sides(pair, anti: Callable) -> tuple[dict, dict]:
+    """S(a . b) against (-1)^(m(a)m(b)) (S(b) . S(a) + S(b) (.) S(a)); the
+    left side is a copy of the memoized antipode, the right keeps its zeros."""
+    a, b = pair
+    sign = -1 if (a.fermionic_degree * b.fermionic_degree) % 2 else 1
+    sa, sb = anti(a), anti(b)
+    rhs: dict = {}
+    get = rhs.get
+    for u, cu in sb.items():
+        cu *= sign
+        for v, cv in sa.items():
+            c = cu * cv
+            key = u.concat(v)
+            rhs[key] = get(key, 0) + c
+            key = near_concat(u, v)
+            if key is not None:
+                rhs[key] = get(key, 0) + c
+    return dict(anti(a.concat(b))), rhs
+
+
+def _odot_sides(pair, anti: Callable) -> tuple[dict, dict]:
+    """S(a (.) b) against (-1)^(m(a)m(b)-1) S(b) (.) S(a); the left side is a
+    copy of the memoized antipode, the right keeps its zeros."""
+    a, b = pair
+    fused = near_concat(a, b)
+    lhs = {} if fused is None else dict(anti(fused))
+    sign = -1 if (a.fermionic_degree * b.fermionic_degree - 1) % 2 else 1
+    sb, sa = anti(b), anti(a)
+    rhs: dict = {}
+    get = rhs.get
+    for u, cu in sb.items():
+        cu *= sign
+        for v, cv in sa.items():
+            key = near_concat(u, v)
+            if key is not None:
+                rhs[key] = get(key, 0) + cu * cv
+    return lhs, rhs
 
 
 def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
@@ -373,62 +441,29 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
                     left[b] = left.get(b, 0) + c
                 if b == EMPTY:
                     right[a] = right.get(a, 0) + c
-            return _clean(left) == {alpha: 1} == _clean(right)
+            return _same(left, {alpha: 1}) and _same(right, {alpha: 1})
 
         def coassoc_ok(alpha, coprod=coprod):
             t = coprod(alpha)
-            return _triple(t, coprod, True) == _triple(t, coprod, False)
+            return _same(_triple(t, coprod, True), _triple(t, coprod, False))
 
         def convolution_ok(alpha, basis=basis):
             target = {EMPTY: 1} if alpha == EMPTY else {}
-            return (
-                _convolution(alpha, ops[basis], True) == target
-                and _convolution(alpha, ops[basis], False) == target
+            return _same(_convolution(alpha, ops[basis], True), target) and _same(
+                _convolution(alpha, ops[basis], False), target
             )
+
+        def bialgebra_ok(pair, mul=mul, coprod=coprod):
+            return _same(*_bialgebra_sides(pair, mul, coprod))
 
         run(f"counit_{basis}", singles_desc, singles, counit_ok)
         run(f"coassociativity_{basis}", singles_desc, singles, coassoc_ok)
         run(f"convolution_{basis}", singles_desc, singles, convolution_ok)
-
-        def bialgebra_ok(pair, mul=mul, coprod=coprod):
-            # Delta(ab) against Delta(a) Delta(b), with the Koszul sign
-            a, b = pair
-            lhs: dict = {}
-            for gamma, v in mul(a, b):
-                accumulate(lhs, coprod(gamma), v)
-            rhs: dict = {}
-            for (a1, a2), c1 in coprod(a).items():
-                for (b1, b2), c2 in coprod(b).items():
-                    c = c1 * c2
-                    if (a2.fermionic_degree * b1.fermionic_degree) % 2:
-                        c = -c
-                    left, right = _summed(mul(a1, b1)), _summed(mul(a2, b2))
-                    bilinear(_pair, left, right, c, rhs)
-            return _clean(lhs) == _clean(rhs)
-
         run(f"bialgebra_{basis}", pairs_desc, pairs, bialgebra_ok)
 
     anti_M = ops["M"][2]
-
-    def thm_bullet_ok(pair):
-        a, b = pair
-        sign = -1 if (a.fermionic_degree * b.fermionic_degree) % 2 else 1
-        sa, sb = anti_M(a), anti_M(b)
-        rhs = bilinear(_concat, sb, sa, sign)
-        bilinear(_near_concat, sb, sa, sign, rhs)
-        return _clean(rhs) == anti_M(a.concat(b))
-
-    def thm_odot_ok(pair):
-        a, b = pair
-        lhs: dict = {}
-        for gamma, v in _near_concat(a, b):
-            accumulate(lhs, anti_M(gamma), v)
-        sign = -1 if (a.fermionic_degree * b.fermionic_degree - 1) % 2 else 1
-        rhs = bilinear(_near_concat, anti_M(b), anti_M(a), sign)
-        return _clean(lhs) == _clean(rhs)
-
-    run("antipode_bullet_M", pairs_desc, pairs, thm_bullet_ok)
-    run("antipode_odot_M", pairs_desc, pairs, thm_odot_ok)
+    run("antipode_bullet_M", pairs_desc, pairs, lambda p: _same(*_bullet_sides(p, anti_M)))
+    run("antipode_odot_M", pairs_desc, pairs, lambda p: _same(*_odot_sides(p, anti_M)))
 
     def bullet_L_ok(pair):
         # cross-basis consistency of the concatenation product

@@ -138,33 +138,37 @@ class Superpartition:
     @classmethod
     def parse(cls, text: str) -> "Superpartition":
         s = text.strip()
+        # positions are in `text`; the body starts after '(' at lead + 1
+        lead = len(text) - len(text.lstrip())
         if not (s.startswith("(") and s.endswith(")")):
-            raise SuperpartitionParseError("expected '(...)'", 0)
+            raise SuperpartitionParseError("expected '(...)'", lead)
         body = s[1:-1]
         if ";" not in body:
-            raise SuperpartitionParseError("expected ';' separator", 1)
+            raise SuperpartitionParseError("expected ';' separator", lead + 1)
         left, right = body.split(";", 1)
 
         def ints(chunk: str, offset: int) -> list[int]:
-            chunk = chunk.strip()
-            if not chunk:
+            # offset: where the chunk starts; an error points at its piece
+            if not chunk.strip():
                 return []
             out = []
             for piece in chunk.split(","):
-                piece = piece.strip()
-                if not (piece.isascii() and piece.isdigit()):
+                value = piece.strip()
+                if not (value.isascii() and value.isdigit()):
                     raise SuperpartitionParseError(
-                        f"expected integer, got {piece!r}", offset
+                        f"expected integer, got {value!r}",
+                        offset + len(piece) - len(piece.lstrip()),
                     )
-                out.append(int(piece))
+                out.append(int(value))
+                offset += len(piece) + 1
             return out
 
         try:
-            return cls(ints(left, 1), ints(right, 2 + len(left)))
+            return cls(ints(left, lead + 1), ints(right, lead + 2 + len(left)))
         except ValueError as exc:
             if isinstance(exc, SuperpartitionParseError):
                 raise
-            raise SuperpartitionParseError(str(exc), 1) from None
+            raise SuperpartitionParseError(str(exc), lead + 1) from None
 
 
 EMPTY_SHAPE = Superpartition()

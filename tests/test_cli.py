@@ -215,6 +215,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"parse error at position {position}:" in captured.err
 
+    @pytest.mark.parametrize(
+        "shape, position", [("(1;2,x)", 5), ("(1,x;2)", 3), ("(1;2,)", 5)]
+    )
+    def test_bad_superpartition_piece_is_2(self, capsys, shape, position):
+        assert main(["schur", shape]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parse error at position {position}:" in captured.err
+
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")
         assert code == 2

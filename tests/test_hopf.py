@@ -323,6 +323,15 @@ def _drop_last_nonunit(good):
     return broken
 
 
+def _no_dotted_fusion(good):
+    # off the unit, a fusion that a dotted boundary part takes part in is
+    # reported undefined
+    def broken(a, b):
+        return None if a and b and (a[-1].dotted or b[0].dotted) else good(a, b)
+
+    return broken
+
+
 class TestVerifySuite:
     def test_small_universe_passes(self):
         report = verify_hopf(3, 1)
@@ -383,6 +392,11 @@ class TestVerifySuite:
                 "fundamental_product", _drop_last_nonunit,
                 [("convolution_L", "[d0,1]"), ("bialgebra_L", "([d0], [1,1])")],
                 id="fundamental_product",
+            ),
+            pytest.param(
+                "near_concat", _no_dotted_fusion,
+                [("antipode_bullet_M", "([d0], [1])"), ("antipode_odot_M", "([1], [1,d0])")],
+                id="near_concat",
             ),
         ],
     )

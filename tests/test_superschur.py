@@ -68,6 +68,23 @@ class TestSuperpartition:
         with pytest.raises(SuperpartitionParseError):
             Superpartition.parse("(a;b)")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(1;2,x)", 5),
+            ("(1,x;2)", 3),
+            ("(;2,\u00b2)", 4),
+            ("(1;2,)", 5),
+            ("(1; 2 , x)", 8),
+            ("  (1;x)", 5),
+            ("(1,2)", 1),
+        ],
+    )
+    def test_parse_error_points_at_the_bad_piece(self, text, position):
+        with pytest.raises(SuperpartitionParseError) as exc:
+            Superpartition.parse(text)
+        assert exc.value.position == position
+
     @pytest.mark.parametrize("text", ["(\u0661;)", "(;\u0663)", "(;2,\u00b2)"])
     def test_parse_reads_ascii_digits_only(self, text):
         with pytest.raises(SuperpartitionParseError):
