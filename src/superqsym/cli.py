@@ -33,7 +33,13 @@ def _parse_expr_atom(text: str) -> Expr:
     """Parse 'M[...]', 'L[...]' or 'Lbar[...]'."""
     for basis in ("Lbar", "L", "M"):
         if text.startswith(basis):
-            alpha = parse_composition(text[len(basis) :])
+            try:
+                alpha = parse_composition(text[len(basis) :])
+            except CompositionParseError as exc:
+                # count the position within `text`, prefix included
+                raise CompositionParseError(
+                    exc.message, exc.position + len(basis)
+                ) from None
             return Expr.basis_element(basis, alpha)
     raise CompositionParseError("expected basis prefix M, L or Lbar", 0)
 

@@ -22,6 +22,7 @@ class CompositionParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"parse error at position {position}: {message}")
         self.position = position
+        self.message = message
 
 
 class InconsistentDefSetsError(ValueError):

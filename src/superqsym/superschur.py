@@ -28,17 +28,18 @@ class SuperpartitionParseError(ValueError):
         self.position = position
 
 
-class Superpartition:
+class Superpartition(tuple):
     """A pair (fermionic; bosonic): strictly decreasing distinct parts >= 0
     carrying circles, and an ordinary partition.  Among equal row lengths the
     circled row sits above the plain one, so the circled diagram is fixed.
 
-    The diagram is computed once: `_star` holds the row lengths, `_below` the
-    circled values from below and `_rows` the diagram rows of those circles."""
+    The value is that diagram, the tuple (star, rows): `star` holds the row
+    lengths, longest first, and `rows` the diagram rows of the circles, listed
+    from below.  A circle of value 0 sits in the row under the last."""
 
-    __slots__ = ("fermionic", "bosonic", "_star", "_below", "_rows")
+    __slots__ = ()
 
-    def __init__(self, fermionic: Iterable[int] = (), bosonic: Iterable[int] = ()):
+    def __new__(cls, fermionic: Iterable[int] = (), bosonic: Iterable[int] = ()):
         f = tuple(sorted(map(_as_int, fermionic), reverse=True))
         b = tuple(sorted(map(_as_int, bosonic), reverse=True))
         if any(v < 0 for v in f):
@@ -47,51 +48,26 @@ class Superpartition:
             raise ValueError("fermionic parts must be distinct")
         if any(v < 1 for v in b):
             raise ValueError("bosonic parts must be >= 1")
-        entries = f + b
-        below = f[::-1]
-        self._fill(
-            f,
-            b,
-            tuple(sorted((v for v in entries if v > 0), reverse=True)),
-            below,
-            tuple(1 + sum(1 for v in entries if v > c) for c in below),
-        )
+        star = tuple(sorted((v for v in f + b if v > 0), reverse=True))
+        rows = tuple(1 + sum(1 for v in star if v > c) for c in reversed(f))
+        return tuple.__new__(cls, (star, rows))
 
-    def _fill(self, f, b, star, below, rows) -> None:
-        for name, value in zip(self.__slots__, (f, b, star, below, rows)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _from_rows(cls, star: tuple[int, ...], rows: tuple[int, ...]) -> "Superpartition":
-        """The superpartition with row lengths `star` and circles in diagram
-        `rows` (listed from below); each such row must be the topmost of its
-        length, as the diagram convention puts it."""
-        below = tuple(star[r - 1] if r <= len(star) else 0 for r in rows)
-        sp = object.__new__(cls)
-        sp._fill(
-            below[::-1],
-            tuple(v for r, v in enumerate(star, 1) if r not in rows),
-            star,
-            below,
-            rows,
-        )
-        return sp
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Superpartition is immutable")
+    # wraps a diagram (star, rows) the package built itself, without checking
+    # that each circle ends the topmost row of its length
+    _of = classmethod(tuple.__new__)
 
     def __reduce__(self):
+        # tuple pickling would pass the diagram to the validating __new__
         return (type(self), (self.fermionic, self.bosonic))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Superpartition)
-            and self.fermionic == other.fermionic
-            and self.bosonic == other.bosonic
-        )
+    @property
+    def fermionic(self) -> tuple[int, ...]:
+        return self.circles_from_below()[::-1]
 
-    def __hash__(self):
-        return hash((self.fermionic, self.bosonic))
+    @property
+    def bosonic(self) -> tuple[int, ...]:
+        star, rows = self
+        return tuple(v for r, v in enumerate(star, 1) if r not in rows)
 
     def __repr__(self) -> str:
         return str(self)
@@ -107,42 +83,44 @@ class Superpartition:
 
     @property
     def n_circles(self) -> int:
-        return len(self.fermionic)
+        return len(self[1])
 
     @property
     def degree(self) -> int:
-        return sum(self._star)
+        return sum(self[0])
 
     def star(self) -> tuple[int, ...]:
-        return self._star
+        return self[0]
 
     def star_padded(self, length: int) -> tuple[int, ...]:
-        return self._star + (0,) * (length - len(self._star))
+        return self[0] + (0,) * (length - len(self[0]))
 
     def circle_row(self, value: int) -> int:
         """Diagram row (1-based, top-down) of the circle ending a row of
         this length; rows sorted by length, circled above plain on ties."""
-        entries = self.fermionic + self.bosonic
-        return 1 + sum(1 for v in entries if v > value)
+        return 1 + sum(1 for v in self[0] if v > value)
 
     def circles_from_below(self) -> tuple[int, ...]:
-        return self._below
+        star, rows = self
+        return tuple(star[r - 1] if r <= len(star) else 0 for r in rows)
 
     def contains(self, other: "Superpartition") -> bool:
+        (star, rows), (small, small_rows) = self, other
         return (
-            self.n_circles >= other.n_circles
-            and len(self._star) >= len(other._star)
-            and all(a >= b for a, b in zip(self._star, other._star))
+            len(rows) >= len(small_rows)
+            and len(star) >= len(small)
+            and all(a >= b for a, b in zip(star, small))
         )
 
     @classmethod
     def parse(cls, text: str) -> "Superpartition":
-        s = text.strip()
-        # positions are in `text`; the body starts after '(' at lead + 1
+        # positions are in `text`, as parse_composition counts them; the body
+        # starts after '(' at lead + 1 and runs to the first ')'
         lead = len(text) - len(text.lstrip())
-        if not (s.startswith("(") and s.endswith(")")):
-            raise SuperpartitionParseError("expected '(...)'", lead)
-        body = s[1:-1]
+        if not text.startswith("(", lead):
+            raise SuperpartitionParseError("expected '('", lead)
+        close = text.find(")", lead)
+        body = text[lead + 1 : close] if close >= 0 else text[lead + 1 :]
         if ";" not in body:
             raise SuperpartitionParseError("expected ';' separator", lead + 1)
         left, right = body.split(";", 1)
@@ -163,11 +141,17 @@ class Superpartition:
                 offset += len(piece) + 1
             return out
 
+        fermionic, bosonic = ints(left, lead + 1), ints(right, lead + 2 + len(left))
+        if close < 0:
+            raise SuperpartitionParseError("expected ')'", len(text))
+        tail = text[close + 1 :]
+        if tail.strip():
+            raise SuperpartitionParseError(
+                "trailing input", len(text) - len(tail.lstrip())
+            )
         try:
-            return cls(ints(left, lead + 1), ints(right, lead + 2 + len(left)))
+            return cls(fermionic, bosonic)
         except ValueError as exc:
-            if isinstance(exc, SuperpartitionParseError):
-                raise
             raise SuperpartitionParseError(str(exc), lead + 1) from None
 
 
@@ -210,8 +194,9 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 # ---------------------------------------------------------------------------
 # horizontal strips of type s
 #
-# A strip works on the diagram alone: `star`, the row lengths longest first,
-# and `rows`, the diagram rows of the circles listed from below.
+# A strip works on the diagram, which is the superpartition itself: `star`,
+# the row lengths longest first, and `rows`, the diagram rows of the circles
+# listed from below.
 
 
 def _strips(star, rows, sizes: range, dotted, cap=None):
@@ -291,11 +276,11 @@ def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
         raise ValueError(f"strip size must be >= 0, got {size}")
     if outer is not None and dotted and sp.n_circles >= outer.n_circles:
         return []
-    cap = None if outer is None else outer._star
-    padded = sp._star + (0,)
+    cap = None if outer is None else outer[0]
+    padded = sp[0] + (0,)
     found = [
         (
-            Superpartition._from_rows(star, rows),
+            Superpartition._of((star, rows)),
             tuple(
                 (r, c)
                 for r, (lo, hi) in enumerate(zip(padded, star), 1)
@@ -303,9 +288,7 @@ def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
             ),
             idx,
         )
-        for _, star, rows, idx in _strips(
-            sp._star, sp._rows, range(size, size + 1), dotted, cap
-        )
+        for _, star, rows, idx in _strips(*sp, range(size, size + 1), dotted, cap)
     ]
     found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
     return found
@@ -323,7 +306,7 @@ def fermionic_strips(
     the new circle's column is empty while every column left of it holds a
     strip cell; remaining circles move as in the bosonic case."""
     return tuple(
-        (target, target._below[idx] + 1)
+        (target, target.circles_from_below()[idx] + 1)
         for target, _, idx in _targets(gamma, size, True)
     )
 
@@ -413,7 +396,7 @@ def _steps(sp, circles, letter, part, outer=None):
         letters = [l for _, l in circles]
         if idx is not None:
             letters.insert(idx, letter)
-        out.append((target, cells, tuple(zip(target._below, letters))))
+        out.append((target, cells, tuple(zip(target.circles_from_below(), letters))))
     return out
 
 
@@ -580,7 +563,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     non-dotted part k, ~v for the dotted part dv.  The memo lives for one
     call."""
     _require_inside(outer, inner)
-    cap, goal = outer._star, (outer._star, outer._rows)
+    cap = outer[0]
     n_circles, degree = outer.n_circles, outer.degree
     moves: dict = {}
     memo: dict = {}
@@ -602,7 +585,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
             return found
         free: dict[tuple[int, ...], int] = {}
         glued: dict[tuple[int, ...], int] = {}
-        if (star, rows) == goal:
+        if (star, rows) == outer:
             free[()] = 1
         cells, dotted = moves_from(star, rows)
         for new, new_rows, row in cells:
@@ -627,7 +610,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         memo[key] = found = (free, glued)
         return found
 
-    free, _ = walk(inner._star, inner._rows, 0, None)
+    free, _ = walk(*inner, 0, None)
     part_of = {v: DottedPart(v, False) for v in range(1, degree + 1)}
     part_of.update((~v, DottedPart(v, True)) for v in range(degree + 1))
     out = Expr._trusted(

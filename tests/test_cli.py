@@ -216,7 +216,25 @@ class TestExitCodes:
         assert f"parse error at position {position}:" in captured.err
 
     @pytest.mark.parametrize(
-        "shape, position", [("(1;2,x)", 5), ("(1,x;2)", 3), ("(1;2,)", 5)]
+        "expr, position",
+        [("L[1]x", 4), ("Lbar[1,]", 7), ("M[d]", 3), ("Lbarx[1]", 4)],
+    )
+    def test_realize_parse_error_counts_the_prefix(self, capsys, expr, position):
+        assert main(["realize", expr, "--vars", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parse error at position {position}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "shape, position",
+        [
+            ("(1;2,x)", 5),
+            ("(1,x;2)", 3),
+            ("(1;2,)", 5),
+            ("(1;2)x", 5),
+            ("(1;2", 4),
+            (" (1;2) x", 7),
+        ],
     )
     def test_bad_superpartition_piece_is_2(self, capsys, shape, position):
         assert main(["schur", shape]) == 2

@@ -90,7 +90,7 @@ def test_walk_moves_match_the_product_filter():
         for mu in universe:
             if not lam.contains(mu):
                 continue
-            star, rows = mu.star(), mu._rows
+            star, rows = mu
             sizes = range(lam.degree - mu.degree + 1)
             for cap in (lam.star(), None):
                 want = [
@@ -131,3 +131,20 @@ def test_cached_diagram():
     assert lam.contains(Superpartition((2,), (3, 3, 1)))
     assert not lam.contains(Superpartition((2, 1, 0), (1,)))
     assert not lam.contains(Superpartition((), (1, 1, 1, 1, 1)))
+
+
+def test_tuple_contract():
+    """A superpartition is its diagram (star, rows) and reads back from its
+    pair (fermionic; bosonic), its text and the bare tuple."""
+    for d in range(8):
+        for c in range(4):
+            shapes = superpartitions(d, c)
+            keys = [(lam.fermionic, lam.bosonic) for lam in shapes]
+            assert keys == sorted(keys), (d, c)
+            for lam in shapes:
+                assert lam == (lam.star(), lam[1])
+                assert Superpartition(lam.fermionic, lam.bosonic) == lam
+                rebuilt = Superpartition._of(tuple(lam))
+                assert type(rebuilt) is Superpartition and rebuilt == lam
+                assert Superpartition.parse(str(lam)) == lam
+                assert hash(lam) == hash(tuple(lam))

@@ -78,6 +78,9 @@ class TestSuperpartition:
             ("(1; 2 , x)", 8),
             ("  (1;x)", 5),
             ("(1,2)", 1),
+            ("(1;2)x", 5),
+            ("(1;2", 4),
+            (" (1;2) x", 7),
         ],
     )
     def test_parse_error_points_at_the_bad_piece(self, text, position):
