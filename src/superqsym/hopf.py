@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ from .composition import (
     EMPTY,
     DottedComposition,
     DottedPart,
+    _as_int,
     column_decomposition,
     is_column,
     is_maximal,
@@ -35,6 +37,13 @@ from .shuffles import fundamental_product, overlapping_shuffles
 
 class NotAColumnError(ValueError):
     pass
+
+
+def _basis(x) -> str:
+    """The basis of a dispatcher's operand, which must be an Expr."""
+    if not isinstance(x, Expr):
+        raise TypeError(f"expected Expr, got {type(x).__name__}")
+    return x.basis
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +64,12 @@ def product_L(a, b) -> Expr:
 
 
 def product(a: Expr, b: Expr) -> Expr:
-    if a.basis != b.basis:
-        raise BasisMismatchError(f"cannot multiply {a.basis} by {b.basis}")
-    if a.basis == "M":
+    basis, other = _basis(a), _basis(b)
+    if basis != other:
+        raise BasisMismatchError(f"cannot multiply {basis} by {other}")
+    if basis == "M":
         return product_M(a, b)
-    if a.basis == "L":
+    if basis == "L":
         return product_L(a, b)
     raise ValueError("no product is defined on the Lbar basis")
 
@@ -109,9 +119,10 @@ def coproduct_L(a) -> TensorExpr:
 
 
 def coproduct(a: Expr) -> TensorExpr:
-    if a.basis == "M":
+    basis = _basis(a)
+    if basis == "M":
         return coproduct_M(a)
-    if a.basis == "L":
+    if basis == "L":
         return coproduct_L(a)
     raise ValueError("no coproduct is implemented on the Lbar basis")
 
@@ -145,11 +156,12 @@ def _odot_L(alpha: DottedComposition, beta: DottedComposition):
 
 def bullet(a: Expr, b: Expr) -> Expr:
     """Concatenation product on the M or L basis."""
-    if a.basis != b.basis:
-        raise BasisMismatchError(f"cannot combine {a.basis} with {b.basis}")
-    if a.basis not in ("M", "L"):
+    basis, other = _basis(a), _basis(b)
+    if basis != other:
+        raise BasisMismatchError(f"cannot combine {basis} with {other}")
+    if basis not in ("M", "L"):
         raise ValueError("bullet is defined on the M and L bases only")
-    return Expr._trusted(a.basis, bilinear(_concat, a.terms, b.terms))
+    return Expr._trusted(basis, bilinear(_concat, a.terms, b.terms))
 
 
 def _odot_M(a: Expr, b: Expr) -> Expr:
@@ -163,11 +175,12 @@ def _odot_L_via_M(a: Expr, b: Expr) -> Expr:
 def odot(a: Expr, b: Expr) -> Expr:
     """Near-concatenation product; zero when a fusion is undefined (two
     dotted boundary parts, or an empty factor)."""
-    if a.basis != b.basis:
-        raise BasisMismatchError(f"cannot combine {a.basis} with {b.basis}")
-    if a.basis == "M":
+    basis, other = _basis(a), _basis(b)
+    if basis != other:
+        raise BasisMismatchError(f"cannot combine {basis} with {other}")
+    if basis == "M":
         return _odot_M(a, b)
-    if a.basis != "L":
+    if basis != "L":
         raise ValueError("odot is defined on the M and L bases only")
     return Expr._trusted("L", bilinear(_odot_L, a.terms, b.terms))
 
@@ -229,9 +242,10 @@ def antipode(a: Expr, via: str = "columns") -> Expr:
     M-basis formula."""
     if via not in ("columns", "monomial"):
         raise ValueError(f"unknown antipode route {via!r}")
-    if a.basis == "M":
+    basis = _basis(a)
+    if basis == "M":
         return antipode_M(a)
-    if a.basis == "L":
+    if basis == "L":
         return antipode_L(a) if via == "columns" else M_to_L(antipode_M(L_to_M(a)))
     raise ValueError("no antipode is implemented on the Lbar basis")
 
@@ -382,7 +396,8 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
     """Machine-check the Hopf axioms and the concatenation-product theorems
     over every dotted composition with n+m <= max_total and m <= max_fermionic
     (pairs: combined bounds).  Failures are reported, not raised; a negative
-    bound raises ValueError."""
+    or non-integral bound raises ValueError, and a bool bound TypeError."""
+    max_total, max_fermionic = _as_int(max_total), _as_int(max_fermionic)
     if max_total < 0 or max_fermionic < 0:
         raise ValueError(
             f"verify bounds must be >= 0, got max degree {max_total} "
@@ -399,27 +414,20 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         if ta + tb <= max_total and ma + mb <= max_fermionic
     ]
     report = HopfReport()
-    memos: list[dict] = []
 
     def memo(op: Callable) -> Callable:
-        """op's terms per basis element, kept until the running check ends."""
-        table: dict = {}
-        memos.append(table)
+        """op's terms per basis element, kept for the run."""
+        return cache(lambda alpha: op(alpha).terms)
 
-        def terms(alpha):
-            t = table.get(alpha)
-            if t is None:
-                t = table[alpha] = op(alpha).terms
-            return t
-
-        return terms
-
-    # (product kernel, coproduct, antipode) of each basis, read when the
-    # suite runs, so a replaced module-level function is the one checked
+    # (product kernel, coproduct, antipode) of each basis, and the M image of
+    # an L element, read when the suite runs, so a replaced module-level
+    # function is the one checked; each check reads the memos the earlier
+    # ones filled
     ops = {
         "M": (overlapping_shuffles, memo(coproduct_M), memo(antipode_M)),
         "L": (fundamental_product, memo(coproduct_L), memo(antipode_L)),
     }
+    to_M = cache(L_to_M)
 
     def run(name: str, desc: str, items, test: Callable) -> None:
         result = CheckResult(name, desc, "pass")
@@ -427,8 +435,6 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
             if not test(item):
                 result = CheckResult(name, desc, "fail", str(item))
                 break
-        for table in memos:
-            table.clear()
         report.checks.append(result)
 
     for basis, (mul, coprod, _) in ops.items():
@@ -469,7 +475,7 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         # cross-basis consistency of the concatenation product
         a, b = pair
         ea, eb = Expr.basis_element("L", a), Expr.basis_element("L", b)
-        return L_to_M(bullet(ea, eb)) == bullet(L_to_M(ea), L_to_M(eb))
+        return to_M(bullet(ea, eb)) == bullet(to_M(ea), to_M(eb))
 
     def odot_L_ok(pair):
         # Eq. (5.4), with odot recomputed through the M basis
@@ -479,7 +485,7 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         if a[-1].dotted or b[0].dotted:
             return True
         ea, eb = Expr.basis_element("L", a), Expr.basis_element("L", b)
-        lhs = bullet(ea, eb) + _odot_L_via_M(ea, eb)
+        lhs = bullet(ea, eb) + M_to_L(_odot_M(to_M(ea), to_M(eb)))
         return lhs == Expr.basis_element("L", near_concat(a, b))
 
     run("bullet_L", pairs_desc, pairs, bullet_L_ok)

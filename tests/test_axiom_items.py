@@ -4,6 +4,7 @@ and right sides and equal verdicts on every item of universes larger than
 verify's acceptance gate (5, 2), and no memoized result touched by the
 in-place comparison."""
 
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -22,7 +23,7 @@ KERNELS = {
 
 def _ops(basis: str, sabotage=None):
     """(product kernel, coproduct terms, antipode terms), memoized for the
-    whole test as verify_hopf memoizes them for one check; `sabotage`, if
+    whole test as verify_hopf memoizes them for the run; `sabotage`, if
     given, breaks the kernel."""
     kernel, coprod, anti = KERNELS[basis]
     return (
@@ -121,3 +122,33 @@ def test_memoized_results_keep_their_keys(monkeypatch):
     assert handed
     for terms, snapshot in handed:
         assert terms == snapshot
+
+
+def test_each_result_is_asked_once_per_run(monkeypatch):
+    # the memo lasts for the whole run: every coproduct, antipode and L_to_M
+    # image is computed once per distinct argument, however many checks and
+    # items read it, and the report is the one the unwrapped functions give
+    expected = repr(hopf.verify_hopf(4, 2))
+    asked = {}
+
+    def counted(name):
+        op = getattr(hopf, name)
+        calls = asked[name] = Counter()
+
+        def run(x):
+            calls[x] += 1
+            return op(x)
+
+        return run
+
+    for name in ["coproduct_M", "coproduct_L", "antipode_M", "antipode_L", "L_to_M"]:
+        monkeypatch.setattr(hopf, name, counted(name))
+    assert repr(hopf.verify_hopf(4, 2)) == expected
+    singles = set(universe(4, 2))
+    for name, calls in asked.items():
+        assert max(calls.values()) == 1, name
+        if name == "L_to_M":
+            assert {e.basis for e in calls} == {"L"}
+            assert {k for e in calls for k in e.terms} == singles
+        else:
+            assert set(calls) == singles, name

@@ -13,6 +13,7 @@ from superqsym.hopf import (
     antipode_L_column,
     antipode_M,
     bullet,
+    coproduct,
     coproduct_L,
     coproduct_M,
     odot,
@@ -79,6 +80,24 @@ class TestProducts:
         assert product(M(1), M(1)) == product_M(comp(1), comp(1))
         with pytest.raises(Exception):
             product(M(1), L(1))
+
+    @pytest.mark.parametrize(
+        "op, args, got",
+        [
+            pytest.param(product, (comp(1), M(1)), "DottedComposition", id="product"),
+            pytest.param(product, (M(1), comp(1)), "DottedComposition", id="product-right"),
+            pytest.param(coproduct, (comp(1),), "DottedComposition", id="coproduct"),
+            pytest.param(coproduct, (tensor(M(1), M(1)),), "TensorExpr", id="coproduct-tensor"),
+            pytest.param(antipode, (comp(1),), "DottedComposition", id="antipode"),
+            pytest.param(bullet, (L(1), comp(1)), "DottedComposition", id="bullet"),
+            pytest.param(odot, (comp(1), L(1)), "DottedComposition", id="odot"),
+        ],
+    )
+    def test_dispatchers_reject_a_non_expr(self, op, args, got):
+        # the dispatchers read the basis off an Expr; product_M and the other
+        # per-basis functions are the ones that take a composition
+        with pytest.raises(TypeError, match=f"expected Expr, got {got}"):
+            op(*args)
 
     def test_bilinear_extension(self):
         e = M(1) + M("d0").scale(2)
@@ -323,6 +342,27 @@ def _drop_last_nonunit(good):
     return broken
 
 
+def _drop_two_part_refinements(good):
+    # L_to_M forgets every two-part M key that is not one of its L keys
+    def broken(e):
+        return Expr(
+            "M", {k: c for k, c in good(e).terms.items() if len(k) != 2 or k in e.terms}
+        )
+
+    return broken
+
+
+def _negate_dotted_start_L(good):
+    # bullet negates the L terms that start with a dotted part
+    def broken(a, b):
+        r = good(a, b)
+        if r.basis != "L":
+            return r
+        return Expr("L", {k: -c if k and k[0].dotted else c for k, c in r.terms.items()})
+
+    return broken
+
+
 def _no_dotted_fusion(good):
     # off the unit, a fusion that a dotted boundary part takes part in is
     # reported undefined
@@ -398,6 +438,20 @@ class TestVerifySuite:
                 [("antipode_bullet_M", "([d0], [1])"), ("antipode_odot_M", "([1], [1,d0])")],
                 id="near_concat",
             ),
+            pytest.param(
+                "L_to_M", _drop_two_part_refinements,
+                [("bullet_L", "([d0], [2])"), ("odot_L", "([1], [2])")],
+                id="L_to_M",
+            ),
+            pytest.param(
+                "bullet", _negate_dotted_start_L,
+                [
+                    ("convolution_L", "[d0]"),
+                    ("bullet_L", "([], [d0])"),
+                    ("odot_L", "([d0,1], [1])"),
+                ],
+                id="bullet",
+            ),
         ],
     )
     def test_sabotaged_op_is_detected(self, monkeypatch, op, sabotage, expected):
@@ -412,6 +466,18 @@ class TestVerifySuite:
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="must be >= 0"):
             verify_hopf(*bounds)
+
+    @pytest.mark.parametrize(
+        "bounds, error",
+        [((True, True), TypeError), ((3, False), TypeError), ((2.5, 1), ValueError)],
+    )
+    def test_non_integer_bounds_rejected(self, bounds, error):
+        # read as dotted parts are: a bool is no count, and 2.5 is not cut to 2
+        with pytest.raises(error, match="expected an integer"):
+            verify_hopf(*bounds)
+
+    def test_integral_bounds_read_as_ints(self):
+        assert repr(verify_hopf(3.0, 1.0)) == repr(verify_hopf(3, 1))
 
     def test_zero_bounds_check_the_unit(self):
         report = verify_hopf(0, 0)
