@@ -274,14 +274,6 @@ def cofundamental_to_M(e) -> Expr:
     return Expr._trusted("M", out)
 
 
-def to_M(e: Expr) -> Expr:
-    if e.basis == "M":
-        return e
-    if e.basis == "L":
-        return L_to_M(e)
-    return cofundamental_to_M(e)
-
-
 # ---------------------------------------------------------------------------
 # tensor squares
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra, clear_caches, hopf, realize, shuffles, superschur
 from .algebra import Expr, render_expr
 from .composition import (
     CompositionParseError,
+    _composition_at,
     def_sets,
     parse_composition,
     strong_leq,
@@ -33,15 +35,16 @@ def _parse_expr_atom(text: str) -> Expr:
     """Parse 'M[...]', 'L[...]' or 'Lbar[...]'."""
     for basis in ("Lbar", "L", "M"):
         if text.startswith(basis):
-            try:
-                alpha = parse_composition(text[len(basis) :])
-            except CompositionParseError as exc:
-                # count the position within `text`, prefix included
-                raise CompositionParseError(
-                    exc.message, exc.position + len(basis)
-                ) from None
-            return Expr.basis_element(basis, alpha)
+            return Expr.basis_element(basis, _composition_at(text, len(basis)))
     raise CompositionParseError("expected basis prefix M, L or Lbar", 0)
+
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after an optional '-'."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _cmd_product(args) -> int:
@@ -221,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="polynomial realization of a basis element")
     p.add_argument("EXPR", help="e.g. L[2,d3,1]")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_integer, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="run the Hopf axiom suite")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-fermionic", type=int, required=True)
+    p.add_argument("--max-degree", type=_integer, required=True)
+    p.add_argument("--max-fermionic", type=_integer, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -261,5 +264,18 @@ def main(argv=None) -> int:
         clear_caches()
 
 
+def entry() -> None:
+    """The console script: main() on the command line.  A reader that closes
+    stdout early, as `| head` does, ends the command quietly with exit 1."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

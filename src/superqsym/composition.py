@@ -44,14 +44,14 @@ class DottedPart(NamedTuple):
 
 
 def _as_int(v) -> int:
-    """v as an int; a bool, or a number with a fractional part, is refused
-    rather than read as 0/1 or truncated."""
+    """v as an int: only a number equal to its int is one, so that a bool is
+    not read as 0/1, text such as "3" is not parsed, and 2.5 is not cut to 2."""
     if type(v) is int:
         return v
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, numbers.Number):
         raise TypeError(f"expected an integer, got {v!r}")
     i = int(v)
-    if isinstance(v, numbers.Number) and i != v:
+    if i != v:
         raise ValueError(f"expected an integer, got {v!r}")
     return i
 
@@ -77,11 +77,10 @@ def _coerce_part(p, min_plain: int = 1) -> DottedPart:
     elif isinstance(p, int) and not isinstance(p, bool):
         part = DottedPart(p, False)
     elif isinstance(p, str):
-        s = p.strip()
-        if s.startswith("d"):
-            part = DottedPart(int(s[1:]), True)
-        else:
-            part = DottedPart(int(s), False)
+        parts, _ = _scan(p, 0, "")
+        if len(parts) != 1:
+            raise ValueError(f"expected one dotted part, got {p!r}")
+        part = parts[0]
     else:
         raise TypeError(f"cannot interpret {p!r} as a dotted part")
     if part.dotted:
@@ -176,51 +175,66 @@ def comp(*parts) -> DottedComposition:
     return DottedComposition(parts)
 
 
-def parse_composition(text: str) -> DottedComposition:
-    s = text
-    i = 0
-    n = len(s)
+def _scan(text: str, i: int, close: str, error=CompositionParseError, dots=True, plain_zero=True):
+    """The parts of the comma-separated list in `text` from index i up to the
+    first `close` ("" for the end of text), and the index after that.  A
+    part is ASCII digits, after a "d" where `dots` allows one, and whitespace
+    may sit around any item; the parts are DottedParts, or ints where `dots`
+    is false.  The first fault, a non-dotted 0 included where `plain_zero` is
+    false, raises error(message, position) at its character."""
+    end = text.find(close, i) if close else len(text)
+    body = text[i:] if end < 0 else text[i:end]
+    parts: list = []
+    if body.strip() or end < 0:
+        for piece in body.split(","):
+            s = piece.strip()
+            dot = dots and s.startswith("d")
+            digits = s[1:] if dot else s
+            if not (digits.isascii() and digits.isdigit() and (dot or plain_zero or int(digits))):
+                raise error(*_fault(piece, i, close, dots, plain_zero))
+            parts.append(DottedPart(int(digits), dot) if dots else int(digits))
+            i += len(piece) + 1
+    if end < 0:
+        raise error(f"expected ',' or {close!r}", len(text))
+    return parts, end + 1
 
-    def skip_ws(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
 
-    i = skip_ws(i)
-    if i >= n or s[i] != "[":
+def _fault(piece: str, at: int, close: str, dots: bool, plain_zero: bool) -> tuple[str, int]:
+    """The message and position of the first fault in `piece`, the list item
+    that starts at index `at`."""
+    j = len(piece) - len(piece.lstrip())
+    dot = dots and piece.startswith("d", j)
+    j += 1 if dot else 0
+    k = j
+    while k < len(piece) and "0" <= piece[k] <= "9":
+        k += 1
+    if k == j:
+        return "expected digit", at + j
+    if not (dot or plain_zero or int(piece[j:k])):
+        return "non-dotted part must be >= 1, got 0", at + j
+    k = len(piece) - len(piece[k:].lstrip())
+    return f"expected ',' or {repr(close) if close else 'end of text'}", at + k
+
+
+def _end(text: str, i: int, error=CompositionParseError) -> None:
+    """Refuse anything but whitespace from index i on."""
+    if text[i:].strip():
+        raise error("trailing input", len(text) - len(text[i:].lstrip()))
+
+
+def _composition_at(text: str, i: int) -> DottedComposition:
+    """The composition text[i:] spells; positions count in `text`."""
+    i = len(text) - len(text[i:].lstrip())
+    if not text.startswith("[", i):
         raise CompositionParseError("expected '['", i)
-    i = skip_ws(i + 1)
-    parts: list[DottedPart] = []
-    if i < n and s[i] == "]":
-        i += 1
-    else:
-        while True:
-            dotted = False
-            if i < n and s[i] == "d":
-                dotted = True
-                i += 1
-            start = i
-            while i < n and "0" <= s[i] <= "9":
-                i += 1
-            if i == start:
-                raise CompositionParseError("expected digit", i)
-            value = int(s[start:i])
-            try:
-                parts.append(_coerce_part((value, dotted)))
-            except ValueError as exc:
-                raise CompositionParseError(str(exc), start) from None
-            i = skip_ws(i)
-            if i < n and s[i] == ",":
-                i = skip_ws(i + 1)
-                continue
-            if i < n and s[i] == "]":
-                i += 1
-                break
-            raise CompositionParseError("expected ',' or ']'", i)
-    i = skip_ws(i)
-    if i != n:
-        raise CompositionParseError("trailing input", i)
+    parts, i = _scan(text, i + 1, "]", plain_zero=False)
+    _end(text, i)
     return DottedComposition._of(tuple(parts))
+
+
+def parse_composition(text: str) -> DottedComposition:
+    """Read text such as "[2,d3,1]"; a fault raises CompositionParseError."""
+    return _composition_at(text, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .algebra import (
     _merge,
     accumulate,
     bilinear,
+    cofundamental_to_M,
     render_expr,
-    to_M,
 )
 from .composition import _MEMO_SIZE, DottedComposition, DottedPart, def_sets
 
@@ -241,7 +241,7 @@ def realize_expr(e: Expr, nvars: int) -> SuperPolynomial:
     if e.basis == "L":
         pieces = [(realize_L(alpha, nvars), c) for alpha, c in e.terms.items()]
     else:
-        m_expr = to_M(e)
+        m_expr = e if e.basis == "M" else cofundamental_to_M(e)
         pieces = [(realize_M(alpha, nvars), c) for alpha, c in m_expr.terms.items()]
     acc: dict[Monomial, object] = {}
     for poly, c in pieces:

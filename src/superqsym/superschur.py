@@ -9,7 +9,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import Expr
-from .composition import DottedComposition, DottedPart, _as_int, _coerce_part
+from .composition import DottedComposition, DottedPart, _as_int, _coerce_part, _end, _scan
 from .realize import SuperPolynomial, _check_nvars
 from .shuffles import DottedPermutation, comp_of_word
 
@@ -114,41 +114,16 @@ class Superpartition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Superpartition":
-        # positions are in `text`, as parse_composition counts them; the body
-        # starts after '(' at lead + 1 and runs to the first ')'
+        # positions count in `text`, as parse_composition counts them
         lead = len(text) - len(text.lstrip())
         if not text.startswith("(", lead):
             raise SuperpartitionParseError("expected '('", lead)
-        close = text.find(")", lead)
-        body = text[lead + 1 : close] if close >= 0 else text[lead + 1 :]
-        if ";" not in body:
+        if ";" not in text.partition(")")[0]:
             raise SuperpartitionParseError("expected ';' separator", lead + 1)
-        left, right = body.split(";", 1)
-
-        def ints(chunk: str, offset: int) -> list[int]:
-            # offset: where the chunk starts; an error points at its piece
-            if not chunk.strip():
-                return []
-            out = []
-            for piece in chunk.split(","):
-                value = piece.strip()
-                if not (value.isascii() and value.isdigit()):
-                    raise SuperpartitionParseError(
-                        f"expected integer, got {value!r}",
-                        offset + len(piece) - len(piece.lstrip()),
-                    )
-                out.append(int(value))
-                offset += len(piece) + 1
-            return out
-
-        fermionic, bosonic = ints(left, lead + 1), ints(right, lead + 2 + len(left))
-        if close < 0:
-            raise SuperpartitionParseError("expected ')'", len(text))
-        tail = text[close + 1 :]
-        if tail.strip():
-            raise SuperpartitionParseError(
-                "trailing input", len(text) - len(tail.lstrip())
-            )
+        error = SuperpartitionParseError
+        fermionic, i = _scan(text, lead + 1, ";", error, False)
+        bosonic, i = _scan(text, i, ")", error, False)
+        _end(text, i, error)
         try:
             return cls(fermionic, bosonic)
         except ValueError as exc:
@@ -181,8 +156,6 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
             return
         # smallest possible tail sum: 0+1+...+(count-1)
         for v in range(min(cap, remaining), count - 2, -1):
-            if v < 0:
-                break
             acc.append(v)
             ferm(remaining - v, count - 1, v - 1, acc)
             acc.pop()

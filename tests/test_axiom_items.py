@@ -125,9 +125,10 @@ def test_memoized_results_keep_their_keys(monkeypatch):
 
 
 def test_each_result_is_asked_once_per_run(monkeypatch):
-    # the memo lasts for the whole run: every coproduct, antipode and L_to_M
-    # image is computed once per distinct argument, however many checks and
-    # items read it, and the report is the one the unwrapped functions give
+    # the memo lasts for the whole run: every product, coproduct, antipode
+    # and L_to_M image is computed once per distinct argument, however many
+    # checks and items read it, and the report is the one the unwrapped
+    # functions give
     expected = repr(hopf.verify_hopf(4, 2))
     asked = {}
 
@@ -135,19 +136,24 @@ def test_each_result_is_asked_once_per_run(monkeypatch):
         op = getattr(hopf, name)
         calls = asked[name] = Counter()
 
-        def run(x):
-            calls[x] += 1
-            return op(x)
+        def run(*x):
+            calls[x if len(x) > 1 else x[0]] += 1
+            return op(*x)
 
         return run
 
-    for name in ["coproduct_M", "coproduct_L", "antipode_M", "antipode_L", "L_to_M"]:
+    kernels = ["overlapping_shuffles", "fundamental_product"]
+    for name in kernels + ["coproduct_M", "coproduct_L", "antipode_M", "antipode_L", "L_to_M"]:
         monkeypatch.setattr(hopf, name, counted(name))
     assert repr(hopf.verify_hopf(4, 2)) == expected
-    singles = set(universe(4, 2))
+    singles, pairs = _items(4, 2)
+    singles = set(singles)
     for name, calls in asked.items():
         assert max(calls.values()) == 1, name
-        if name == "L_to_M":
+        if name in kernels:
+            # the bialgebra check multiplies every pair
+            assert set(pairs) <= set(calls), name
+        elif name == "L_to_M":
             assert {e.basis for e in calls} == {"L"}
             assert {k for e in calls for k in e.terms} == singles
         else:

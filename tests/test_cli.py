@@ -20,11 +20,11 @@ SRC = str(Path(superqsym.__file__).resolve().parent.parent)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_session.json"
 
 
-def run_cli(*args):
+def run_cli(*args, **streams):
     path = [SRC, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "superqsym", *args],
-        capture_output=True,
+        **(streams or {"capture_output": True}),
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
     )
@@ -217,7 +217,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "expr, position",
-        [("L[1]x", 4), ("Lbar[1,]", 7), ("M[d]", 3), ("Lbarx[1]", 4)],
+        [("L[1]x", 4), ("Lbar[1,]", 7), ("M[d]", 3), ("Lbarx[1]", 4), ("X[1]", 0)],
     )
     def test_realize_parse_error_counts_the_prefix(self, capsys, expr, position):
         assert main(["realize", expr, "--vars", "2"]) == 2
@@ -241,6 +241,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parse error at position {position}:" in captured.err
+
+    def test_closed_stdout_ends_quietly(self):
+        # as `| head -c 10` leaves it once head has exited
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _, err = run_cli(
+                "schur", "(1;2,2)", "--show-tableaux", stdout=write, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write)
+        assert code == 1
+        assert err == ""
 
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")

@@ -33,6 +33,10 @@ def L(*parts):
     return Expr.basis_element("L", comp(*parts))
 
 
+def LB(*parts):
+    return Expr.basis_element("Lbar", comp(*parts))
+
+
 class TestProducts:
     def test_product_M_classical(self):
         assert product_M(comp(1), comp(1)) == M(1, 1).scale(2) + M(2)
@@ -97,6 +101,23 @@ class TestProducts:
         # the dispatchers read the basis off an Expr; product_M and the other
         # per-basis functions are the ones that take a composition
         with pytest.raises(TypeError, match=f"expected Expr, got {got}"):
+            op(*args)
+
+    @pytest.mark.parametrize(
+        "op, args, message",
+        [
+            pytest.param(product, (LB(1), LB(1)), "no product is defined", id="product"),
+            pytest.param(coproduct, (LB(1),), "no coproduct is implemented", id="coproduct"),
+            pytest.param(antipode, (LB(1),), "no antipode is implemented", id="antipode"),
+            pytest.param(bullet, (M(1), L(1)), "cannot combine M with L", id="bullet-mixed"),
+            pytest.param(bullet, (LB(1), LB(1)), "bullet is defined on", id="bullet-Lbar"),
+            pytest.param(odot, (L(1), M(1)), "cannot combine L with M", id="odot-mixed"),
+            pytest.param(odot, (LB(1), LB(1)), "odot is defined on", id="odot-Lbar"),
+        ],
+    )
+    def test_dispatchers_refuse_what_they_do_not_define(self, op, args, message):
+        # Lbar has no arithmetic, and two bases do not mix
+        with pytest.raises(ValueError, match=message):
             op(*args)
 
     def test_bilinear_extension(self):
@@ -309,6 +330,18 @@ def _drop_empty_left(good):
     return broken
 
 
+def _drop_empty_right(good):
+    # the mirror of _drop_empty_left that keeps ([], []): only the right
+    # counit breaks
+    def broken(a):
+        t = good(a)
+        return TensorExpr(
+            t.bases, {k: c for k, c in t.terms.items() if k[1] != EMPTY or k[0] == EMPTY}
+        )
+
+    return broken
+
+
 def _deconcatenation_only(good):
     def broken(a):
         terms = a.terms if isinstance(a, Expr) else {a: 1}
@@ -340,6 +373,19 @@ def _drop_last_nonunit(good):
         return tuple(good(a, b))[:-1] if a and b else good(a, b)
 
     return broken
+
+
+def _negate_one_product(x, y):
+    # negating M[1,d0]·M[1] breaks S * id at [d0,1,1], while id * S holds on
+    # every item of verify_hopf(3, 1): only a check that needs both sides to
+    # hold sees it
+    def sabotage(good):
+        def broken(a, b):
+            return [(g, -s) for g, s in good(a, b)] if (a, b) == (x, y) else good(a, b)
+
+        return broken
+
+    return sabotage
 
 
 def _drop_two_part_refinements(good):
@@ -414,6 +460,16 @@ class TestVerifySuite:
                 id="coproduct_M",
             ),
             pytest.param(
+                "coproduct_L", _drop_empty_right,
+                [
+                    ("counit_L", "[d0]"),
+                    ("coassociativity_L", "[d0,1]"),
+                    ("convolution_L", "[d0]"),
+                    ("bialgebra_L", "([d0], [1])"),
+                ],
+                id="coproduct_L-right-counit",
+            ),
+            pytest.param(
                 "coproduct_L", _deconcatenation_only,
                 [("convolution_L", "[2]"), ("bialgebra_L", "([d0], [2])")],
                 id="coproduct_L",
@@ -427,6 +483,11 @@ class TestVerifySuite:
                 "overlapping_shuffles", _negate_nonunit,
                 [("convolution_M", "[d0,1]"), ("bialgebra_M", "([d0], [1])")],
                 id="overlapping_shuffles",
+            ),
+            pytest.param(
+                "overlapping_shuffles", _negate_one_product(comp(1, "d0"), comp(1)),
+                [("convolution_M", "[d0,1,1]"), ("bialgebra_M", "([1,d0], [1])")],
+                id="overlapping_shuffles-one-convolution-side",
             ),
             pytest.param(
                 "fundamental_product", _drop_last_nonunit,

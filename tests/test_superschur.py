@@ -381,6 +381,14 @@ class TestSchurToL:
         art = tabs[0].ascii()
         assert "(" in art and "[" in art
 
+    def test_ascii_rendering_of_a_skew_tableau(self):
+        # a cell of the inner shape is " . ", a circle of it "( )"
+        tabs = dot_standard_tableaux(sp((1, 0), (2,)), sp((0,), (1,)))
+        assert sorted(t.ascii() for t in tabs) == [
+            " . [1]\n[2](2)\n( )",
+            " . [2]\n[1](1)\n( )",
+        ]
+
 
 class TestRealizeS:
     def test_single_box(self):
