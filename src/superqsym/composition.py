@@ -50,7 +50,10 @@ def _as_int(v) -> int:
         return v
     if isinstance(v, bool) or not isinstance(v, numbers.Number):
         raise TypeError(f"expected an integer, got {v!r}")
-    i = int(v)
+    try:
+        i = int(v)
+    except OverflowError:  # an infinity
+        i = None
     if i != v:
         raise ValueError(f"expected an integer, got {v!r}")
     return i
@@ -414,6 +417,7 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
             acc.pop()
 
     go(0, [])
+    del go  # go reaches itself through its closure: free the walk now
     return _sorted(results)
 
 
@@ -523,6 +527,7 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
                 acc.pop()
 
     go(n, m, [])
+    del go  # go reaches itself through its closure: free the walk now
     return sorted(results, key=DottedComposition.sort_key)
 
 

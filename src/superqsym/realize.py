@@ -25,7 +25,7 @@ from .algebra import (
     cofundamental_to_M,
     render_expr,
 )
-from .composition import _MEMO_SIZE, DottedComposition, DottedPart, def_sets
+from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _as_int, def_sets
 
 Theta = tuple[int, ...]
 XPows = tuple[tuple[int, int], ...]
@@ -147,16 +147,21 @@ def shift_indices(p: SuperPolynomial, offset: int, nvars: int) -> SuperPolynomia
 # realizations of the bases
 
 
-def _check_nvars(nvars: int) -> None:
-    """Reject a negative variable count, which would realize as a silent 0."""
+def _check_nvars(nvars: int) -> int:
+    """nvars as an int: a bool or a non-integral number is refused, as by
+    _as_int, and so is a negative count, which would realize as a silent 0."""
+    nvars = _as_int(nvars)
     if nvars < 0:
         raise ValueError(f"number of variables must be >= 0, got {nvars}")
+    return nvars
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+# both memos are typed, so that a count such as True misses the entry of 1
+# and is checked
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """Defining sum of the monomial basis over strictly increasing indices."""
-    _check_nvars(nvars)
+    nvars = _check_nvars(nvars)
     l = alpha.length
     out: dict[Monomial, int] = {}
     for idx in itertools.combinations(range(1, nvars + 1), l):
@@ -214,11 +219,13 @@ def _defsets_sum(
             go(k + 1)
 
     go(1)
+    del go  # go reaches itself through its closure: free the walk now
     return SuperPolynomial._trusted(nvars, out)
 
 
 def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """The D/E/F rewrite of M: strict exactly at D, equal elsewhere."""
+    nvars = _check_nvars(nvars)
     n, m = alpha.degrees()
     total = n + m
     D = def_sets(alpha).D
@@ -226,18 +233,18 @@ def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     return _defsets_sum(alpha, nvars, D, equal)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """The D/E/F sum for the fundamental basis: strict at D, equal at E,
     free elsewhere."""
-    _check_nvars(nvars)
+    nvars = _check_nvars(nvars)
     sets = def_sets(alpha)
     return _defsets_sum(alpha, nvars, sets.D, sets.E)
 
 
 def realize_expr(e: Expr, nvars: int) -> SuperPolynomial:
     """Realize any expression; L terms go through the direct D/E/F sum."""
-    _check_nvars(nvars)
+    nvars = _check_nvars(nvars)
     if e.basis == "L":
         pieces = [(realize_L(alpha, nvars), c) for alpha, c in e.terms.items()]
     else:

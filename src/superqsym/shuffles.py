@@ -174,6 +174,7 @@ def _walk(cols, rows, diagonals, leaf) -> list:
             steps.pop()
 
     go(0, 0, 0)
+    del go  # go reaches itself through its closure: free the walk now
     return out
 
 
@@ -347,4 +348,5 @@ def fundamental_product(
                 go(x2, y2, n2, parts, run + 1, entry.value)
 
     go(0, 0, 0, (), 0, 0)
+    del go  # go reaches itself through its closure: free the walk now
     return tuple((gamma, c) for gamma, c in acc.items() if c)

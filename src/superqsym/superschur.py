@@ -161,6 +161,7 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
             acc.pop()
 
     ferm(degree, circles, degree, [])
+    del ferm  # ferm reaches itself through its closure: free the walk now
     return sorted(results, key=lambda sp: (sp.fermionic, sp.bosonic))
 
 
@@ -398,6 +399,7 @@ def _walk(outer, inner, menu, emit) -> None:
                 chain.pop()
 
     go(inner, [inner], [], _initial_circles(inner), [])
+    del go  # go reaches itself through its closure: free the walk now
 
 
 def _tableaux(outer, inner, menu) -> list[STableau]:
@@ -413,6 +415,11 @@ def _tableaux(outer, inner, menu) -> list[STableau]:
 
 
 def _require_inside(outer: Superpartition, inner: Superpartition) -> None:
+    """Refuse a shape that is not a Superpartition (a plain (star, rows) tuple
+    included), then an inner shape that outer does not contain."""
+    for shape in (outer, inner):
+        if not isinstance(shape, Superpartition):
+            raise TypeError(f"expected Superpartition, got {type(shape).__name__}")
     if not outer.contains(inner):
         raise IncompatibleShapeError(f"{inner} is not contained in {outer}")
 
@@ -584,6 +591,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         return found
 
     free, _ = walk(*inner, 0, None)
+    del walk  # walk reaches itself through its closure: free the walk now
     part_of = {v: DottedPart(v, False) for v in range(1, degree + 1)}
     part_of.update((~v, DottedPart(v, True)) for v in range(degree + 1))
     out = Expr._trusted(
@@ -593,10 +601,6 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
             for parts, c in free.items()
         },
     )
-    # `walk` reaches itself through its closure, a cycle that would keep the
-    # memo alive until the next garbage collection
-    memo.clear()
-    moves.clear()
     return out
 
 
@@ -605,7 +609,7 @@ def realize_s(
 ) -> SuperPolynomial:
     """Generating sum over all s-tableaux with exactly `nvars` letters
     (weights may contain 0 and d0); the independent oracle for schur_to_L."""
-    _check_nvars(nvars)
+    nvars = _check_nvars(nvars)
     _require_inside(outer, inner)
     terms: dict = {}
 

@@ -5,7 +5,7 @@ import pytest
 import classical_oracle as co
 import superqsym.hopf as hopf
 from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, tensor, unit
-from superqsym.composition import EMPTY, comp, compositions_of, universe
+from superqsym.composition import EMPTY, _as_int, comp, compositions_of, universe
 from superqsym.hopf import (
     NotAColumnError,
     antipode,
@@ -23,6 +23,7 @@ from superqsym.hopf import (
     verify_hopf,
 )
 from superqsym.realize import poly_mul, realize_expr, realize_L
+from superqsym.superschur import Superpartition
 
 
 def M(*parts):
@@ -530,12 +531,33 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize(
         "bounds, error",
-        [((True, True), TypeError), ((3, False), TypeError), ((2.5, 1), ValueError)],
+        [
+            ((True, True), TypeError),
+            ((3, False), TypeError),
+            ((2.5, 1), ValueError),
+            ((float("inf"), 1), ValueError),
+            ((3, float("-inf")), ValueError),
+        ],
     )
     def test_non_integer_bounds_rejected(self, bounds, error):
-        # read as dotted parts are: a bool is no count, and 2.5 is not cut to 2
+        # read as dotted parts are: a bool is no count, 2.5 is not cut to 2,
+        # and an infinity, which int() cannot read, is no integer either
         with pytest.raises(error, match="expected an integer"):
             verify_hopf(*bounds)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _as_int(float("inf")),
+            lambda: Superpartition((float("inf"),), ()),
+            lambda: Superpartition((), (float("inf"),)),
+            lambda: comp((float("inf"), True)),
+        ],
+        ids=["_as_int", "Superpartition-fermionic", "Superpartition-bosonic", "comp"],
+    )
+    def test_an_infinity_is_no_integer_anywhere(self, build):
+        with pytest.raises(ValueError, match="expected an integer, got inf"):
+            build()
 
     def test_integral_bounds_read_as_ints(self):
         assert repr(verify_hopf(3.0, 1.0)) == repr(verify_hopf(3, 1))

@@ -98,13 +98,39 @@ class TestRealizeM:
 
     def test_negative_variable_count_is_rejected(self):
         alpha = comp(2, "d1")
-        for realize in (realize_M, realize_L):
+        for realize in (realize_M, realize_L, realize_M_defsets):
             with pytest.raises(ValueError, match="number of variables"):
                 realize(alpha, -1)
         for basis in ("M", "L", "Lbar"):
             with pytest.raises(ValueError, match="number of variables"):
                 realize_expr(Expr.basis_element(basis, alpha), -3)
         assert realize_M(alpha, 0) == SuperPolynomial(0)
+
+    @pytest.mark.parametrize("nvars, error", [(True, TypeError), (2.5, ValueError)])
+    def test_non_integer_variable_count_is_rejected(self, nvars, error):
+        alpha = comp(2, "d1")
+        for realize in (realize_M, realize_L, realize_M_defsets):
+            with pytest.raises(error, match="expected an integer"):
+                realize(alpha, nvars)
+        for basis in ("M", "L", "Lbar"):
+            with pytest.raises(error, match="expected an integer"):
+                realize_expr(Expr.basis_element(basis, alpha), nvars)
+
+    def test_a_cached_count_does_not_admit_a_bool(self):
+        # True == 1 and hash(True) == hash(1): an untyped memo would return
+        # the entry of 1 for True without checking it
+        alpha = comp(1)
+        for realize in (realize_M, realize_L):
+            assert realize(alpha, 1) == SuperPolynomial(1, {((), ((1, 1),)): 1})
+            with pytest.raises(TypeError, match="expected an integer, got True"):
+                realize(alpha, True)
+
+    def test_an_integral_count_is_read_as_an_int(self):
+        alpha = comp(2, "d1")
+        for realize in (realize_M, realize_L):
+            poly = realize(alpha, 3.0)
+            assert poly == realize(alpha, 3)
+            assert type(poly.nvars) is int
 
     def test_defsets_route_agrees(self):
         # spec bound: all alpha with n+m <= 5 in up to 6 variables

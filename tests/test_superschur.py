@@ -376,6 +376,26 @@ class TestSchurToL:
         with pytest.raises(IncompatibleShapeError):
             realize_s(outer, inner, 2)
 
+    @pytest.mark.parametrize(
+        "outer, inner, got",
+        [
+            ("(1;2)", EMPTY_SHAPE, "str"),
+            (sp((1,), (2,)), "(;)", "str"),
+            (((1,), (2,)), EMPTY_SHAPE, "tuple"),
+            (sp((1,), (2,)), ((), ()), "tuple"),
+        ],
+    )
+    def test_a_shape_must_be_a_superpartition(self, outer, inner, got):
+        message = f"expected Superpartition, got {got}"
+        for call in (
+            lambda: schur_to_L(outer, inner),
+            lambda: dot_standard_tableaux(outer, inner),
+            lambda: enumerate_s_tableaux(outer, inner, [1]),
+            lambda: realize_s(outer, inner, 2),
+        ):
+            with pytest.raises(TypeError, match=message):
+                call()
+
     def test_ascii_rendering(self):
         tabs = dot_standard_tableaux(sp((1,), (2, 2)), EMPTY_SHAPE)
         art = tabs[0].ascii()
