@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -52,7 +51,7 @@ def _as_int(v) -> int:
         raise TypeError(f"expected an integer, got {v!r}")
     try:
         i = int(v)
-    except OverflowError:  # an infinity
+    except (OverflowError, ValueError):  # an infinity, or a NaN
         i = None
     if i != v:
         raise ValueError(f"expected an integer, got {v!r}")
@@ -244,8 +243,7 @@ def parse_composition(text: str) -> DottedComposition:
 # D / E / F coordinates
 
 
-@dataclass(frozen=True)
-class DefSets:
+class DefSets(NamedTuple):
     D: frozenset[int]
     E: frozenset[int]
     F: frozenset[int]
@@ -472,8 +470,7 @@ def maximal_strong_coarsening(alpha: DottedComposition) -> DottedComposition:
     return DottedComposition._of(tuple(parts))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     is_column: bool
     is_maximal: bool
     maximal_strong_coarsening: DottedComposition

@@ -11,7 +11,6 @@ its diagonal moves and what a finished path yields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
@@ -210,8 +209,7 @@ def _shuffle_term(steps, entries, sign):
 # fundamental paths (L-product engine)
 
 
-@dataclass(frozen=True)
-class GridPath:
+class GridPath(NamedTuple):
     steps: tuple[Step, ...]
 
     def to_json(self) -> list[list]:

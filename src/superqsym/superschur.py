@@ -4,9 +4,8 @@ expansion of superspace Schur functions into the fundamental basis."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import Expr
 from .composition import DottedComposition, DottedPart, _as_int, _coerce_part, _end, _scan
@@ -170,24 +169,22 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 #
 # A strip works on the diagram, which is the superpartition itself: `star`,
 # the row lengths longest first, and `rows`, the diagram rows of the circles
-# listed from below.
+# listed from below.  Each kind of strip is made in two stages: one reads the
+# star alone, and the other filters its output by the circle rows, so a walk
+# that meets a star under many circle configurations builds the first once.
 
 
-def _strips(star, rows, sizes: range, dotted, cap=None):
-    """Every horizontal strip of type s over the diagram (star, rows) whose
-    cell count lies in `sizes`.  Yields (cell count, new star, new circle
-    rows, index of the new circle among the circles from below, or None for a
-    bosonic strip).  With `cap`, a star such as an outer shape's, no row grows
-    past it.
+def _strip_vectors(star, sizes: range, cap) -> list:
+    """The star-only stage of the strips over a diagram whose row lengths are
+    `star`: every vector of cells added per row whose cell count lies in
+    `sizes`, in lexicographic order, as (cell count, new star, vector, row of
+    a new circle).  With `cap`, a star such as an outer shape's, no row grows
+    past it; with None, no row is capped.
 
-    The strips are read off the vectors of cells added per row, in
-    lexicographic order: each row has room up to the old length of the row
-    above, so every vector is a horizontal strip.  An old circle keeps its
-    row, or moves one row down when the strip has a cell in its row; either
-    way it still ends the topmost row of its length, so a vector fails only
-    when a circle moves onto the row of a circle that stays.  A fermionic
-    strip's new circle ends the row whose length is the run of columns 1, 2,
-    ... the strip fills, read bottom-up; no old circle may end that row."""
+    Each row has room up to the old length of the row above, so every vector
+    is a horizontal strip.  A fermionic strip's new circle ends the row whose
+    length is the run of columns 1, 2, ... the strip fills, read bottom-up.
+    None of this reads the circles, which only filter the vectors (_strips)."""
     padded = star + (0,)
     most = max(sizes, default=0)
     room = []
@@ -196,51 +193,77 @@ def _strips(star, rows, sizes: range, dotted, cap=None):
         if cap is not None:
             top = min(top, cap[i] if i < len(cap) else 0)
         room.append(range(max(0, top - here) + 1))
-    stacked = [r for r in rows if r + 1 in rows]
+    out = []
     for add in product(*room):
         size = sum(add)
-        if size not in sizes or (
-            stacked and any(add[r - 1] and not add[r] for r in stacked)
-        ):
+        if size not in sizes:
             continue
         new = tuple(map(operator.add, padded, add))
         if not new[-1]:
             new = new[:-1]
-        moved = tuple([r + 1 if add[r - 1] else r for r in rows])
-        if not dotted:
-            yield size, new, moved, None
-            continue
         value, row = 0, len(padded) + 1
         for here, a in zip(reversed(padded), reversed(add)):
             if here != value:
                 break
             value += a
             row -= 1
+        out.append((size, new, add, row))
+    return out
+
+
+def _strips(vectors, rows, dotted):
+    """The circle stage: every horizontal strip of type s that `vectors`, the
+    _strip_vectors of a star, make over the diagram (star, rows).  Yields (cell
+    count, new star, new circle rows, index of the new circle among the
+    circles from below, or None for a bosonic strip), in the vectors' order.
+
+    An old circle keeps its row, or moves one row down when the strip has a
+    cell in its row; either way it still ends the topmost row of its length,
+    so a vector fails only when a circle moves onto the row of a circle that
+    stays.  No old circle may end a fermionic strip's new circle's row."""
+    stacked = [r for r in rows if r + 1 in rows]
+    for size, new, add, row in vectors:
+        if stacked and any(add[r - 1] and not add[r] for r in stacked):
+            continue
+        moved = tuple([r + 1 if add[r - 1] else r for r in rows])
+        if not dotted:
+            yield size, new, moved, None
+            continue
         if row in moved:
             continue
         idx = sum(1 for r in moved if r > row)
         yield size, new, moved[:idx] + (row,) + moved[idx:], idx
 
 
-def _cells(star, rows, cap=None):
-    """The bosonic one-cell strips of _strips, as (new star, new circle rows,
-    row of the cell): the addable corners, bottom row first, unless the cell
-    pushes a circle onto the circle in the row below."""
+def _corners(star, cap) -> list:
+    """The star-only stage of the bosonic one-cell strips: every addable
+    corner, bottom row first, as (new star, row of the cell).  With `cap`, no
+    row grows past it; with None, no row is capped."""
     padded = star + (0,)
+    out = []
     for i in range(len(star), -1, -1):
         here = padded[i]
         if i and padded[i - 1] == here:
             continue
         if cap is not None and here >= (cap[i] if i < len(cap) else 0):
             continue
-        row = i + 1
+        out.append((star[:i] + (here + 1,) + star[i + 1 :], i + 1))
+    return out
+
+
+def _cells(corners, rows):
+    """The circle stage of the one-cell strips: the `corners` of a star that
+    stay legal over the diagram (star, rows), as (new star, new circle rows,
+    row of the cell).  A cell fails when it pushes a circle onto the circle in
+    the row below."""
+    for new, row in corners:
         if row in rows:
             if row + 1 in rows:
                 continue
             moved = tuple([row + 1 if r == row else r for r in rows])
         else:
             moved = rows
-        yield star[:i] + (here + 1,) + star[i + 1 :], moved, row
+        yield new, moved, row
 
 
 def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
@@ -262,7 +285,9 @@ def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
             ),
             idx,
         )
-        for _, star, rows, idx in _strips(*sp, range(size, size + 1), dotted, cap)
+        for _, star, rows, idx in _strips(
+            _strip_vectors(sp[0], range(size, size + 1), cap), sp[1], dotted
+        )
     ]
     found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
     return found
@@ -303,8 +328,7 @@ def _circle_inversions(circles) -> int:
     )
 
 
-@dataclass(frozen=True)
-class STableau:
+class STableau(NamedTuple):
     inner: Superpartition
     outer: Superpartition
     chain: tuple[Superpartition, ...]
@@ -540,21 +564,29 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     row <= the prefix's last row).  A new circle letter is the largest so far,
     so it adds one inversion per filled circle below it; the circles of the
     inner shape stay unfilled.  Parts are ints inside the walk: k for a
-    non-dotted part k, ~v for the dotted part dv.  The memo lives for one
-    call."""
+    non-dotted part k, ~v for the dotted part dv.  A star's corners and strip
+    vectors are built once, when the walk first meets it, and each diagram
+    state reads its moves from them through its circle rows.  The star table,
+    the moves and the memo live for one call."""
     _require_inside(outer, inner)
     cap = outer[0]
     n_circles, degree = outer.n_circles, outer.degree
+    stars: dict = {}
     moves: dict = {}
     memo: dict = {}
 
     def moves_from(star, rows):
         found = moves.get((star, rows))
         if found is None:
-            cells = list(_cells(star, rows, cap))
-            dotted = list(
-                _strips(star, rows, range(degree - sum(star) + 1), True, cap)
-            ) if len(rows) < n_circles else []
+            built = stars.get(star)
+            if built is None:
+                built = stars[star] = (
+                    _corners(star, cap),
+                    _strip_vectors(star, range(degree - sum(star) + 1), cap),
+                )
+            corners, vectors = built
+            cells = list(_cells(corners, rows))
+            dotted = list(_strips(vectors, rows, True)) if len(rows) < n_circles else []
             found = moves[(star, rows)] = (cells, dotted)
         return found
 

@@ -9,8 +9,8 @@ for the package's bosonic_strips and fermionic_strips.
 _strips is the generator the package had before its strips were built
 directly: it walks every vector of cells added per row, builds each vector's
 cells, and keeps those whose circles land legally.  It is the oracle for the
-one-cell and fermionic moves of the Schur walk, superschur._cells and
-superschur._strips."""
+one-cell and fermionic moves of the Schur walk: superschur._cells over a
+star's _corners, and superschur._strips over its _strip_vectors."""
 
 from itertools import product
 

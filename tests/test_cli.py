@@ -330,3 +330,23 @@ class TestMemos:
         finally:
             tracemalloc.stop()
         assert abs(traced[1] - traced[0]) <= 256 * 1024, traced
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The package's records are NamedTuples and plain classes, so importing
+    it and the CLI loads neither `dataclasses` nor the `inspect` it pulls in,
+    which together cost a fresh process most of its start-up time."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; before = set(sys.modules); import superqsym, superqsym.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -537,11 +537,14 @@ class TestVerifySuite:
             ((2.5, 1), ValueError),
             ((float("inf"), 1), ValueError),
             ((3, float("-inf")), ValueError),
+            ((float("nan"), 1), ValueError),
+            ((3, float("nan")), ValueError),
         ],
     )
     def test_non_integer_bounds_rejected(self, bounds, error):
         # read as dotted parts are: a bool is no count, 2.5 is not cut to 2,
-        # and an infinity, which int() cannot read, is no integer either
+        # and an infinity or a NaN, which int() cannot read, is no integer
+        # either
         with pytest.raises(error, match="expected an integer"):
             verify_hopf(*bounds)
 

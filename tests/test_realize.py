@@ -106,7 +106,9 @@ class TestRealizeM:
                 realize_expr(Expr.basis_element(basis, alpha), -3)
         assert realize_M(alpha, 0) == SuperPolynomial(0)
 
-    @pytest.mark.parametrize("nvars, error", [(True, TypeError), (2.5, ValueError)])
+    @pytest.mark.parametrize(
+        "nvars, error", [(True, TypeError), (2.5, ValueError), (float("nan"), ValueError)]
+    )
     def test_non_integer_variable_count_is_rejected(self, nvars, error):
         alpha = comp(2, "d1")
         for realize in (realize_M, realize_L, realize_M_defsets):

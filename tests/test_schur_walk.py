@@ -42,9 +42,12 @@ def test_straight_shapes_up_to_six():
         assert schur_to_L(lam) == enumerated(lam), lam
 
 
-def test_skew_shapes_up_to_five():
-    universe = shapes(5)
+def test_skew_shapes_up_to_six():
+    """Every skew shape of the universe the straight shapes cover; the bench
+    draws skew shapes of outer degree 6."""
+    universe = shapes(6)
     pairs = [(lam, mu) for lam in universe for mu in universe if lam.contains(mu)]
+    assert len(pairs) == 1494
     assert any(mu.n_circles and mu.degree for _, mu in pairs)
     for lam, mu in pairs:
         assert schur_to_L(lam, mu) == enumerated(lam, mu), (lam, mu)
@@ -83,8 +86,9 @@ def test_strips_match_the_filter():
 
 def test_walk_moves_match_the_product_filter():
     """The walk's moves from every diagram state inside every outer shape,
-    capped by the outer shape and not, against the generator the package had
-    before, which filtered every row-room vector: same tuples, same order."""
+    capped by the outer shape and not, read through the star-only stage and
+    the circle filter, against the generator the package had before, which
+    filtered every row-room vector: same tuples, same order."""
     universe = shapes(7)
     for lam in universe:
         for mu in universe:
@@ -99,7 +103,9 @@ def test_walk_moves_match_the_product_filter():
                         star, rows, range(1, 2), False, cap
                     )
                 ]
-                assert list(superschur._cells(star, rows, cap)) == want, (lam, mu, cap)
+                got = list(superschur._cells(superschur._corners(star, cap), rows))
+                assert got == want, (lam, mu, cap)
+                vectors = superschur._strip_vectors(star, sizes, cap)
                 for dotted in (False, True):
                     want = [
                         (len(cells), new, new_rows, idx)
@@ -107,8 +113,46 @@ def test_walk_moves_match_the_product_filter():
                             star, rows, sizes, dotted, cap
                         )
                     ]
-                    got = list(superschur._strips(star, rows, sizes, dotted, cap))
+                    got = list(superschur._strips(vectors, rows, dotted))
                     assert got == want, (lam, mu, cap, dotted)
+
+
+def test_walk_builds_each_star_once_per_call(monkeypatch):
+    """One schur_to_L call builds the corners and strip vectors of each star
+    it meets once, however many circle configurations share the star; the
+    next call builds them again, so no table outlives a call."""
+    lam = Superpartition((3, 1, 0), (2, 1))
+    want = enumerated(lam)
+    built = {"corners": [], "vectors": [], "states": []}
+    corners, vectors, cells = (
+        superschur._corners, superschur._strip_vectors, superschur._cells
+    )
+
+    def count_corners(star, cap):
+        built["corners"].append(star)
+        return corners(star, cap)
+
+    def count_vectors(star, sizes, cap):
+        built["vectors"].append(star)
+        return vectors(star, sizes, cap)
+
+    def count_states(star_corners, rows):
+        built["states"].append(rows)
+        return cells(star_corners, rows)
+
+    monkeypatch.setattr(superschur, "_corners", count_corners)
+    monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
+    monkeypatch.setattr(superschur, "_cells", count_states)
+    assert schur_to_L(lam) == want
+    first = {name: list(seen) for name, seen in built.items()}
+    assert first["corners"] == first["vectors"]
+    assert len(first["corners"]) == len(set(first["corners"]))
+    # many diagram states share a star, and each reads the star's one build
+    assert 2 * len(first["corners"]) < len(first["states"])
+    for seen in built.values():
+        seen.clear()
+    assert schur_to_L(lam) == want
+    assert built == first
 
 
 def test_schur_walk_lists_no_tableaux(monkeypatch):
