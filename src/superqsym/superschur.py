@@ -3,6 +3,7 @@ expansion of superspace Schur functions into the fundamental basis."""
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import product
 from typing import Iterable, NamedTuple, Optional
@@ -174,19 +175,18 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 # that meets a star under many circle configurations builds the first once.
 
 
-def _strip_vectors(star, sizes: range, cap) -> list:
+def _strip_vectors(star, most: int, cap) -> list:
     """The star-only stage of the strips over a diagram whose row lengths are
-    `star`: every vector of cells added per row whose cell count lies in
-    `sizes`, in lexicographic order, as (cell count, new star, vector, row of
-    a new circle).  With `cap`, a star such as an outer shape's, no row grows
-    past it; with None, no row is capped.
+    `star`: every vector of at most `most` cells added per row, in
+    lexicographic order, as (cell count, new star, vector, row of a new
+    circle).  With `cap`, a star such as an outer shape's, no row grows past
+    it; with None, no row is capped.
 
     Each row has room up to the old length of the row above, so every vector
     is a horizontal strip.  A fermionic strip's new circle ends the row whose
     length is the run of columns 1, 2, ... the strip fills, read bottom-up.
-    None of this reads the circles, which only filter the vectors (_strips)."""
+    None of this reads the circles, which only filter the vectors."""
     padded = star + (0,)
-    most = max(sizes, default=0)
     room = []
     for i, here in enumerate(padded):
         top = min(padded[i - 1], here + most) if i else here + most
@@ -196,7 +196,7 @@ def _strip_vectors(star, sizes: range, cap) -> list:
     out = []
     for add in product(*room):
         size = sum(add)
-        if size not in sizes:
+        if size > most:
             continue
         new = tuple(map(operator.add, padded, add))
         if not new[-1]:
@@ -235,27 +235,27 @@ def _strips(vectors, rows, dotted):
         yield size, new, moved[:idx] + (row,) + moved[idx:], idx
 
 
-def _corners(star, cap) -> list:
-    """The star-only stage of the bosonic one-cell strips: every addable
-    corner, bottom row first, as (new star, row of the cell).  With `cap`, no
-    row grows past it; with None, no row is capped."""
-    padded = star + (0,)
-    out = []
-    for i in range(len(star), -1, -1):
-        here = padded[i]
-        if i and padded[i - 1] == here:
-            continue
-        if cap is not None and here >= (cap[i] if i < len(cap) else 0):
-            continue
-        out.append((star[:i] + (here + 1,) + star[i + 1 :], i + 1))
-    return out
+def _star_moves(star, cap, most: int):
+    """The star-only stage of every move: (corners, vectors), the star's
+    _strip_vectors of at most `most` cells under `cap`, and the one-cell ones
+    among them as (new star, row of the cell), bottom row first."""
+    vectors = _strip_vectors(star, most, cap)
+    corners = [(new, add.index(1) + 1) for size, new, add, _ in vectors if size == 1]
+    return corners, vectors
+
+
+def _star_table(outer):
+    """A walk's per-call table: star -> its _star_moves of every size that
+    fits under outer, built when the walk first meets the star."""
+    cap, degree = outer[0], outer.degree
+    return functools.cache(lambda star: _star_moves(star, cap, degree - sum(star)))
 
 
 def _cells(corners, rows):
-    """The circle stage of the one-cell strips: the `corners` of a star that
-    stay legal over the diagram (star, rows), as (new star, new circle rows,
-    row of the cell).  A cell fails when it pushes a circle onto the circle in
-    the row below."""
+    """The circle stage of the one-cell strips: the corners of a star, from
+    _star_moves, that stay legal over the diagram (star, rows), as (new star,
+    new circle rows, row of the cell).  A cell fails when it pushes a circle
+    onto the circle in the row below."""
     for new, row in corners:
         if row in rows:
             if row + 1 in rows:
@@ -266,14 +266,10 @@ def _cells(corners, rows):
         yield new, moved, row
 
 
-def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
-    """The strips over sp as (target, cells, new-circle index), sorted by
-    target; with `outer`, only the targets it contains."""
-    if size < 0:
-        raise ValueError(f"strip size must be >= 0, got {size}")
-    if outer is not None and dotted and sp.n_circles >= outer.n_circles:
-        return []
-    cap = None if outer is None else outer[0]
+def _targets(sp: Superpartition, size: int, dotted: bool, vectors) -> list:
+    """The `size`-cell strips that `vectors`, from the _star_moves of sp's
+    star, make over sp, as (target, cells, new-circle index), sorted by
+    target."""
     padded = sp[0] + (0,)
     found = [
         (
@@ -286,16 +282,25 @@ def _targets(sp: Superpartition, size: int, dotted: bool, outer=None) -> list:
             idx,
         )
         for _, star, rows, idx in _strips(
-            _strip_vectors(sp[0], range(size, size + 1), cap), sp[1], dotted
+            [v for v in vectors if v[0] == size], sp[1], dotted
         )
     ]
     found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
     return found
 
 
+def _uncapped_targets(gamma, size, dotted) -> list:
+    # every shape contains the empty one, so this only checks gamma's type
+    _require_inside(gamma, EMPTY_SHAPE)
+    size = _as_int(size)
+    if size < 0:
+        raise ValueError(f"strip size must be >= 0, got {size}")
+    return _targets(gamma, size, dotted, _star_moves(gamma[0], None, size)[1])
+
+
 def bosonic_strips(gamma: Superpartition, size: int) -> tuple[Superpartition, ...]:
     """All targets one bosonic horizontal `size`-strip above gamma."""
-    return tuple(target for target, _, _ in _targets(gamma, size, False))
+    return tuple(target for target, _, _ in _uncapped_targets(gamma, size, False))
 
 
 def fermionic_strips(
@@ -306,7 +311,7 @@ def fermionic_strips(
     strip cell; remaining circles move as in the bosonic case."""
     return tuple(
         (target, target.circles_from_below()[idx] + 1)
-        for target, _, idx in _targets(gamma, size, True)
+        for target, _, idx in _uncapped_targets(gamma, size, True)
     )
 
 
@@ -384,13 +389,17 @@ def _initial_circles(inner: Superpartition) -> tuple[tuple[int, Optional[int]], 
     return tuple((v, None) for v in inner.circles_from_below())
 
 
-def _steps(sp, circles, letter, part, outer=None):
-    """(target, cells, new circles) for every strip of `part` over sp, where
-    `circles` pairs each circle value of sp, from below, with its letter (None
-    on a circle of the inner shape); a dotted part's new circle gets `letter`.
-    With `outer`, only the targets it contains."""
+def _steps(sp, circles, letter, part, stars, outer):
+    """(target, cells, new circles) for every strip of `part` over sp inside
+    outer, where `circles` pairs each circle value of sp, from below, with its
+    letter (None on a circle of the inner shape); a dotted part's new circle
+    gets `letter`.  `stars` is the call's _star_table of outer, and a dotted
+    part needs a circle of outer left to fill."""
+    if part.dotted and sp.n_circles >= outer.n_circles:
+        return []
     out = []
-    for target, cells, idx in _targets(sp, part.value, part.dotted, outer):
+    vectors = stars(sp[0])[1]
+    for target, cells, idx in _targets(sp, part.value, part.dotted, vectors):
         letters = [l for _, l in circles]
         if idx is not None:
             letters.insert(idx, letter)
@@ -402,6 +411,7 @@ def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles)."""
+    stars = _star_table(outer)
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)
@@ -412,7 +422,7 @@ def _walk(outer, inner, menu, emit) -> None:
         letter = len(weight) + 1
         for part in parts:
             for target, new_cells, new_circles in _steps(
-                sp, circles, letter, part, outer
+                sp, circles, letter, part, stars, outer
             ):
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)
@@ -519,6 +529,7 @@ def standardize(tab: STableau) -> STableau:
                 steps.append((DottedPart(1, False), (cell,)))
 
     sp = tab.inner
+    stars = _star_table(tab.outer)
     chain = [sp]
     circles = _initial_circles(tab.inner)
     out_cells: list[tuple[tuple[int, int], int]] = []
@@ -526,7 +537,7 @@ def standardize(tab: STableau) -> STableau:
     for letter, (part, cells) in enumerate(steps, start=1):
         matches = [
             e
-            for e in _steps(sp, circles, letter, part)
+            for e in _steps(sp, circles, letter, part, stars, tab.outer)
             if frozenset(e[1]) == frozenset(cells)
         ]
         if len(matches) != 1:
@@ -564,37 +575,23 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     row <= the prefix's last row).  A new circle letter is the largest so far,
     so it adds one inversion per filled circle below it; the circles of the
     inner shape stay unfilled.  Parts are ints inside the walk: k for a
-    non-dotted part k, ~v for the dotted part dv.  A star's corners and strip
-    vectors are built once, when the walk first meets it, and each diagram
-    state reads its moves from them through its circle rows.  The star table,
-    the moves and the memo live for one call."""
+    non-dotted part k, ~v for the dotted part dv.  Each diagram state reads
+    its moves through its circle rows from its star's _star_moves, which the
+    call's _star_table builds once per star.  That table and the memos of
+    moves and walk states live for one call."""
     _require_inside(outer, inner)
-    cap = outer[0]
     n_circles, degree = outer.n_circles, outer.degree
-    stars: dict = {}
-    moves: dict = {}
-    memo: dict = {}
+    stars = _star_table(outer)
 
+    @functools.cache
     def moves_from(star, rows):
-        found = moves.get((star, rows))
-        if found is None:
-            built = stars.get(star)
-            if built is None:
-                built = stars[star] = (
-                    _corners(star, cap),
-                    _strip_vectors(star, range(degree - sum(star) + 1), cap),
-                )
-            corners, vectors = built
-            cells = list(_cells(corners, rows))
-            dotted = list(_strips(vectors, rows, True)) if len(rows) < n_circles else []
-            found = moves[(star, rows)] = (cells, dotted)
-        return found
+        corners, vectors = stars(star)
+        cells = list(_cells(corners, rows))
+        dotted = list(_strips(vectors, rows, True)) if len(rows) < n_circles else []
+        return cells, dotted
 
+    @functools.cache
     def walk(star, rows, filled, last):
-        key = (star, rows, filled, last)
-        found = memo.get(key)
-        if found is not None:
-            return found
         free: dict[tuple[int, ...], int] = {}
         glued: dict[tuple[int, ...], int] = {}
         if (star, rows) == outer:
@@ -619,8 +616,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
             for parts, c in sub_free.items():
                 key1 = (part,) + parts
                 free[key1] = free.get(key1, 0) + sign * c
-        memo[key] = found = (free, glued)
-        return found
+        return free, glued
 
     free, _ = walk(*inner, 0, None)
     del walk  # walk reaches itself through its closure: free the walk now

@@ -1,0 +1,165 @@
+"""A mutation run: do the tests catch small, plausible breaks of the code?
+
+Each mutant below replaces one exact piece of text in one file of
+src/superqsym with a wrong version, and says why the change is wrong.  For
+every mutant the runner copies src/, tests/ and pyproject.toml into a
+temporary directory, applies that one change there, and runs the test subset
+named for the mutated file in a fresh interpreter.  A failing subset kills
+the mutant; a passing one lets it survive.  Each line reports the verdict and
+the time the subset took.  Before the mutants, every subset must pass on the
+unchanged copy.
+
+    python tests/mutants.py
+
+The exit code is 1 when a mutant survives, when its text no longer occurs
+exactly once in its file, or when a subset fails unmutated.  The run uses
+only the standard library and pytest.  It stays out of tier-1, whose
+collection reads test_*.py files only: each mutant reruns its subset, which
+takes seconds to a minute apiece."""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the tests each mutated file runs against
+SUBSETS = {
+    "superschur.py": [
+        "tests/test_schur_walk.py",
+        "tests/test_superschur.py",
+        "tests/test_cli_outputs.py",
+    ],
+    "hopf.py": ["tests/test_hopf.py"],
+}
+
+# (file, old text, new text, why the new text is wrong)
+MUTANTS = [
+    (
+        "superschur.py",
+        "row <= last else free",
+        "row < last else free",
+        "a non-dotted run whose first cell shares the prefix's last row glues",
+    ),
+    (
+        "superschur.py",
+        "sign = -1 if below.bit_count() & 1 else 1",
+        "sign = 1 if below.bit_count() & 1 else -1",
+        "a new circle's sign is the parity of the filled circles below it",
+    ),
+    (
+        "superschur.py",
+        "stacked = [r for r in rows if r + 1 in rows]",
+        "stacked = []",
+        "a strip may not push a circle onto the circle in the row below",
+    ),
+    (
+        "superschur.py",
+        "            if row + 1 in rows:\n                continue\n",
+        "",
+        "a one-cell move may not push a circle onto the circle below",
+    ),
+    (
+        "superschur.py",
+        "(new, add.index(1) + 1)",
+        "(new, add.index(1))",
+        "the corner's row is 1-based, as the circle rows are",
+    ),
+    (
+        "superschur.py",
+        "    found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))\n",
+        "",
+        "strips and tableaux are listed in the order of their targets",
+    ),
+    (
+        "superschur.py",
+        "_star_moves(star, cap, degree - sum(star))",
+        "_star_moves(star, cap, degree - sum(star) - 1)",
+        "a walk's star gets every strip size that fits under the outer shape",
+    ),
+    (
+        "superschur.py",
+        "if part.dotted and sp.n_circles >= outer.n_circles:",
+        "if part.dotted and sp.n_circles > outer.n_circles:",
+        "a tableau's walk adds no circle beyond the outer shape's",
+    ),
+    (
+        "hopf.py",
+        "return _same(left, {alpha: 1}) and _same(right, {alpha: 1})",
+        "return _same(left, {alpha: 1})",
+        "the counit axiom has a left and a right side",
+    ),
+    (
+        "hopf.py",
+        "_same(_convolution(alpha, ops[basis], True), target) and _same(",
+        "_same(_convolution(alpha, ops[basis], True), target) or _same(",
+        "both convolutions of the antipode with the identity are the unit",
+    ),
+]
+
+
+# a subset still running after this long has hung, which kills its mutant
+TIMEOUT_S = 600
+
+
+def run_subset(tree: Path, tests: list[str]) -> tuple[int, float]:
+    """Run the tests in `tree` and return pytest's exit code (1 after a hang)
+    and the time."""
+    # -B: no bytecode is written, so no module compiled from a mutant is
+    # ever read back for the restored source
+    command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            command + tests,
+            cwd=tree,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = 1
+    return code, time.perf_counter() - start
+
+
+def main() -> int:
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        package = tree / "src" / "superqsym"
+        for name, tests in SUBSETS.items():
+            code, took = run_subset(tree, tests)
+            print(f"unmutated {name}: {'pass' if code == 0 else 'FAIL'} {took:.1f}s")
+            failed |= code != 0
+        if failed:
+            return 1
+        for i, (name, old, new, why) in enumerate(MUTANTS, 1):
+            path = package / name
+            source = path.read_text()
+            if source.count(old) != 1:
+                print(f"{i:2} {name}: STALE, the old text is not in the file once")
+                failed = True
+                continue
+            path.write_text(source.replace(old, new))
+            try:
+                code, took = run_subset(tree, SUBSETS[name])
+            finally:
+                path.write_text(source)
+            # 1: a test failed; 2: the mutant broke collection
+            verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"ERROR {code}")
+            failed |= verdict != "killed"
+            print(f"{i:2} {name}: {verdict} {took:.1f}s  ({why})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ _strips is the generator the package had before its strips were built
 directly: it walks every vector of cells added per row, builds each vector's
 cells, and keeps those whose circles land legally.  It is the oracle for the
 one-cell and fermionic moves of the Schur walk: superschur._cells over a
-star's _corners, and superschur._strips over its _strip_vectors."""
+star's corners and superschur._strips over its vectors, both from
+superschur._star_moves."""
 
 from itertools import product
 

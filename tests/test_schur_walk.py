@@ -1,6 +1,8 @@
 """The memoized walk behind schur_to_L against the tableau enumeration it
 replaces, and the constructive strips against the filtering oracles."""
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 
 import strip_oracle
@@ -86,26 +88,30 @@ def test_strips_match_the_filter():
 
 def test_walk_moves_match_the_product_filter():
     """The walk's moves from every diagram state inside every outer shape,
-    capped by the outer shape and not, read through the star-only stage and
-    the circle filter, against the generator the package had before, which
-    filtered every row-room vector: same tuples, same order."""
+    capped by the outer shape and not, read through the star-only stage
+    (_star_moves) and the circle filters, against the generator the package
+    had before, which filtered every row-room vector: same tuples, same
+    order."""
     universe = shapes(7)
     for lam in universe:
         for mu in universe:
             if not lam.contains(mu):
                 continue
             star, rows = mu
-            sizes = range(lam.degree - mu.degree + 1)
+            # at least one cell, so that every state's one-cell moves are
+            # checked, those of a full shape uncapped included
+            most = max(lam.degree - mu.degree, 1)
+            sizes = range(most + 1)
             for cap in (lam.star(), None):
+                corners, vectors = superschur._star_moves(star, cap, most)
                 want = [
                     (new, new_rows, cells[0][0])
                     for new, new_rows, cells, _ in strip_oracle._strips(
                         star, rows, range(1, 2), False, cap
                     )
                 ]
-                got = list(superschur._cells(superschur._corners(star, cap), rows))
+                got = list(superschur._cells(corners, rows))
                 assert got == want, (lam, mu, cap)
-                vectors = superschur._strip_vectors(star, sizes, cap)
                 for dotted in (False, True):
                     want = [
                         (len(cells), new, new_rows, idx)
@@ -118,41 +124,86 @@ def test_walk_moves_match_the_product_filter():
 
 
 def test_walk_builds_each_star_once_per_call(monkeypatch):
-    """One schur_to_L call builds the corners and strip vectors of each star
-    it meets once, however many circle configurations share the star; the
-    next call builds them again, so no table outlives a call."""
+    """One schur_to_L call builds the moves (corners and strip vectors) of
+    each star it meets once, however many circle configurations share the
+    star; the next call builds them again, so no table outlives a call."""
     lam = Superpartition((3, 1, 0), (2, 1))
     want = enumerated(lam)
-    built = {"corners": [], "vectors": [], "states": []}
-    corners, vectors, cells = (
-        superschur._corners, superschur._strip_vectors, superschur._cells
+    built = {"moves": [], "vectors": [], "states": []}
+    moves, vectors, cells = (
+        superschur._star_moves, superschur._strip_vectors, superschur._cells
     )
 
-    def count_corners(star, cap):
-        built["corners"].append(star)
-        return corners(star, cap)
+    def count_moves(star, cap, most):
+        built["moves"].append(star)
+        return moves(star, cap, most)
 
-    def count_vectors(star, sizes, cap):
+    def count_vectors(star, most, cap):
         built["vectors"].append(star)
-        return vectors(star, sizes, cap)
+        return vectors(star, most, cap)
 
     def count_states(star_corners, rows):
         built["states"].append(rows)
         return cells(star_corners, rows)
 
-    monkeypatch.setattr(superschur, "_corners", count_corners)
+    monkeypatch.setattr(superschur, "_star_moves", count_moves)
     monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
     monkeypatch.setattr(superschur, "_cells", count_states)
     assert schur_to_L(lam) == want
     first = {name: list(seen) for name, seen in built.items()}
-    assert first["corners"] == first["vectors"]
-    assert len(first["corners"]) == len(set(first["corners"]))
+    assert first["moves"] == first["vectors"]
+    assert len(first["moves"]) == len(set(first["moves"]))
     # many diagram states share a star, and each reads the star's one build
-    assert 2 * len(first["corners"]) < len(first["states"])
+    assert 2 * len(first["moves"]) < len(first["states"])
     for seen in built.values():
         seen.clear()
     assert schur_to_L(lam) == want
     assert built == first
+
+
+def test_tableau_listing_builds_each_star_once_per_call(monkeypatch):
+    """dot_standard_tableaux reads every step's strips from one per-call star
+    table: a call builds each star's strip vectors at most once, and the next
+    call builds them again.  The digest pins the 290 tableaux of the listing,
+    tableau for tableau and in order."""
+    lam = Superpartition((3, 1, 0), (2, 1))
+    built = []
+    vectors = superschur._strip_vectors
+
+    def count_vectors(star, *args):
+        built.append(star)
+        return vectors(star, *args)
+
+    monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
+    tabs = dot_standard_tableaux(lam, EMPTY_SHAPE)
+    first = list(built)
+    assert len(first) == len(set(first)), len(first)
+    built.clear()
+    assert dot_standard_tableaux(lam, EMPTY_SHAPE) == tabs
+    assert built == first
+    assert len(tabs) == 290
+    listing = repr([tuple(tab) for tab in tabs]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "408cd7aff6efbf63a8651cd1c19d3bea364d072ffa7f0685b61a9c7fc22f38fc"
+    )
+
+
+def test_tableau_walk_stays_inside_the_outer_shape(monkeypatch):
+    """Every strip the tableau walk takes lands inside the outer shape: no
+    step adds a cell past it, nor a circle beyond its own circles."""
+    lam = Superpartition((3, 1, 0), (2, 1))
+    reached = []
+    targets = superschur._targets
+
+    def record(*args):
+        found = targets(*args)
+        reached.extend(target for target, _, _ in found)
+        return found
+
+    monkeypatch.setattr(superschur, "_targets", record)
+    assert len(dot_standard_tableaux(lam, EMPTY_SHAPE)) == 290
+    assert lam in reached
+    assert all(lam.contains(target) for target in reached)
 
 
 def test_schur_walk_lists_no_tableaux(monkeypatch):

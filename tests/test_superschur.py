@@ -134,6 +134,19 @@ class TestStrips:
         with pytest.raises(ValueError, match="strip size"):
             fermionic_strips(gamma, -2)
 
+    def test_size_must_be_an_integer(self):
+        gamma = sp((1,), (2,))
+        for strips in (bosonic_strips, fermionic_strips):
+            for size, error in (
+                (True, TypeError),
+                ("1", TypeError),
+                (1.5, ValueError),
+                (float("nan"), ValueError),
+            ):
+                with pytest.raises(error, match="expected an integer, got "):
+                    strips(gamma, size)
+            assert strips(gamma, 1.0) == strips(gamma, 1)
+
     def test_classical_pieri_case(self):
         assert set(bosonic_strips(sp((), (2,)), 1)) == {
             sp((), (3,)),
@@ -387,7 +400,10 @@ class TestSchurToL:
     )
     def test_a_shape_must_be_a_superpartition(self, outer, inner, got):
         message = f"expected Superpartition, got {got}"
+        bad = inner if isinstance(outer, Superpartition) else outer
         for call in (
+            lambda: bosonic_strips(bad, 1),
+            lambda: fermionic_strips(bad, 1),
             lambda: schur_to_L(outer, inner),
             lambda: dot_standard_tableaux(outer, inner),
             lambda: enumerate_s_tableaux(outer, inner, [1]),
