@@ -3,10 +3,9 @@
 Overlapping shuffles walk an l(beta) x l(alpha) grid labeled by the parts
 themselves and drive the M-product.  Fundamental paths walk a grid labeled by
 dotted permutations representing alpha and beta, admit multi-cell diagonal
-steps, and drive the L-product.  Both are one walk over a table of the moves
-each grid point allows, and carry the sign
-(-1)^(doubly-dotted cells strictly below the path); an engine supplies only
-its diagonal moves and what a finished path yields.
+steps, and drive the L-product.  Both walk one table of the moves each grid
+point allows, which carries each move's sign bit; an engine supplies only its
+diagonal moves.
 """
 
 from __future__ import annotations
@@ -118,57 +117,52 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
 Step = tuple
 
 
-def _moves(cols, rows, diagonals) -> list[list[dict]]:
-    """The move table of a grid: table[x][y] maps each step leaving (x, y)
-    to (entry, x', y'), in the order H, V, then the diagonals, which
-    diagonals(cols, rows) lists as (step, entry, x, y, x', y')."""
+def _moves(cols, rows, diagonals) -> list[list[list]]:
+    """The move table of a grid: table[x][y] lists the moves leaving (x, y)
+    as (step, entry, x', y', flip, end), in the order H, V, then the
+    diagonals, which diagonals(cols, rows) lists as (step, entry, x, y, x', y').
+
+    A path's sign is (-1)^(doubly-dotted cells strictly below it): a move
+    leaving height y adds the below[y] dotted rows at or below y per dotted
+    column it crosses, and flip is that count's parity.  end marks a move
+    onto the far corner.  Only the empty grid has no move at (0, 0)."""
     w, h = len(cols), len(rows)
+    below = list(accumulate((e.dotted for e in rows), initial=0))
+    dotted = list(accumulate((e.dotted for e in cols), initial=0))
     table = []
     for x in range(w + 1):
         column = []
         for y in range(h + 1):
-            cell = {}
+            column.append(cell := [])
             if x < w:
-                cell[("H",)] = (cols[x], x + 1, y)
+                flip = below[y] * cols[x].dotted & 1
+                cell.append((("H",), cols[x], x + 1, y, flip, x + 1 == w and y == h))
             if y < h:
-                cell[("V",)] = (rows[y], x, y + 1)
-            column.append(cell)
+                cell.append((("V",), rows[y], x, y + 1, 0, x == w and y + 1 == h))
         table.append(column)
     for step, entry, x, y, x2, y2 in diagonals(cols, rows):
-        table[x][y][step] = (entry, x2, y2)
+        flip = below[y] * (dotted[x2] - dotted[x]) & 1
+        table[x][y].append((step, entry, x2, y2, flip, x2 == w and y2 == h))
     return table
-
-
-def _dot_prefixes(cols, rows) -> tuple[list[int], list[int]]:
-    """The counts behind the sign (-1)^(doubly-dotted cells strictly below
-    the path): below[y] dotted rows at or below height y, and dotted[x]
-    dotted columns among the first x.  A step that leaves height y and
-    crosses columns x+1..x' adds below[y] * (dotted[x'] - dotted[x])."""
-    below = list(accumulate((e.dotted for e in rows), initial=0))
-    dotted = list(accumulate((e.dotted for e in cols), initial=0))
-    return below, dotted
 
 
 def _walk(cols, rows, diagonals, leaf) -> list:
     """The values leaf(steps, entries, sign) of every path from (0, 0) to
-    the far corner, in the order of the move table, with the sign of
-    _dot_prefixes.  steps and entries are the walk's own lists, so a leaf
-    copies what it keeps."""
+    the far corner, in the order of the move table.  steps and entries are
+    the walk's own lists, so a leaf copies what it keeps."""
     table = _moves(cols, rows, diagonals)
-    below, dotted_cols = _dot_prefixes(cols, rows)
     steps: list[Step] = []
     entries: list[DottedPart] = []
-    out = []
+    out = [] if table[0][0] else [leaf(steps, entries, 1)]
 
-    def go(x: int, y: int, ndots: int):
-        moves = table[x][y]
-        if not moves:
-            out.append(leaf(steps, entries, -1 if ndots % 2 else 1))
-            return
-        for step, (entry, x2, y2) in moves.items():
+    def go(x: int, y: int, odd: int):
+        for step, entry, x2, y2, flip, end in table[x][y]:
             steps.append(step)
             entries.append(entry)
-            go(x2, y2, ndots + below[y] * (dotted_cols[x2] - dotted_cols[x]))
+            if end:
+                out.append(leaf(steps, entries, -1 if odd ^ flip else 1))
+            else:
+                go(x2, y2, odd ^ flip)
             entries.pop()
             steps.pop()
 
@@ -198,11 +192,22 @@ def overlapping_shuffles(
     """All lattice paths with unit H/V/diagonal steps on the parts grid;
     diagonals may not cross doubly-dotted cells; one (gamma, sign) per path.
     Memoized per pair."""
-    return tuple(_walk(alpha, beta, _overlap_diagonals, _shuffle_term))
+    table = _moves(alpha, beta, _overlap_diagonals)
+    out = [] if table[0][0] else [(alpha, 1)]
+    entries = []
 
+    def go(x: int, y: int, odd: int):
+        for _, entry, x2, y2, flip, end in table[x][y]:
+            entries.append(entry)
+            if end:
+                out.append((DottedComposition._of(entries), -1 if odd ^ flip else 1))
+            else:
+                go(x2, y2, odd ^ flip)
+            entries.pop()
 
-def _shuffle_term(steps, entries, sign):
-    return DottedComposition._of(tuple(entries)), sign
+    go(0, 0, 0)
+    del go  # go reaches itself through its closure: free the walk now
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +239,21 @@ def _rising(labels, i: int):
 
 
 def _fundamental_diagonals(cols, rows):
-    moves = []
-    # type (3): dotted column label, k rows with increasing non-dotted labels
-    for x, a in enumerate(cols):
-        if a.dotted:
-            for y in range(len(rows)):
-                for k in _rising(rows, y):
-                    moves.append(
-                        (("D3", k), DottedPart(a.value + k, True), x, y, x + 1, y + k)
-                    )
+    # type (3): dotted column label, k rows with increasing non-dotted labels;
     # type (4): dotted row label, k columns with increasing non-dotted labels
-    for y, b in enumerate(rows):
-        if b.dotted:
-            for x in range(len(cols)):
-                for k in _rising(cols, x):
-                    moves.append(
-                        (("D4", k), DottedPart(b.value + k, True), x, y, x + k, y + 1)
-                    )
-    return moves
+    return [
+        (("D3", k), DottedPart(a.value + k, True), x, y, x + 1, y + k)
+        for x, a in enumerate(cols)
+        if a.dotted
+        for y in range(len(rows))
+        for k in _rising(rows, y)
+    ] + [
+        (("D4", k), DottedPart(b.value + k, True), x, y, x + k, y + 1)
+        for y, b in enumerate(rows)
+        if b.dotted
+        for x in range(len(cols))
+        for k in _rising(cols, x)
+    ]
 
 
 def path_word(
@@ -264,10 +266,11 @@ def path_word(
     x = y = 0
     out: list[DottedPart] = []
     for step in steps:
-        move = table[x][y].get(tuple(step))
+        key = tuple(step)
+        move = next((m for m in table[x][y] if m[0] == key), None)
         if move is None:
             raise ValueError(f"no fundamental path takes step {step!r} at ({x}, {y})")
-        entry, x, y = move
+        _, entry, x, y, _, _ = move
         out.append(entry)
     if table[x][y]:
         raise ValueError("path does not end at the grid corner")
@@ -323,27 +326,24 @@ def fundamental_product(
     w_alpha = represent(alpha, 1)
     w_beta = represent(beta, _above(w_alpha))
     table = _moves(w_alpha, w_beta, _fundamental_diagonals)
-    below, dotted_cols = _dot_prefixes(w_alpha, w_beta)
     runs = [DottedPart(k, False) for k in range(len(w_alpha) + len(w_beta) + 1)]
-    acc: dict[DottedComposition, int] = {}
+    acc: dict[DottedComposition, int] = {} if table[0][0] else {alpha: 1}
 
-    def go(x: int, y: int, ndots: int, parts: tuple, run: int, last: int):
-        moves = table[x][y]
-        if not moves:
-            gamma = DottedComposition._of(parts + (runs[run],) if run else parts)
-            acc[gamma] = acc.get(gamma, 0) + (-1 if ndots % 2 else 1)
-            return
-        for entry, x2, y2 in moves.values():
-            n2 = ndots + below[y] * (dotted_cols[x2] - dotted_cols[x])
+    def go(x: int, y: int, odd: int, parts: tuple, run: int, last: int):
+        for _, entry, x2, y2, flip, end in table[x][y]:
             if entry.dotted:
                 # closes the open run and is a part of its own
-                closed = parts + (runs[run],) if run else parts
-                go(x2, y2, n2, closed + (entry,), 0, 0)
+                closed, run2 = parts + (runs[run], entry) if run else parts + (entry,), 0
             elif entry.value < last:
                 # a strict descent closes the run and opens the next
-                go(x2, y2, n2, parts + (runs[run],), 1, entry.value)
+                closed, run2 = parts + (runs[run],), 1
             else:
-                go(x2, y2, n2, parts, run + 1, entry.value)
+                closed, run2 = parts, run + 1
+            if end:
+                gamma = DottedComposition._of(closed + (runs[run2],) if run2 else closed)
+                acc[gamma] = acc.get(gamma, 0) + (-1 if odd ^ flip else 1)
+            else:
+                go(x2, y2, odd ^ flip, closed, run2, 0 if entry.dotted else entry.value)
 
     go(0, 0, 0, (), 0, 0)
     del go  # go reaches itself through its closure: free the walk now

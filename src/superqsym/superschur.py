@@ -244,11 +244,11 @@ def _star_moves(star, cap, most: int):
     return corners, vectors
 
 
-def _star_table(outer):
-    """A walk's per-call table: star -> its _star_moves of every size that
-    fits under outer, built when the walk first meets the star."""
+def _star_table(outer, most):
+    """A walk's per-call table: star -> its _star_moves of at most `most`
+    cells under outer, built when the walk first meets the star."""
     cap, degree = outer[0], outer.degree
-    return functools.cache(lambda star: _star_moves(star, cap, degree - sum(star)))
+    return functools.cache(lambda star: _star_moves(star, cap, min(most, degree - sum(star))))
 
 
 def _cells(corners, rows):
@@ -411,7 +411,7 @@ def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles)."""
-    stars = _star_table(outer)
+    stars = _star_table(outer, outer.degree)
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)
@@ -529,7 +529,8 @@ def standardize(tab: STableau) -> STableau:
                 steps.append((DottedPart(1, False), (cell,)))
 
     sp = tab.inner
-    stars = _star_table(tab.outer)
+    # a step's strips have 1 cell, or as many as its dotted part
+    stars = _star_table(tab.outer, max((p.value for p, _ in steps), default=0))
     chain = [sp]
     circles = _initial_circles(tab.inner)
     out_cells: list[tuple[tuple[int, int], int]] = []
@@ -581,7 +582,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     moves and walk states live for one call."""
     _require_inside(outer, inner)
     n_circles, degree = outer.n_circles, outer.degree
-    stars = _star_table(outer)
+    stars = _star_table(outer, degree)
 
     @functools.cache
     def moves_from(star, rows):

@@ -36,6 +36,11 @@ SUBSETS = {
         "tests/test_cli_outputs.py",
     ],
     "hopf.py": ["tests/test_hopf.py"],
+    "shuffles.py": [
+        "tests/test_shuffle_walk.py",
+        "tests/test_shuffles.py",
+        "tests/test_acceptance.py",
+    ],
 }
 
 # (file, old text, new text, why the new text is wrong)
@@ -78,8 +83,8 @@ MUTANTS = [
     ),
     (
         "superschur.py",
-        "_star_moves(star, cap, degree - sum(star))",
-        "_star_moves(star, cap, degree - sum(star) - 1)",
+        "min(most, degree - sum(star))",
+        "min(most, degree - sum(star) - 1)",
         "a walk's star gets every strip size that fits under the outer shape",
     ),
     (
@@ -99,6 +104,36 @@ MUTANTS = [
         "_same(_convolution(alpha, ops[basis], True), target) and _same(",
         "_same(_convolution(alpha, ops[basis], True), target) or _same(",
         "both convolutions of the antipode with the identity are the unit",
+    ),
+    (
+        "shuffles.py",
+        "flip = below[y] * cols[x].dotted & 1",
+        "flip = 0",
+        "an H move across a dotted column passes over the dotted rows below it",
+    ),
+    (
+        "shuffles.py",
+        "x2 == w and y2 == h))",
+        "x2 == w))",
+        "a diagonal ends a path only at the far corner, not on the last column",
+    ),
+    (
+        "shuffles.py",
+        "if not (a.dotted and b.dotted)",
+        "if not a.dotted",
+        "the M diagonal is barred only from cells whose labels are both dotted",
+    ),
+    (
+        "shuffles.py",
+        "e.dotted or e.value <= prev",
+        "e.dotted or e.value < prev",
+        "a multi-cell diagonal crosses strictly rising labels",
+    ),
+    (
+        "shuffles.py",
+        "elif entry.value < last:",
+        "elif entry.value <= last:",
+        "only a strict descent closes a non-dotted run",
     ),
 ]
 

@@ -16,6 +16,7 @@ from superqsym.superschur import (
     dot_standard_tableaux,
     fermionic_strips,
     schur_to_L,
+    standardize,
     superpartitions,
 )
 
@@ -204,6 +205,44 @@ def test_tableau_walk_stays_inside_the_outer_shape(monkeypatch):
     assert len(dot_standard_tableaux(lam, EMPTY_SHAPE)) == 290
     assert lam in reached
     assert all(lam.contains(target) for target in reached)
+
+
+def test_standardize_builds_only_the_sizes_its_steps_use(monkeypatch):
+    """A dot-standard step takes a strip of size 1 or of its dotted part, so
+    standardize builds each star's strip vectors up to its largest step and
+    no further: one build per star a tableau's chain meets, and fewer
+    vectors than the 6,646 and 10,057 built when every size under the outer
+    shape was.  Every tableau of these listings is dot-standard, so
+    standardize gives it back; the digests, taken before the change, pin the
+    standardized tableaux in order."""
+    vectors = superschur._strip_vectors
+    cases = [
+        ((3, 1, 0), (2, 1), 1490, 6646,
+         "408cd7aff6efbf63a8651cd1c19d3bea364d072ffa7f0685b61a9c7fc22f38fc"),
+        ((0,), (4, 3), 1883, 5456,
+         "3b23fea0e8352396f8d37ae5d45db2418ce0515f0742717dc0448f1eca22a2d1"),
+    ]
+    for fermionic, bosonic, n_builds, n_vectors, digest in cases:
+        tabs = dot_standard_tableaux(Superpartition(fermionic, bosonic), EMPTY_SHAPE)
+        builds = []
+        largest = None
+
+        def count_vectors(star, most, cap):
+            assert most <= largest, (star, most, largest)
+            found = vectors(star, most, cap)
+            builds.append(len(found))
+            return found
+
+        monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
+        std = []
+        for tab in tabs:
+            largest = max(p.value for p in tab.weight)
+            std.append(standardize(tab))
+        monkeypatch.undo()
+        assert std == tabs
+        assert (len(builds), sum(builds)) == (n_builds, n_vectors), fermionic
+        listing = repr([tuple(tab) for tab in std]).encode()
+        assert hashlib.sha256(listing).hexdigest() == digest
 
 
 def test_schur_walk_lists_no_tableaux(monkeypatch):
