@@ -112,8 +112,8 @@ _MEMOS = (
     _composition.weak_coarsenings,
     _shuffles.overlapping_shuffles,
     _shuffles.fundamental_product,
-    _realize.realize_M,
-    _realize.realize_L,
+    _realize._realize_M,
+    _realize._realize_L,
 )
 
 

@@ -338,44 +338,36 @@ def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
 _MEMO_SIZE = 4096
 
 
-def _sorted(items: Iterable[DottedComposition]) -> tuple[DottedComposition, ...]:
-    return tuple(sorted(items, key=DottedComposition.sort_key))
-
-
-def _runs(top: int) -> list[list[tuple[DottedPart, ...]]]:
-    """runs[k]: the non-dotted compositions of k <= top."""
+def _runs(top: int, dotted: int) -> tuple[list, list]:
+    """runs[k]: the non-dotted compositions of k <= top; splits[k]: the weak
+    splits of dk for k <= dotted, a dotted part between two runs.  Both are
+    in sort order: at each first value x, dx with a run of k-x sorts before
+    x with a split of d(k-x)."""
     plain = [DottedPart(v, False) for v in range(top + 1)]
     runs: list[list[tuple[DottedPart, ...]]] = [[()]]
-    for k in range(1, top + 1):
-        runs.append([(plain[v],) + run for v in range(1, k + 1) for run in runs[k - v]])
-    return runs
-
-
-def _splits(part: DottedPart, weak: bool, runs) -> list[tuple[DottedPart, ...]]:
-    """A part's refinements: a run of its value if it is non-dotted; if it
-    is dotted, itself, or in the weak order a dotted part between two runs."""
-    v = part.value
-    if not part.dotted:
-        return runs[v]
-    if not weak:
-        return [(part,)]
-    return [
-        left + (DottedPart(d, True),) + right
-        for d in range(v + 1)
-        for lsum in range(v - d + 1)
-        for left in runs[lsum]
-        for right in runs[v - d - lsum]
-    ]
+    splits: list[list[tuple[DottedPart, ...]]] = []
+    for k in range(top + 1):
+        if k:
+            runs.append([(plain[v],) + run for v in range(1, k + 1) for run in runs[k - v]])
+        if k <= dotted:
+            splits.append([])
+            for x in range(k + 1):
+                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]
+                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []
+    return runs, splits
 
 
 def _refinements(alpha: DottedComposition, weak: bool) -> tuple[DottedComposition, ...]:
     # every split of a part has its value and its number of dots, so none is
-    # a proper prefix of another: distinct choices give distinct refinements.
-    # A strong split never reads the runs of a dotted part.
-    runs = _runs(max((p.value for p in alpha if weak or not p.dotted), default=0))
-    return _sorted(
+    # a proper prefix of another: distinct choices give distinct refinements,
+    # and the product of the parts' rows, each sorted, is sorted.  A strong
+    # split reads no runs of a dotted part, and no splits at all.
+    top = max((p.value for p in alpha if weak or not p.dotted), default=0)
+    runs, splits = _runs(top, max((p.value for p in alpha if weak and p.dotted), default=-1))
+    rows = [(splits[p.value] if weak else [(p,)]) if p.dotted else runs[p.value] for p in alpha]
+    return tuple(
         DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*(_splits(p, weak, runs) for p in alpha))
+        for combo in itertools.product(*rows)
     )
 
 
@@ -395,7 +387,9 @@ def weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
 def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     """All gamma with alpha <= gamma in the weak order, sorted.  Each block
     structure gives its own gamma: blocks A and a longer A' from one start
-    have equal parts only if A' adds d0s to a dotted A, a second dot."""
+    have equal parts only if A' adds d0s to a dotted A, a second dot.  So
+    the walk emits gamma in sort order when each start offers its blocks in
+    part order."""
     l = len(alpha)
     results: list[DottedComposition] = []
 
@@ -403,20 +397,24 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
         if i == l:
             results.append(DottedComposition._of(tuple(acc)))
             return
-        value = 0
-        dots = 0
+        blocks: list[tuple[DottedPart, int]] = []
+        value = dots = 0
         for j in range(i, l):
             value += alpha[j].value
             dots += 1 if alpha[j].dotted else 0
             if dots > 1:
                 break
-            acc.append(DottedPart(value, dots == 1))
-            go(j + 1, acc)
+            # a plain block, then itself with a trailing d0: the d0 sorts first
+            at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)
+            blocks.insert(at, (DottedPart(value, dots == 1), j + 1))
+        for part, j in blocks:
+            acc.append(part)
+            go(j, acc)
             acc.pop()
 
     go(0, [])
     del go  # go reaches itself through its closure: free the walk now
-    return _sorted(results)
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +511,20 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
     def go(rem_n: int, rem_m: int, acc: list[DottedPart]):
         if rem_n == 0 and rem_m == 0:
             results.append(DottedComposition._of(tuple(acc)))
-        for v in range(1, rem_n + 1):
-            acc.append(DottedPart(v, False))
-            go(rem_n - v, rem_m, acc)
-            acc.pop()
-        if rem_m > 0:
-            for v in range(rem_n + 1):
+        # dv sorts before v, and both before any larger first part
+        for v in range(rem_n + 1):
+            if rem_m > 0:
                 acc.append(DottedPart(v, True))
                 go(rem_n - v, rem_m - 1, acc)
+                acc.pop()
+            if v:
+                acc.append(DottedPart(v, False))
+                go(rem_n - v, rem_m, acc)
                 acc.pop()
 
     go(n, m, [])
     del go  # go reaches itself through its closure: free the walk now
-    return sorted(results, key=DottedComposition.sort_key)
+    return results
 
 
 def compositions_with_total(total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:

@@ -156,12 +156,14 @@ def _check_nvars(nvars: int) -> int:
     return nvars
 
 
-# both memos are typed, so that a count such as True misses the entry of 1
-# and is checked
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """Defining sum of the monomial basis over strictly increasing indices."""
-    nvars = _check_nvars(nvars)
+    return _realize_M(alpha, _check_nvars(nvars))
+
+
+# both memos are keyed by a checked int count, so 3 and 3.0 share an entry
+@lru_cache(maxsize=_MEMO_SIZE)
+def _realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     l = alpha.length
     out: dict[Monomial, int] = {}
     for idx in itertools.combinations(range(1, nvars + 1), l):
@@ -233,11 +235,14 @@ def realize_M_defsets(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     return _defsets_sum(alpha, nvars, D, equal)
 
 
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     """The D/E/F sum for the fundamental basis: strict at D, equal at E,
     free elsewhere."""
-    nvars = _check_nvars(nvars)
+    return _realize_L(alpha, _check_nvars(nvars))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     sets = def_sets(alpha)
     return _defsets_sum(alpha, nvars, sets.D, sets.E)
 

@@ -5,10 +5,12 @@ merged equal results before the sort, and a weak_leq that searched the sets
 of reachable positions of beta block by block.  They stay here verbatim as
 the oracle for strong_refinements, weak_refinements, weak_coarsenings and
 weak_leq, apart from the dropped memos, which take the names of the
-list-copying wrappers they served."""
+list-copying wrappers they served.  compositions_of and
+compositions_with_total follow verbatim as they were before compositions_of
+emitted its output in sort order: a walk that sorts everything it found."""
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Optional
 
 from superqsym.composition import DottedComposition, DottedPart
 
@@ -121,3 +123,35 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
 
     go(0, [])
     return _sorted_unique(results)
+
+
+def compositions_of(n: int, m: int) -> list[DottedComposition]:
+    """All dotted compositions of bidegree (n, m), sorted."""
+    results: list[DottedComposition] = []
+
+    def go(rem_n: int, rem_m: int, acc: list[DottedPart]):
+        if rem_n == 0 and rem_m == 0:
+            results.append(DottedComposition._of(tuple(acc)))
+        for v in range(1, rem_n + 1):
+            acc.append(DottedPart(v, False))
+            go(rem_n - v, rem_m, acc)
+            acc.pop()
+        if rem_m > 0:
+            for v in range(rem_n + 1):
+                acc.append(DottedPart(v, True))
+                go(rem_n - v, rem_m - 1, acc)
+                acc.pop()
+
+    go(n, m, [])
+    del go  # go reaches itself through its closure: free the walk now
+    return sorted(results, key=DottedComposition.sort_key)
+
+
+def compositions_with_total(total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:
+    """All dotted compositions with n + m == total (optionally capping m)."""
+    out: list[DottedComposition] = []
+    for m in range(total + 1):
+        if max_fermionic is not None and m > max_fermionic:
+            break
+        out.extend(compositions_of(total - m, m))
+    return sorted(out, key=DottedComposition.sort_key)

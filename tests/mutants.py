@@ -36,6 +36,10 @@ SUBSETS = {
         "tests/test_cli_outputs.py",
     ],
     "hopf.py": ["tests/test_hopf.py"],
+    "composition.py": [
+        "tests/test_refinement_orders.py",
+        "tests/test_composition.py",
+    ],
     "shuffles.py": [
         "tests/test_shuffle_walk.py",
         "tests/test_shuffles.py",
@@ -134,6 +138,54 @@ MUTANTS = [
         "elif entry.value < last:",
         "elif entry.value <= last:",
         "only a strict descent closes a non-dotted run",
+    ),
+    (
+        "composition.py",
+        "                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]\n"
+        "                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []\n",
+        "                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []\n"
+        "                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]\n",
+        "a split that opens with dx sorts before one that opens with x",
+    ),
+    (
+        "composition.py",
+        "at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)",
+        "at = len(blocks)",
+        "a block with a trailing d0 sorts before the same block without it",
+    ),
+    (
+        "composition.py",
+        "if dots > 1:",
+        "if dots > 2:",
+        "a block of a weak coarsening holds at most one dotted part",
+    ),
+    (
+        "composition.py",
+        "            if rem_m > 0:\n"
+        "                acc.append(DottedPart(v, True))\n"
+        "                go(rem_n - v, rem_m - 1, acc)\n"
+        "                acc.pop()\n"
+        "            if v:\n"
+        "                acc.append(DottedPart(v, False))\n"
+        "                go(rem_n - v, rem_m, acc)\n"
+        "                acc.pop()\n",
+        "            if v:\n"
+        "                acc.append(DottedPart(v, False))\n"
+        "                go(rem_n - v, rem_m, acc)\n"
+        "                acc.pop()\n"
+        "            if rem_m > 0:\n"
+        "                acc.append(DottedPart(v, True))\n"
+        "                go(rem_n - v, rem_m - 1, acc)\n"
+        "                acc.pop()\n",
+        "compositions_of lists dv before v at each first value",
+    ),
+    (
+        "composition.py",
+        "        if target.dotted and not dots and i < lb and beta[i] == (0, True):\n"
+        "            dots = 1\n"
+        "            i += 1\n",
+        "",
+        "a dotted block takes a trailing d0 as its dot",
     ),
 ]
 

@@ -6,6 +6,8 @@ from superqsym.algebra import Expr, L_to_M
 from superqsym.composition import comp, compositions_of, universe
 from superqsym.realize import (
     FaithfulnessError,
+    _realize_L,
+    _realize_M,
     NotQuasisymmetricError,
     SuperPolynomial,
     extract_M,
@@ -119,8 +121,8 @@ class TestRealizeM:
                 realize_expr(Expr.basis_element(basis, alpha), nvars)
 
     def test_a_cached_count_does_not_admit_a_bool(self):
-        # True == 1 and hash(True) == hash(1): an untyped memo would return
-        # the entry of 1 for True without checking it
+        # True == 1 and hash(True) == hash(1): a memo read before the check
+        # would return the entry of 1 for True
         alpha = comp(1)
         for realize in (realize_M, realize_L):
             assert realize(alpha, 1) == SuperPolynomial(1, {((), ((1, 1),)): 1})
@@ -133,6 +135,16 @@ class TestRealizeM:
             poly = realize(alpha, 3.0)
             assert poly == realize(alpha, 3)
             assert type(poly.nvars) is int
+
+    def test_a_count_and_its_float_share_one_memo_entry(self):
+        alpha = comp(2, "d1")
+        for realize, memo in ((realize_M, _realize_M), (realize_L, _realize_L)):
+            memo.cache_clear()
+            assert realize(alpha, 3) == realize(alpha, 3.0)
+            assert memo.cache_info().currsize == 1
+            with pytest.raises(TypeError, match="expected an integer, got True"):
+                realize(alpha, True)
+            assert memo.cache_info().currsize == 1
 
     def test_defsets_route_agrees(self):
         # spec bound: all alpha with n+m <= 5 in up to 6 variables

@@ -1,19 +1,25 @@
 """The one refinement enumerator behind strong_refinements and
-weak_refinements, weak_coarsenings without its set(), and the forced-block
-weak_leq, against the enumerators and the reachable-set weak_leq they replace
-(composition_oracle): same tuples in the same order, same answers."""
+weak_refinements, weak_coarsenings without its set(), the forced-block
+weak_leq, and compositions_of without its sort, against the enumerators and
+the reachable-set weak_leq they replace (composition_oracle): same tuples in
+the same order, same answers."""
 
 from collections import defaultdict
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import composition_oracle as oracle
+import superqsym.composition as composition
 from superqsym.composition import (
     DottedComposition,
+    DottedPart,
     _runs,
     compositions_of,
+    compositions_with_total,
     strong_refinements,
+    universe,
     weak_coarsenings,
     weak_leq,
     weak_refinements,
@@ -31,11 +37,35 @@ def compositions(size):
     ]
 
 
+def in_sort_order(items):
+    return sorted(items, key=lambda parts: DottedComposition._of(parts).sort_key())
+
+
 def test_runs_table_lists_each_run_once():
-    runs = _runs(8)
+    # each row in sort order, the order the refinements inherit
+    runs, splits = _runs(8, 6)
     assert len(runs) == 9
     for k, found in enumerate(runs):
-        assert sorted(found) == sorted(oracle._nondotted_compositions(k))
+        assert found == in_sort_order(oracle._nondotted_compositions(k))
+    assert len(splits) == 7
+    for k, found in enumerate(splits):
+        assert found == in_sort_order(oracle._splits_weak(DottedPart(k, True)))
+
+
+def test_tables_stop_at_the_largest_part_that_reads_them(monkeypatch):
+    # only the weak order splits a dotted part, and splits[18] alone holds
+    # millions of tuples: the split table is sized by the dotted parts only
+    calls = []
+
+    def recording(*bounds):
+        calls.append(bounds)
+        return _runs(*bounds)
+
+    monkeypatch.setattr(composition, "_runs", recording)
+    strong_refinements.__wrapped__(DottedComposition([5, "d3", 2]))
+    weak_refinements.__wrapped__(DottedComposition([5, "d3", 2]))
+    weak_refinements.__wrapped__(DottedComposition([5, 2]))
+    assert calls == [(5, -1), (5, 3), (5, -1)]
 
 
 def test_strong_refinements_of_a_large_dotted_part_build_no_runs():
@@ -48,18 +78,32 @@ def test_strong_refinements_of_a_large_dotted_part_build_no_runs():
 
 
 def test_strong_refinements_match_oracle():
-    for alpha in compositions(7):
+    for alpha in compositions(8):
         assert strong_refinements(alpha) == oracle.strong_refinements(alpha)
 
 
 def test_weak_refinements_match_oracle():
-    for alpha in compositions(6):
+    for alpha in compositions(8):
         assert weak_refinements(alpha) == oracle.weak_refinements(alpha)
 
 
 def test_weak_coarsenings_match_oracle():
-    for alpha in compositions(7):
+    for alpha in compositions(8):
         assert weak_coarsenings(alpha) == oracle.weak_coarsenings(alpha)
+
+
+def test_compositions_of_matches_oracle():
+    for n in range(-2, 10):
+        for m in range(-2, 10 - max(n, 0)):
+            assert compositions_of(n, m) == oracle.compositions_of(n, m)
+    assert compositions_of(-1, 2) == compositions_of(2, -1) == []
+
+
+@pytest.mark.parametrize("max_fermionic", [None, 0, 1, 2, 3, -1])
+def test_compositions_with_total_and_universe_match_oracle(max_fermionic):
+    want = [oracle.compositions_with_total(total, max_fermionic) for total in range(-1, 10)]
+    assert [compositions_with_total(total, max_fermionic) for total in range(-1, 10)] == want
+    assert universe(9, max_fermionic) == [alpha for found in want for alpha in found]
 
 
 def test_no_composition_is_enumerated_twice():
