@@ -338,36 +338,19 @@ def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
 _MEMO_SIZE = 4096
 
 
-def _runs(top: int, dotted: int) -> tuple[list, list]:
-    """runs[k]: the non-dotted compositions of k <= top; splits[k]: the weak
-    splits of dk for k <= dotted, a dotted part between two runs.  Both are
-    in sort order: at each first value x, dx with a run of k-x sorts before
-    x with a split of d(k-x)."""
-    plain = [DottedPart(v, False) for v in range(top + 1)]
-    runs: list[list[tuple[DottedPart, ...]]] = [[()]]
-    splits: list[list[tuple[DottedPart, ...]]] = []
-    for k in range(top + 1):
-        if k:
-            runs.append([(plain[v],) + run for v in range(1, k + 1) for run in runs[k - v]])
-        if k <= dotted:
-            splits.append([])
-            for x in range(k + 1):
-                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]
-                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []
-    return runs, splits
-
-
 def _refinements(alpha: DottedComposition, weak: bool) -> tuple[DottedComposition, ...]:
-    # every split of a part has its value and its number of dots, so none is
-    # a proper prefix of another: distinct choices give distinct refinements,
-    # and the product of the parts' rows, each sorted, is sorted.  A strong
-    # split reads no runs of a dotted part, and no splits at all.
-    top = max((p.value for p in alpha if weak or not p.dotted), default=0)
-    runs, splits = _runs(top, max((p.value for p in alpha if weak and p.dotted), default=-1))
-    rows = [(splits[p.value] if weak else [(p,)]) if p.dotted else runs[p.value] for p in alpha]
+    # a part's row is the compositions of its value and its number of dots,
+    # in sort order; none is a proper prefix of another, so distinct choices
+    # give distinct refinements, and the product of the rows is sorted.  The
+    # strong order splits no dotted part.  Each distinct part reads its row once.
+    rows: dict[DottedPart, list] = {}
+    for p in alpha:
+        if p not in rows:
+            dots = 1 if p.dotted else 0
+            rows[p] = [(p,)] if dots and not weak else compositions_of(p.value, dots)
     return tuple(
         DottedComposition._of(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*rows)
+        for combo in itertools.product(*(rows[p] for p in alpha))
     )
 
 
@@ -392,11 +375,11 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     part order."""
     l = len(alpha)
     results: list[DottedComposition] = []
-
-    def go(i: int, acc: list[DottedPart]):
-        if i == l:
-            results.append(DottedComposition._of(tuple(acc)))
-            return
+    # each start's blocks, listed once; each block's part is built at its
+    # first use and shared
+    made: dict[tuple[int, int], DottedPart] = {}
+    starts: list[list[tuple[DottedPart, int]]] = []
+    for i in range(l):
         blocks: list[tuple[DottedPart, int]] = []
         value = dots = 0
         for j in range(i, l):
@@ -404,10 +387,19 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
             dots += 1 if alpha[j].dotted else 0
             if dots > 1:
                 break
+            part = made.get((value, dots))
+            if part is None:
+                part = made[value, dots] = DottedPart(value, dots == 1)
             # a plain block, then itself with a trailing d0: the d0 sorts first
             at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)
-            blocks.insert(at, (DottedPart(value, dots == 1), j + 1))
-        for part, j in blocks:
+            blocks.insert(at, (part, j + 1))
+        starts.append(blocks)
+
+    def go(i: int, acc: list[DottedPart]):
+        if i == l:
+            results.append(DottedComposition._of(tuple(acc)))
+            return
+        for part, j in starts[i]:
             acc.append(part)
             go(j, acc)
             acc.pop()
@@ -505,7 +497,11 @@ def column_decomposition(gamma: DottedComposition) -> list[DottedComposition]:
 
 
 def compositions_of(n: int, m: int) -> list[DottedComposition]:
-    """All dotted compositions of bidegree (n, m), sorted."""
+    """All dotted compositions of bidegree (n, m), sorted.  Each part is
+    built once and shared by every composition that holds it."""
+    n, m = _as_int(n), _as_int(m)
+    plain = [DottedPart(v, False) for v in range(n + 1)]
+    dots = [DottedPart(v, True) for v in range(n + 1)] if m > 0 else []
     results: list[DottedComposition] = []
 
     def go(rem_n: int, rem_m: int, acc: list[DottedPart]):
@@ -514,11 +510,11 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
         # dv sorts before v, and both before any larger first part
         for v in range(rem_n + 1):
             if rem_m > 0:
-                acc.append(DottedPart(v, True))
+                acc.append(dots[v])
                 go(rem_n - v, rem_m - 1, acc)
                 acc.pop()
             if v:
-                acc.append(DottedPart(v, False))
+                acc.append(plain[v])
                 go(rem_n - v, rem_m, acc)
                 acc.pop()
 
@@ -529,17 +525,19 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
 
 def compositions_with_total(total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:
     """All dotted compositions with n + m == total (optionally capping m)."""
+    total = _as_int(total)
+    top = total if max_fermionic is None else min(total, _as_int(max_fermionic))
     out: list[DottedComposition] = []
-    for m in range(total + 1):
-        if max_fermionic is not None and m > max_fermionic:
-            break
+    for m in range(top + 1):
         out.extend(compositions_of(total - m, m))
     return sorted(out, key=DottedComposition.sort_key)
 
 
 def universe(max_total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:
     """All dotted compositions with n + m <= max_total (optionally capping m)."""
+    if max_fermionic is not None:
+        max_fermionic = _as_int(max_fermionic)
     out: list[DottedComposition] = []
-    for t in range(max_total + 1):
+    for t in range(_as_int(max_total) + 1):
         out.extend(compositions_with_total(t, max_fermionic))
     return out

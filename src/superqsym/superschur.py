@@ -147,6 +147,7 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> list[tuple[int, ...
 
 def superpartitions(degree: int, circles: int) -> list[Superpartition]:
     """All superpartitions with |star| = degree and the given circle count."""
+    degree, circles = _as_int(degree), _as_int(circles)
     results: list[Superpartition] = []
 
     def ferm(remaining: int, count: int, cap: int, acc: list[int]):

@@ -141,11 +141,15 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]\n"
-        "                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []\n",
-        "                splits[k] += [(plain[x],) + split for split in splits[k - x]] if x else []\n"
-        "                splits[k] += [(DottedPart(x, True),) + run for run in runs[k - x]]\n",
-        "a split that opens with dx sorts before one that opens with x",
+        "compositions_of(p.value, dots)",
+        "compositions_of(p.value, 0)",
+        "a weak split of a dotted part keeps its dot",
+    ),
+    (
+        "composition.py",
+        "part = made.get((value, dots))",
+        "part = made.get((value, 0))",
+        "a dotted block and a plain block of one value are different parts",
     ),
     (
         "composition.py",
@@ -162,19 +166,19 @@ MUTANTS = [
     (
         "composition.py",
         "            if rem_m > 0:\n"
-        "                acc.append(DottedPart(v, True))\n"
+        "                acc.append(dots[v])\n"
         "                go(rem_n - v, rem_m - 1, acc)\n"
         "                acc.pop()\n"
         "            if v:\n"
-        "                acc.append(DottedPart(v, False))\n"
+        "                acc.append(plain[v])\n"
         "                go(rem_n - v, rem_m, acc)\n"
         "                acc.pop()\n",
         "            if v:\n"
-        "                acc.append(DottedPart(v, False))\n"
+        "                acc.append(plain[v])\n"
         "                go(rem_n - v, rem_m, acc)\n"
         "                acc.pop()\n"
         "            if rem_m > 0:\n"
-        "                acc.append(DottedPart(v, True))\n"
+        "                acc.append(dots[v])\n"
         "                go(rem_n - v, rem_m - 1, acc)\n"
         "                acc.pop()\n",
         "compositions_of lists dv before v at each first value",

@@ -5,7 +5,14 @@ import pytest
 import classical_oracle as co
 import superqsym.hopf as hopf
 from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, tensor, unit
-from superqsym.composition import EMPTY, _as_int, comp, compositions_of, universe
+from superqsym.composition import (
+    EMPTY,
+    _as_int,
+    comp,
+    compositions_of,
+    compositions_with_total,
+    universe,
+)
 from superqsym.hopf import (
     NotAColumnError,
     antipode,
@@ -23,7 +30,7 @@ from superqsym.hopf import (
     verify_hopf,
 )
 from superqsym.realize import poly_mul, realize_expr, realize_L
-from superqsym.superschur import Superpartition
+from superqsym.superschur import Superpartition, superpartitions
 
 
 def M(*parts):
@@ -539,14 +546,18 @@ class TestVerifySuite:
             ((3, float("-inf")), ValueError),
             ((float("nan"), 1), ValueError),
             ((3, float("nan")), ValueError),
+            ((-1, True), TypeError),
         ],
     )
     def test_non_integer_bounds_rejected(self, bounds, error):
         # read as dotted parts are: a bool is no count, 2.5 is not cut to 2,
         # and an infinity or a NaN, which int() cannot read, is no integer
-        # either
-        with pytest.raises(error, match="expected an integer"):
-            verify_hopf(*bounds)
+        # either.  The enumerators read their bounds the same way
+        for enumerate_up_to in (
+            verify_hopf, compositions_of, compositions_with_total, universe, superpartitions
+        ):
+            with pytest.raises(error, match="expected an integer"):
+                enumerate_up_to(*bounds)
 
     @pytest.mark.parametrize(
         "build",
@@ -564,6 +575,10 @@ class TestVerifySuite:
 
     def test_integral_bounds_read_as_ints(self):
         assert repr(verify_hopf(3.0, 1.0)) == repr(verify_hopf(3, 1))
+        for enumerate_up_to in (
+            compositions_of, compositions_with_total, universe, superpartitions
+        ):
+            assert enumerate_up_to(3.0, 1.0) == enumerate_up_to(3, 1)
 
     def test_zero_bounds_check_the_unit(self):
         report = verify_hopf(0, 0)

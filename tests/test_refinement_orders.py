@@ -14,8 +14,6 @@ import composition_oracle as oracle
 import superqsym.composition as composition
 from superqsym.composition import (
     DottedComposition,
-    DottedPart,
-    _runs,
     compositions_of,
     compositions_with_total,
     strong_refinements,
@@ -37,35 +35,34 @@ def compositions(size):
     ]
 
 
-def in_sort_order(items):
-    return sorted(items, key=lambda parts: DottedComposition._of(parts).sort_key())
-
-
-def test_runs_table_lists_each_run_once():
-    # each row in sort order, the order the refinements inherit
-    runs, splits = _runs(8, 6)
-    assert len(runs) == 9
-    for k, found in enumerate(runs):
-        assert found == in_sort_order(oracle._nondotted_compositions(k))
-    assert len(splits) == 7
-    for k, found in enumerate(splits):
-        assert found == in_sort_order(oracle._splits_weak(DottedPart(k, True)))
-
-
 def test_tables_stop_at_the_largest_part_that_reads_them(monkeypatch):
-    # only the weak order splits a dotted part, and splits[18] alone holds
-    # millions of tuples: the split table is sized by the dotted parts only
+    # each part reads the compositions of its own value and dots, and only
+    # the weak order splits a dotted part: compositions_of(18, 1) alone holds
+    # millions of tuples
     calls = []
 
-    def recording(*bounds):
-        calls.append(bounds)
-        return _runs(*bounds)
+    def recording(n, m):
+        calls.append((n, m))
+        return compositions_of(n, m)
 
-    monkeypatch.setattr(composition, "_runs", recording)
+    monkeypatch.setattr(composition, "compositions_of", recording)
     strong_refinements.__wrapped__(DottedComposition([5, "d3", 2]))
+    assert calls == [(5, 0), (2, 0)]
+    calls.clear()
     weak_refinements.__wrapped__(DottedComposition([5, "d3", 2]))
+    assert calls == [(5, 0), (3, 1), (2, 0)]
+    calls.clear()
     weak_refinements.__wrapped__(DottedComposition([5, 2]))
-    assert calls == [(5, -1), (5, 3), (5, -1)]
+    assert calls == [(5, 0), (2, 0)]
+
+
+def test_enumerators_build_each_part_once_per_call():
+    # every composition holding a part holds the same object, so a listing
+    # costs one tuple per composition, not one DottedPart per part
+    column = DottedComposition([1] * 6 + ["d0"] + [1] * 6 + ["d1"])
+    for found in (compositions_of(12, 1), weak_coarsenings.__wrapped__(column)):
+        parts = [p for alpha in found for p in alpha]
+        assert len({id(p) for p in parts}) == len(set(parts))
 
 
 def test_strong_refinements_of_a_large_dotted_part_build_no_runs():
