@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Mapping
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .composition import EMPTY, DottedComposition, DottedPart, strong_refinements, weak_refinements
 
@@ -99,8 +101,16 @@ class _Combination:
         key is already valid (a composition, a pair of them, or a canonical
         monomial), so only zeros are dropped and the coefficient rule
         applied."""
+        return cls._wrap(tag, _clean(terms))
+
+    @classmethod
+    def _wrap(cls, tag, terms: dict):
+        """As _trusted, for a new dict that is already clean: no zero, and
+        every coefficient an int or a non-integral Fraction.  It becomes the
+        terms as it is."""
         obj = object.__new__(cls)
-        obj._set(tag, terms)
+        object.__setattr__(obj, "_tag", tag)
+        object.__setattr__(obj, "terms", terms)
         return obj
 
     @classmethod
@@ -194,11 +204,12 @@ class Expr(_Combination):
         return {alpha.degrees() for alpha in self.terms}
 
     def _texts(self, keys, fmt: str):
-        """For render_expr: the JSON head, the term names in `keys` order, the JSON tail."""
-        label = _labeler(self._tag, fmt)
+        """For render_expr: the JSON head, the streams whose zip spells the
+        term names in `keys` order, piece by piece, and the JSON tail."""
+        head, tail = _frame(self._tag, fmt)
         if fmt != "json":
-            return "", list(map(label, keys)), ""
-        names = ['{"comp": ' + label(alpha) for alpha in keys]
+            return "", [repeat(head), _bodies(keys, fmt), repeat(tail)], ""
+        names = [repeat('{"comp": ' + head), _bodies(keys, fmt), repeat(tail)]
         return '{"basis": ' + json.dumps(self._tag) + ', "terms": [', names, "]}"
 
 
@@ -308,12 +319,15 @@ class TensorExpr(_Combination):
         )
 
     def _texts(self, keys, fmt: str):
-        # as Expr._texts
-        left, right = (_labeler(basis, fmt) for basis in self._tag)
+        # as Expr._texts; the left and right slots' bodies alternate in one
+        # stream, which zip reads twice per term
+        (lhead, ltail), (rhead, rtail) = (_frame(basis, fmt) for basis in self._tag)
+        bodies = _bodies(chain.from_iterable(keys), fmt)
         if fmt != "json":
-            sep = " \\otimes " if fmt == "latex" else " @ "
-            return "", [left(a) + sep + right(b) for a, b in keys], ""
-        names = ['{"left": ' + left(a) + ', "right": ' + right(b) for a, b in keys]
+            mid = ltail + (" \\otimes " if fmt == "latex" else " @ ") + rhead
+            return "", [repeat(lhead), bodies, repeat(mid), bodies, repeat(rtail)], ""
+        lhead, mid = '{"left": ' + lhead, ltail + ', "right": ' + rhead
+        names = [repeat(lhead), bodies, repeat(mid), bodies, repeat(rtail)]
         return '{"bases": ' + json.dumps(list(self._tag)) + ', "terms": [', names, "]}"
 
     def map_slots(self, f_left, f_right, bases: tuple[str, str]) -> "TensorExpr":
@@ -359,16 +373,22 @@ FORMATS = ("plain", "latex", "json")
 _PART_TEXT = {"plain": str, "latex": DottedPart.latex, "json": lambda p: json.dumps(p.to_json())}
 
 
-def _labeler(basis: str, fmt: str) -> Callable[[DottedComposition], str]:
-    """The text of an element of `basis` in `fmt`, read from a table of part
-    texts: L[d1,2], \\bar L_{(\\dot{1},2)} or [{"v": 1, "dot": true}, ...]."""
-    head, sep, tail = basis + "[", ",", "]"
+def _frame(basis: str, fmt: str) -> tuple[str, str]:
+    """The texts before and after the parts of an element of `basis` in
+    `fmt`: L[ and ], \\bar L_{( and )}, or [ and ]."""
     if fmt == "latex":
-        head, tail = ("\\bar L" if basis == "Lbar" else basis) + "_{(", ")}"
-    elif fmt == "json":
-        head, sep = "[", ", "
+        return ("\\bar L" if basis == "Lbar" else basis) + "_{(", ")}"
+    return ("[" if fmt == "json" else basis + "["), "]"
+
+
+def _bodies(compositions: Iterable[DottedComposition], fmt: str) -> Iterator[str]:
+    """Each composition's part texts in `fmt`, joined: d1,2 or \\dot{1},2 or
+    {"v": 1, "dot": true}, {"v": 2, "dot": false}.  The texts come from a
+    table that writes each distinct part once, and the chain of built-ins
+    calls no Python function per composition."""
     get = _PartTable(_PART_TEXT[fmt]).__getitem__
-    return lambda alpha: head + sep.join(map(get, alpha)) + tail
+    sep = ", " if fmt == "json" else ","
+    return map(sep.join, map(partial(map, get), compositions))
 
 
 def _coeff_text(c, fmt: str) -> str:
@@ -387,16 +407,19 @@ def render_expr(e: _Combination, fmt: str = "plain") -> str:
     """Plain text, LaTeX or JSON (json.dumps of expr_to_json, tensor_to_json
     or SuperPolynomial.to_json) for an Expr, a TensorExpr or a
     SuperPolynomial, which has no LaTeX form.  Each distinct part and each
-    distinct coefficient is written once per call, and the terms once."""
+    distinct coefficient is written once per call, and the terms once.  The
+    names, the coefficient lookups and the join are chains of built-ins: once
+    support() has sorted an Expr or a TensorExpr, no Python function runs per
+    term."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     keys = e.support()
     head, names, tail = e._texts(keys, fmt)
-    coeffs = [e.terms[k] for k in keys]
-    text = {c: _coeff_text(c, fmt) for c in set(coeffs)}
+    text = {c: _coeff_text(c, fmt) for c in set(e.terms.values())}
+    coeffs = map(text.__getitem__, map(e.terms.__getitem__, keys))
     if fmt == "json":
-        return head + ", ".join([n + text[c] for n, c in zip(names, coeffs)]) + tail
-    out = "".join([text[c] + n for n, c in zip(names, coeffs)])
+        return head + ", ".join(map("".join, zip(*names, coeffs))) + tail
+    out = "".join(chain.from_iterable(zip(coeffs, *names)))
     # the first term keeps only its sign: "2*L[1]" or "-L[1]", not " + 2*L[1]"
     return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
 

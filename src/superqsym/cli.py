@@ -174,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "carry a d prefix).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's own parser, by name, for main()'s dispatch
+    parser.commands = sub.choices
 
     def add_format(p):
         p.add_argument("--format", choices=algebra.FORMATS, default="plain")
@@ -249,8 +251,24 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The full parser's namespace for argv.  When argv[0] names a
+    subcommand, the rest goes straight to that subcommand's parser, as the
+    full parser would send it; arguments the subcommand does not know are
+    reported through the full parser, in its words."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (CompositionParseError, SuperpartitionParseError) as exc:

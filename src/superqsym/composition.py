@@ -524,13 +524,33 @@ def compositions_of(n: int, m: int) -> list[DottedComposition]:
 
 
 def compositions_with_total(total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:
-    """All dotted compositions with n + m == total (optionally capping m)."""
+    """All dotted compositions with n + m == total (optionally capping m),
+    sorted.  Each part is built once and shared, as in compositions_of."""
     total = _as_int(total)
     top = total if max_fermionic is None else min(total, _as_int(max_fermionic))
-    out: list[DottedComposition] = []
-    for m in range(top + 1):
-        out.extend(compositions_of(total - m, m))
-    return sorted(out, key=DottedComposition.sort_key)
+    plain = [DottedPart(v, False) for v in range(total + 1)]
+    dots = [DottedPart(v, True) for v in range(total)] if top > 0 else []
+    results: list[DottedComposition] = []
+
+    def go(rem: int, rem_m: int, acc: list[DottedPart]):
+        if rem == 0:
+            results.append(DottedComposition._of(tuple(acc)))
+        # dv (cost v + 1) sorts before v (cost v), and both before any larger
+        # first part, so the walk emits in sort_key order
+        for v in range(rem + 1):
+            if rem_m > 0 and v < rem:
+                acc.append(dots[v])
+                go(rem - v - 1, rem_m - 1, acc)
+                acc.pop()
+            if v:
+                acc.append(plain[v])
+                go(rem - v, rem_m, acc)
+                acc.pop()
+
+    if top >= 0:
+        go(total, top, [])
+    del go  # go reaches itself through its closure: free the walk now
+    return results
 
 
 def universe(max_total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:

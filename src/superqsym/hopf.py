@@ -59,6 +59,12 @@ def product_L(a, b) -> Expr:
     """Signed fundamental-shuffle product; coinciding descent compositions
     from different paths accumulate."""
     ea, eb = _as_expr(a, "L"), _as_expr(b, "L")
+    if len(ea.terms) == 1 == len(eb.terms):
+        [(alpha, ca)], [(beta, cb)] = ea.terms.items(), eb.terms.items()
+        if ca == 1 == cb:
+            # two basis elements: the kernel's pairs are already summed per
+            # gamma, nonzero and int, so they are the terms as they are
+            return Expr._wrap("L", dict(fundamental_product(alpha, beta)))
     return Expr._trusted("L", bilinear(fundamental_product, ea.terms, eb.terms))
 
 

@@ -95,13 +95,14 @@ class SuperPolynomial(_Combination):
         return sorted(self.terms)
 
     def _texts(self, keys, fmt: str):
-        """For render_expr: the JSON head, the term names in `keys` order, the JSON tail."""
+        """For render_expr: the JSON head, the term names in `keys` order as
+        the one stream that spells them, the JSON tail."""
         if fmt == "latex":
             raise ValueError("a SuperPolynomial has no LaTeX form")
         if fmt == "json":
             names = ['{"theta": ' + json.dumps(t) + ', "x": ' + json.dumps(xs) for t, xs in keys]
-            return "[", names, "]"
-        return "", [_monomial_text(t, xs) for t, xs in keys], ""
+            return "[", [names], "]"
+        return "", [[_monomial_text(t, xs) for t, xs in keys]], ""
 
     def to_json(self) -> list[dict]:
         return [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _coerce_part
@@ -347,4 +348,5 @@ def fundamental_product(
 
     go(0, 0, 0, (), 0, 0)
     del go  # go reaches itself through its closure: free the walk now
-    return tuple((gamma, c) for gamma, c in acc.items() if c)
+    # the pairs whose coefficient is not 0, in walk order, read in C
+    return tuple(filter(itemgetter(1), acc.items()))

@@ -2,9 +2,10 @@
 
 Each mutant below replaces one exact piece of text in one file of
 src/superqsym with a wrong version, and says why the change is wrong.  For
-every mutant the runner copies src/, tests/ and pyproject.toml into a
-temporary directory, applies that one change there, and runs the test subset
-named for the mutated file in a fresh interpreter.  A failing subset kills
+every mutant the runner copies src/, tests/, bench/refs/ (the query
+catalogue that some tests read) and pyproject.toml into a temporary
+directory, applies that one change there, and runs the test subset named for
+the mutated file in a fresh interpreter.  A failing subset kills
 the mutant; a passing one lets it survive.  Each line reports the verdict and
 the time the subset took.  Before the mutants, every subset must pass on the
 unchanged copy.
@@ -45,6 +46,8 @@ SUBSETS = {
         "tests/test_shuffles.py",
         "tests/test_acceptance.py",
     ],
+    "algebra.py": ["tests/test_algebra.py", "tests/test_render_writer.py"],
+    "cli.py": ["tests/test_cli.py"],
 }
 
 # (file, old text, new text, why the new text is wrong)
@@ -191,6 +194,69 @@ MUTANTS = [
         "",
         "a dotted block takes a trailing d0 as its dot",
     ),
+    (
+        "algebra.py",
+        '(out[3:] if out[1] == "+" else "-" + out[3:])',
+        "out[3:]",
+        "a first term with a negative coefficient keeps its minus sign",
+    ),
+    (
+        "algebra.py",
+        "return sign if c == 1 else",
+        "return sign if c == -1 else",
+        "a coefficient of 1 or -1 is written as its sign alone",
+    ),
+    (
+        "algebra.py",
+        'return head + ", ".join(',
+        'return head + ",".join(',
+        "JSON terms are separated by a comma and a space, as json.dumps writes them",
+    ),
+    (
+        "algebra.py",
+        "return 2 * p.value + (not p.dotted)",
+        "return 2 * p.value + p.dotted",
+        "a dotted part sorts before the plain part of the same value",
+    ),
+    (
+        "cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
+        "a parse error exits 2, a domain error 1",
+    ),
+    (
+        "cli.py",
+        "    try:\n"
+        "        return args.func(args)\n"
+        "    except (CompositionParseError, SuperpartitionParseError) as exc:\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 2\n"
+        "    except ValueError as exc:\n"
+        "        # every domain error of the package subclasses ValueError\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    finally:\n"
+        "        clear_caches()\n",
+        "    try:\n"
+        "        code = args.func(args)\n"
+        "    except (CompositionParseError, SuperpartitionParseError) as exc:\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 2\n"
+        "    except ValueError as exc:\n"
+        "        # every domain error of the package subclasses ValueError\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    clear_caches()\n"
+        "    return code\n",
+        "the memos are released on every exit, after an error or an exception too",
+    ),
+    (
+        "cli.py",
+        "    if extras:\n"
+        "        parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        "",
+        "an argument the subcommand does not know is refused, as the full parser refuses it",
+    ),
 ]
 
 
@@ -225,6 +291,7 @@ def main() -> int:
         skip = shutil.ignore_patterns("__pycache__")
         shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+        shutil.copytree(ROOT / "bench" / "refs", tree / "bench" / "refs")
         shutil.copy(ROOT / "pyproject.toml", tree)
         package = tree / "src" / "superqsym"
         for name, tests in SUBSETS.items():

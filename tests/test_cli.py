@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -258,6 +260,71 @@ class TestExitCodes:
     def test_unknown_flag_is_2(self):
         code, _, _ = run_cli("product", "[1]", "[1]", "--basis", "Q")
         assert code == 2
+
+
+def outcome(parse, argv) -> tuple:
+    """stdout, stderr and exit code of parse(argv); 0 when it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+class TestDispatch:
+    """main() sends the rest of argv to the subcommand that argv[0] names;
+    what it prints and how it exits are the full parser's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["prod"],
+            ["product", "[1]"],
+            ["product", "[1]", "[2]", "--basis", "L", "--bogus"],
+            ["product", "[1]", "[2]", "--bas", "L", "x", "y"],
+            ["product", "--help"],
+            ["verify", "--max-degree", "x", "--max-fermionic", "1"],
+            ["verify", "--max-degree", "1", "--max-fermionic", "1", "--max-degree"],
+        ],
+    )
+    def test_refusals_and_help_match_the_full_parser(self, argv):
+        import superqsym.cli as cli
+
+        want = outcome(cli.build_parser().parse_args, argv)
+        assert want[2] in (0, 2)
+        assert outcome(main, argv) == want
+
+    def test_unknown_arguments_are_reported_by_the_top_level_parser(self):
+        _, err, code = outcome(main, ["product", "[1]", "[2]", "--basis", "L", "--bogus"])
+        assert code == 2
+        assert err.startswith("usage: superqsym [-h]")
+        assert err.endswith("superqsym: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "[1]", "[2]", "--basis", "L", "--trace"],
+            ["convert", "[2]", "--from", "Lbar", "--to", "M", "--format", "json"],
+            ["schur", "(1;)", "--skew", "(0;)", "--show-tableaux"],
+            ["verify", "--max-degree", "2", "--max-fermionic", "1"],
+            ["realize", "L[1]", "--vars=2"],
+        ],
+    )
+    def test_namespaces_match_the_full_parser(self, argv):
+        import superqsym.cli as cli
+
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["superqsym", "convert", "[2]", "--from", "L", "--to", "M"])
+        assert main() == 0
+        assert capsys.readouterr().out == "M[1,1] + M[2]\n"
 
 
 def memo_sizes() -> dict:

@@ -4,7 +4,7 @@ import pytest
 
 import classical_oracle as co
 import superqsym.hopf as hopf
-from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, tensor, unit
+from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, bilinear, tensor, unit
 from superqsym.composition import (
     EMPTY,
     _as_int,
@@ -136,6 +136,27 @@ class TestProducts:
             comp("d0"), comp(1)
         ).scale(2)
         assert direct == expanded
+
+    def test_product_L_of_basis_elements_wraps_the_kernel(self):
+        # two basis elements take the kernel's pairs as they are; every other
+        # operand goes through bilinear; both give the same terms, in the
+        # same order, with int coefficients and no zero
+        for a in universe(4, 2):
+            for b in universe(3, 1):
+                got = product_L(a, b)
+                want = bilinear(hopf.fundamental_product, {a: 1}, {b: 1})
+                assert list(got.terms.items()) == [(k, c) for k, c in want.items() if c]
+                assert all(type(c) is int and c for c in got.terms.values())
+        assert product_L(comp(1), comp(1)).terms is not product_L(comp(1), comp(1)).terms
+        one = product_L(comp(1), comp(1))
+        assert product_L(L(1) + L("d0").scale(2), L(1)) == one + product_L(
+            comp("d0"), comp(1)
+        ).scale(2)
+        assert product_L(L(1).scale(Fraction(1, 2)), L(1).scale(-2)) == -one
+        assert product_L(L(1).scale(Fraction(1, 2)), L(1)).terms == {
+            comp(1, 1): Fraction(1, 2), comp(2): Fraction(1, 2)
+        }
+        assert product_L(L(1).scale(2), L(1)) == one.scale(2)
 
     def test_bidegree_preserved(self):
         e = product_L(comp("d1", 2), comp(1, "d0"))

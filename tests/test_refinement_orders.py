@@ -1,8 +1,8 @@
 """The one refinement enumerator behind strong_refinements and
 weak_refinements, weak_coarsenings without its set(), the forced-block
-weak_leq, and compositions_of without its sort, against the enumerators and
-the reachable-set weak_leq they replace (composition_oracle): same tuples in
-the same order, same answers."""
+weak_leq, and compositions_of and compositions_with_total without their
+sorts, against the enumerators and the reachable-set weak_leq they replace
+(composition_oracle): same tuples in the same order, same answers."""
 
 from collections import defaultdict
 from functools import lru_cache
@@ -60,7 +60,12 @@ def test_enumerators_build_each_part_once_per_call():
     # every composition holding a part holds the same object, so a listing
     # costs one tuple per composition, not one DottedPart per part
     column = DottedComposition([1] * 6 + ["d0"] + [1] * 6 + ["d1"])
-    for found in (compositions_of(12, 1), weak_coarsenings.__wrapped__(column)):
+    listings = (
+        compositions_of(12, 1),
+        compositions_with_total(10, 3),
+        weak_coarsenings.__wrapped__(column),
+    )
+    for found in listings:
         parts = [p for alpha in found for p in alpha]
         assert len({id(p) for p in parts}) == len(set(parts))
 
@@ -101,6 +106,17 @@ def test_compositions_with_total_and_universe_match_oracle(max_fermionic):
     want = [oracle.compositions_with_total(total, max_fermionic) for total in range(-1, 10)]
     assert [compositions_with_total(total, max_fermionic) for total in range(-1, 10)] == want
     assert universe(9, max_fermionic) == [alpha for found in want for alpha in found]
+
+
+@pytest.mark.parametrize("max_fermionic", [None, 0, 1, 2, 4, 10])
+def test_compositions_with_total_walks_in_sort_order(max_fermionic):
+    # one walk over n+m, dv before v: the concatenation of the fermionic
+    # degrees, sorted, with no sort in the walk
+    for total in range(11):
+        top = total if max_fermionic is None else min(total, max_fermionic)
+        listed = [alpha for m in range(top + 1) for alpha in compositions_of(total - m, m)]
+        want = sorted(listed, key=DottedComposition.sort_key)
+        assert compositions_with_total(total, max_fermionic) == want
 
 
 def test_no_composition_is_enumerated_twice():

@@ -91,6 +91,26 @@ def test_every_expression_of_the_pinned_commands():
         check(x)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "command",
+    [
+        # a part text far longer than one digit, in a tensor
+        "coproduct '[1000000,d3]' --basis M",
+        # the empty composition times itself: one term with no parts
+        "product '[]' '[]' --basis L",
+        # an empty skew shape: no term at all
+        "schur '(1;)' --skew '(0;)'",
+    ],
+)
+def test_edge_commands_print_what_the_oracle_writes(capsys, command, fmt):
+    argv = shlex.split(command) + ["--format", fmt]
+    [x] = rendered_by_cli([argv])
+    check(x)
+    assert cli.main(argv) == 0
+    same(capsys.readouterr().out, oracle.render_expr(x, fmt) + "\n", fmt)
+
+
 def L(*parts, c=1, basis="L"):
     return Expr.basis_element(basis, comp(*parts), c)
 
