@@ -176,12 +176,14 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 # that meets a star under many circle configurations builds the first once.
 
 
-def _strip_vectors(star, most: int, cap) -> list:
+def _strip_vectors(star, most: int, cap, only=None) -> list:
     """The star-only stage of the strips over a diagram whose row lengths are
     `star`: every vector of at most `most` cells added per row, in
     lexicographic order, as (cell count, new star, vector, row of a new
     circle).  With `cap`, a star such as an outer shape's, no row grows past
-    it; with None, no row is capped.
+    it; with None, no row is capped.  With `only`, one vector with an entry
+    per row of star and one for the empty row under it, the output holds that
+    vector alone, or nothing when it is not among them.
 
     Each row has room up to the old length of the row above, so every vector
     is a horizontal strip.  A fermionic strip's new circle ends the row whose
@@ -194,8 +196,12 @@ def _strip_vectors(star, most: int, cap) -> list:
         if cap is not None:
             top = min(top, cap[i] if i < len(cap) else 0)
         room.append(range(max(0, top - here) + 1))
+    if only is None:
+        adds = product(*room)
+    else:
+        adds = [only] if all(map(operator.contains, room, only)) else []
     out = []
-    for add in product(*room):
+    for add in adds:
         size = sum(add)
         if size > most:
             continue
@@ -265,6 +271,42 @@ def _cells(corners, rows):
         else:
             moved = rows
         yield new, moved, row
+
+
+# the moves of a dead diagram state, one object for all of them
+_DEAD = ((), ())
+
+
+class _LiveMoves(dict):
+    """A walk's per-call table of the moves between live diagram states.
+
+    A diagram state (star, rows) inside outer is live when outer can be
+    reached from it.  Reading a state gives (cells, dotted): its one-cell
+    moves, as _cells gives them, and its fermionic strips, as _strips gives
+    them, both read from the star's entry in the call's _star_table, keeping
+    only the moves onto live states.  A state is live when it is outer, which
+    has no moves, or keeps a move; a dead state reads as _DEAD.  Each state
+    is expanded once, on its first read.  The moves are those of a
+    dot-standard tableau, and a bosonic k-strip splits into k one-cell moves,
+    as standardize splits it: no chain of strips of any weight reaches outer
+    from a dead state."""
+
+    __slots__ = ("outer", "stars")
+
+    def __init__(self, outer, stars):
+        super().__init__({outer: ([], [])})
+        self.outer, self.stars = outer, stars
+
+    def __missing__(self, state):
+        star, rows = state
+        corners, vectors = self.stars(star)
+        cells = [m for m in _cells(corners, rows) if self[m[:2]] is not _DEAD]
+        dotted = []
+        if len(rows) < self.outer.n_circles:
+            strips = _strips(vectors, rows, True)
+            dotted = [m for m in strips if self[m[1:3]] is not _DEAD]
+        self[state] = moves = (cells, dotted) if cells or dotted else _DEAD
+        return moves
 
 
 def _targets(sp: Superpartition, size: int, dotted: bool, vectors) -> list:
@@ -390,16 +432,15 @@ def _initial_circles(inner: Superpartition) -> tuple[tuple[int, Optional[int]], 
     return tuple((v, None) for v in inner.circles_from_below())
 
 
-def _steps(sp, circles, letter, part, stars, outer):
-    """(target, cells, new circles) for every strip of `part` over sp inside
-    outer, where `circles` pairs each circle value of sp, from below, with its
-    letter (None on a circle of the inner shape); a dotted part's new circle
-    gets `letter`.  `stars` is the call's _star_table of outer, and a dotted
-    part needs a circle of outer left to fill."""
+def _steps(sp, circles, letter, part, vectors, outer):
+    """(target, cells, new circles) for every strip of `part` over sp that
+    `vectors`, _strip_vectors records over sp's star, make inside outer, where
+    `circles` pairs each circle value of sp, from below, with its letter (None
+    on a circle of the inner shape); a dotted part's new circle gets `letter`.
+    A dotted part needs a circle of outer left to fill."""
     if part.dotted and sp.n_circles >= outer.n_circles:
         return []
     out = []
-    vectors = stars(sp[0])[1]
     for target, cells, idx in _targets(sp, part.value, part.dotted, vectors):
         letters = [l for _, l in circles]
         if idx is not None:
@@ -411,8 +452,11 @@ def _steps(sp, circles, letter, part, stars, outer):
 def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
-    there; a stop at outer calls emit(chain, weight, cells, circles)."""
+    there; a stop at outer calls emit(chain, weight, cells, circles).  The
+    walk steps only onto live states of the call's _LiveMoves, so every chain
+    it follows can still end at outer."""
     stars = _star_table(outer, outer.degree)
+    live = _LiveMoves(outer, stars)
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)
@@ -421,10 +465,13 @@ def _walk(outer, inner, menu, emit) -> None:
                 emit(chain, weight, cells, circles)
             return
         letter = len(weight) + 1
+        vectors = stars(sp[0])[1]
         for part in parts:
             for target, new_cells, new_circles in _steps(
-                sp, circles, letter, part, stars, outer
+                sp, circles, letter, part, vectors, outer
             ):
+                if live[target] is _DEAD:
+                    continue
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)
                 weight.append(part)
@@ -530,17 +577,21 @@ def standardize(tab: STableau) -> STableau:
                 steps.append((DottedPart(1, False), (cell,)))
 
     sp = tab.inner
-    # a step's strips have 1 cell, or as many as its dotted part
-    stars = _star_table(tab.outer, max((p.value for p, _ in steps), default=0))
+    outer = tab.outer
     chain = [sp]
     circles = _initial_circles(tab.inner)
     out_cells: list[tuple[tuple[int, int], int]] = []
     weight: list[DottedPart] = []
     for letter, (part, cells) in enumerate(steps, start=1):
+        # the cells fix the strip: check the one vector that adds them
+        star, want = sp[0], frozenset(cells)
+        add = tuple(sum(1 for r, _ in want if r == i) for i in range(1, len(star) + 2))
+        most = min(part.value, outer.degree - sum(star))
+        vectors = _strip_vectors(star, most, outer[0], add)
         matches = [
             e
-            for e in _steps(sp, circles, letter, part, stars, tab.outer)
-            if frozenset(e[1]) == frozenset(cells)
+            for e in _steps(sp, circles, letter, part, vectors, outer)
+            if frozenset(e[1]) == want
         ]
         if len(matches) != 1:
             raise ValueError("standardization produced an ambiguous or invalid step")
@@ -578,19 +629,13 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     so it adds one inversion per filled circle below it; the circles of the
     inner shape stay unfilled.  Parts are ints inside the walk: k for a
     non-dotted part k, ~v for the dotted part dv.  Each diagram state reads
-    its moves through its circle rows from its star's _star_moves, which the
-    call's _star_table builds once per star.  That table and the memos of
-    moves and walk states live for one call."""
+    its moves from the call's _LiveMoves, which filters its star's
+    _star_moves, built once per star, by its circle rows and keeps only the
+    moves onto live states: every state the walk enters counts at least one
+    suffix.  Those tables and the memo of walk states live for one call."""
     _require_inside(outer, inner)
-    n_circles, degree = outer.n_circles, outer.degree
-    stars = _star_table(outer, degree)
-
-    @functools.cache
-    def moves_from(star, rows):
-        corners, vectors = stars(star)
-        cells = list(_cells(corners, rows))
-        dotted = list(_strips(vectors, rows, True)) if len(rows) < n_circles else []
-        return cells, dotted
+    degree = outer.degree
+    moves = _LiveMoves(outer, _star_table(outer, degree))
 
     @functools.cache
     def walk(star, rows, filled, last):
@@ -598,7 +643,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         glued: dict[tuple[int, ...], int] = {}
         if (star, rows) == outer:
             free[()] = 1
-        cells, dotted = moves_from(star, rows)
+        cells, dotted = moves[star, rows]
         for new, new_rows, row in cells:
             out = glued if last is not None and row <= last else free
             sub_free, sub_glued = walk(new, new_rows, filled, row)
@@ -638,7 +683,9 @@ def realize_s(
     outer: Superpartition, inner: Superpartition, nvars: int
 ) -> SuperPolynomial:
     """Generating sum over all s-tableaux with exactly `nvars` letters
-    (weights may contain 0 and d0); the independent oracle for schur_to_L."""
+    (weights may contain 0 and d0).  It walks the listings' pruned walk, whose
+    live states schur_to_L reads too, so it is no longer an independent
+    oracle for schur_to_L; the tests keep an unpruned copy of the walk."""
     nvars = _check_nvars(nvars)
     _require_inside(outer, inner)
     terms: dict = {}

@@ -101,6 +101,24 @@ MUTANTS = [
         "a tableau's walk adds no circle beyond the outer shape's",
     ),
     (
+        "superschur.py",
+        "if cells or dotted else _DEAD",
+        "if True else _DEAD",
+        "the Schur walk enters only states from which the outer shape is reached",
+    ),
+    (
+        "superschur.py",
+        "                if live[target] is _DEAD:\n                    continue\n",
+        "",
+        "the tableau listings step only onto states that reach the outer shape",
+    ),
+    (
+        "superschur.py",
+        "key1 = (parts[0] + 1,) + parts[1:]",
+        "key1 = (parts[0],) + parts[1:]",
+        "a glued one-cell letter lengthens the suffix's first part by one",
+    ),
+    (
         "hopf.py",
         "return _same(left, {alpha: 1}) and _same(right, {alpha: 1})",
         "return _same(left, {alpha: 1})",

@@ -1,11 +1,15 @@
 """The memoized walk behind schur_to_L against the tableau enumeration it
-replaces, and the constructive strips against the filtering oracles."""
+replaces, the pruned tableau listings against the unpruned walk they
+replace, and the constructive strips against the filtering oracles."""
 
+import functools
 import hashlib
+import types
 
 from hypothesis import given, settings, strategies as st
 
 import strip_oracle
+import tableau_oracle
 from superqsym import superschur
 from superqsym.algebra import Expr
 from superqsym.superschur import (
@@ -14,7 +18,9 @@ from superqsym.superschur import (
     bosonic_strips,
     comp_of_tableau,
     dot_standard_tableaux,
+    enumerate_s_tableaux,
     fermionic_strips,
+    realize_s,
     schur_to_L,
     standardize,
     superpartitions,
@@ -22,9 +28,11 @@ from superqsym.superschur import (
 
 
 def enumerated(outer, inner=EMPTY_SHAPE):
-    """The signed sum of L_comp(T) over the dot-standard tableaux."""
+    """The signed sum of L_comp(T) over the dot-standard tableaux, listed by
+    the unpruned oracle walk, which shares no live-state table with
+    schur_to_L."""
     out = {}
-    for tab in dot_standard_tableaux(outer, inner):
+    for tab in tableau_oracle.dot_standard_tableaux(outer, inner):
         key = comp_of_tableau(tab)
         out[key] = out.get(key, 0) + tab.sign()
     return Expr("L", out)
@@ -45,15 +53,55 @@ def test_straight_shapes_up_to_six():
         assert schur_to_L(lam) == enumerated(lam), lam
 
 
+def skew_pairs(size):
+    """Every (outer, inner) pair of shapes(size) with inner inside outer."""
+    universe = shapes(size)
+    return [(lam, mu) for lam in universe for mu in universe if lam.contains(mu)]
+
+
 def test_skew_shapes_up_to_six():
     """Every skew shape of the universe the straight shapes cover; the bench
     draws skew shapes of outer degree 6."""
-    universe = shapes(6)
-    pairs = [(lam, mu) for lam in universe for mu in universe if lam.contains(mu)]
+    pairs = skew_pairs(6)
     assert len(pairs) == 1494
     assert any(mu.n_circles and mu.degree for _, mu in pairs)
     for lam, mu in pairs:
         assert schur_to_L(lam, mu) == enumerated(lam, mu), (lam, mu)
+
+
+def weights(lam, mu):
+    """A few weights that fill lam/mu: a 0-strip, bosonic and fermionic
+    k-strips, and d0s."""
+    d, c = lam.degree - mu.degree, lam.n_circles - mu.n_circles
+    out = [[0, d] + ["d0"] * c, ["d0"] * c + [d, 0]]
+    if c:
+        out.append([f"d{d}", 0] + ["d0"] * (c - 1))
+    if d >= 2:
+        out.append([1, f"d{d - 1}"] + ["d0"] * (c - 1) if c else [1, d - 1])
+    return out
+
+
+def test_listings_match_the_unpruned_oracle():
+    """The listings step only onto live states, and on every skew pair of
+    shapes(6) they list what the unpruned walk lists: the same tableaux in
+    the same order, and for realize_s the same terms in the same order.  The
+    counts of tableaux and terms show that every listing is exercised."""
+    listed = [0, 0, 0]
+    for lam, mu in skew_pairs(6):
+        got = dot_standard_tableaux(lam, mu)
+        assert got == tableau_oracle.dot_standard_tableaux(lam, mu), (lam, mu)
+        listed[0] += len(got)
+        for weight in weights(lam, mu):
+            got = enumerate_s_tableaux(lam, mu, weight)
+            want = tableau_oracle.enumerate_s_tableaux(lam, mu, weight)
+            assert got == want, (lam, mu, weight)
+            listed[1] += len(got)
+        for nvars in (2, 3):
+            got = realize_s(lam, mu, nvars)
+            want = tableau_oracle.realize_s(lam, mu, nvars)
+            assert list(got.terms.items()) == list(want.terms.items()), (lam, mu)
+            listed[2] += len(got.terms)
+    assert listed == [2858, 1409, 6618]
 
 
 # straight shapes of degree |star| <= 7 with at most three circles
@@ -208,28 +256,28 @@ def test_tableau_walk_stays_inside_the_outer_shape(monkeypatch):
 
 
 def test_standardize_builds_only_the_sizes_its_steps_use(monkeypatch):
-    """A dot-standard step takes a strip of size 1 or of its dotted part, so
-    standardize builds each star's strip vectors up to its largest step and
-    no further: one build per star a tableau's chain meets, and fewer
-    vectors than the 6,646 and 10,057 built when every size under the outer
-    shape was.  Every tableau of these listings is dot-standard, so
-    standardize gives it back; the digests, taken before the change, pin the
-    standardized tableaux in order."""
+    """A step's cells fix its strip, so standardize checks the one vector
+    that adds them, of at most the step's size: one build of one vector per
+    step, where building each star's strips up to the tableau's largest step
+    took 1,490 builds of 6,646 vectors in all for the first listing below,
+    and 1,883 of 5,456 for the second.  Every tableau of these listings is
+    dot-standard, so standardize gives it back; the digests, taken before the
+    change, pin the standardized tableaux in order."""
     vectors = superschur._strip_vectors
     cases = [
-        ((3, 1, 0), (2, 1), 1490, 6646,
+        ((3, 1, 0), (2, 1), 1690,
          "408cd7aff6efbf63a8651cd1c19d3bea364d072ffa7f0685b61a9c7fc22f38fc"),
-        ((0,), (4, 3), 1883, 5456,
+        ((0,), (4, 3), 1981,
          "3b23fea0e8352396f8d37ae5d45db2418ce0515f0742717dc0448f1eca22a2d1"),
     ]
-    for fermionic, bosonic, n_builds, n_vectors, digest in cases:
+    for fermionic, bosonic, n_steps, digest in cases:
         tabs = dot_standard_tableaux(Superpartition(fermionic, bosonic), EMPTY_SHAPE)
         builds = []
         largest = None
 
-        def count_vectors(star, most, cap):
+        def count_vectors(star, most, cap, only=None):
             assert most <= largest, (star, most, largest)
-            found = vectors(star, most, cap)
+            found = vectors(star, most, cap, only)
             builds.append(len(found))
             return found
 
@@ -240,8 +288,78 @@ def test_standardize_builds_only_the_sizes_its_steps_use(monkeypatch):
             std.append(standardize(tab))
         monkeypatch.undo()
         assert std == tabs
-        assert (len(builds), sum(builds)) == (n_builds, n_vectors), fermionic
+        assert n_steps == sum(len(tab.weight) for tab in tabs)
+        assert (len(builds), sum(builds)) == (n_steps, n_steps), fermionic
         listing = repr([tuple(tab) for tab in std]).encode()
+        assert hashlib.sha256(listing).hexdigest() == digest
+
+
+def recording_functools(calls):
+    """A stand-in for superschur's functools whose cache records, under each
+    memoized function's name, every result the function computes: one entry
+    per state a memoized walk enters."""
+
+    def cache(f):
+        seen = calls.setdefault(f.__name__, [])
+
+        def record(*args):
+            out = f(*args)
+            seen.append(out)
+            return out
+
+        return functools.cache(record)
+
+    return types.SimpleNamespace(cache=cache)
+
+
+def test_counting_walk_enters_only_live_states(monkeypatch):
+    """schur_to_L steps only onto states from which the outer shape can be
+    reached, so every walk state it enters counts a suffix: 18 states on
+    (3,1;2), where the walk that did not prune entered 162, 144 of them
+    empty.  On every skew pair of shapes(5) only an inner shape that cannot
+    reach the outer one is entered empty, and then it is the only state."""
+    calls = {}
+    monkeypatch.setattr(superschur, "functools", recording_functools(calls))
+    lam = Superpartition((3, 1), (2,))
+    assert schur_to_L(lam) == enumerated(lam)
+    assert len(calls["walk"]) == 18
+    assert all(free or glued for free, glued in calls["walk"])
+    for lam, mu in skew_pairs(5):
+        calls.clear()
+        schur_to_L(lam, mu)
+        entered = calls["walk"]
+        assert all(free or glued for free, glued in entered) or len(entered) == 1
+
+
+def test_listing_walk_enters_only_frames_on_listed_chains(monkeypatch):
+    """Every frame of the listing walk lies on a chain that ends at the outer
+    shape, so a listing enters at most one plus the summed chain lengths of
+    its tableaux frames; the walk that did not prune entered 320,940 for the
+    920 tableaux of (4,2,0;3,1).  The digests, taken before the walk pruned,
+    pin both listings tableau for tableau and in order."""
+    walk = superschur._walk
+    frames = []
+
+    def count_frames(outer, inner, menu, emit):
+        def counted(sp, weight):
+            frames.append(sp)
+            return menu(sp, weight)
+
+        walk(outer, inner, counted, emit)
+
+    monkeypatch.setattr(superschur, "_walk", count_frames)
+    cases = [
+        ((4, 2, 0), (3, 1), 920,
+         "f0f7d8897d2659c2a38658e8623b3e17ba39440a46fa94bd6dfd729ed08fe70f"),
+        ((3, 1), (3, 2, 1), 1106,
+         "4f929fc457250839a01e28677134f4c53fcb429d3f35a7451a9af04b5db6e5a2"),
+    ]
+    for fermionic, bosonic, n_tabs, digest in cases:
+        frames.clear()
+        tabs = dot_standard_tableaux(Superpartition(fermionic, bosonic), EMPTY_SHAPE)
+        assert len(tabs) == n_tabs
+        assert len(frames) <= 1 + sum(len(tab.chain) for tab in tabs), fermionic
+        listing = repr([tuple(tab) for tab in tabs]).encode()
         assert hashlib.sha256(listing).hexdigest() == digest
 
 
