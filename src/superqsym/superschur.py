@@ -8,6 +8,7 @@ import operator
 from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
+from ._livetable import _live_moves, _new_circle_row
 from .algebra import Expr
 from .composition import DottedComposition, DottedPart, _as_int, _coerce_part, _end, _scan
 from .realize import SuperPolynomial, _check_nvars
@@ -179,16 +180,15 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 def _strip_vectors(star, most: int, cap, only=None) -> list:
     """The star-only stage of the strips over a diagram whose row lengths are
     `star`: every vector of at most `most` cells added per row, in
-    lexicographic order, as (cell count, new star, vector, row of a new
-    circle).  With `cap`, a star such as an outer shape's, no row grows past
-    it; with None, no row is capped.  With `only`, one vector with an entry
-    per row of star and one for the empty row under it, the output holds that
-    vector alone, or nothing when it is not among them.
+    lexicographic order, as (cell count, new star, vector, _new_circle_row).
+    With `cap`, a star such as an outer shape's, no row grows past it; with
+    None, no row is capped.  With `only`, one vector with an entry per row of
+    star and one for the empty row under it, the output holds that vector
+    alone, or nothing when it is not among them.
 
     Each row has room up to the old length of the row above, so every vector
-    is a horizontal strip.  A fermionic strip's new circle ends the row whose
-    length is the run of columns 1, 2, ... the strip fills, read bottom-up.
-    None of this reads the circles, which only filter the vectors."""
+    is a horizontal strip.  None of this reads the circles, which only
+    filter the vectors."""
     padded = star + (0,)
     room = []
     for i, here in enumerate(padded):
@@ -208,13 +208,7 @@ def _strip_vectors(star, most: int, cap, only=None) -> list:
         new = tuple(map(operator.add, padded, add))
         if not new[-1]:
             new = new[:-1]
-        value, row = 0, len(padded) + 1
-        for here, a in zip(reversed(padded), reversed(add)):
-            if here != value:
-                break
-            value += a
-            row -= 1
-        out.append((size, new, add, row))
+        out.append((size, new, add, _new_circle_row(padded, add)))
     return out
 
 
@@ -242,75 +236,8 @@ def _strips(vectors, rows, dotted):
         yield size, new, moved[:idx] + (row,) + moved[idx:], idx
 
 
-def _star_moves(star, cap, most: int):
-    """The star-only stage of every move: (corners, vectors), the star's
-    _strip_vectors of at most `most` cells under `cap`, and the one-cell ones
-    among them as (new star, row of the cell), bottom row first."""
-    vectors = _strip_vectors(star, most, cap)
-    corners = [(new, add.index(1) + 1) for size, new, add, _ in vectors if size == 1]
-    return corners, vectors
-
-
-def _star_table(outer, most):
-    """A walk's per-call table: star -> its _star_moves of at most `most`
-    cells under outer, built when the walk first meets the star."""
-    cap, degree = outer[0], outer.degree
-    return functools.cache(lambda star: _star_moves(star, cap, min(most, degree - sum(star))))
-
-
-def _cells(corners, rows):
-    """The circle stage of the one-cell strips: the corners of a star, from
-    _star_moves, that stay legal over the diagram (star, rows), as (new star,
-    new circle rows, row of the cell).  A cell fails when it pushes a circle
-    onto the circle in the row below."""
-    for new, row in corners:
-        if row in rows:
-            if row + 1 in rows:
-                continue
-            moved = tuple([row + 1 if r == row else r for r in rows])
-        else:
-            moved = rows
-        yield new, moved, row
-
-
-# the moves of a dead diagram state, one object for all of them
-_DEAD = ((), ())
-
-
-class _LiveMoves(dict):
-    """A walk's per-call table of the moves between live diagram states.
-
-    A diagram state (star, rows) inside outer is live when outer can be
-    reached from it.  Reading a state gives (cells, dotted): its one-cell
-    moves, as _cells gives them, and its fermionic strips, as _strips gives
-    them, both read from the star's entry in the call's _star_table, keeping
-    only the moves onto live states.  A state is live when it is outer, which
-    has no moves, or keeps a move; a dead state reads as _DEAD.  Each state
-    is expanded once, on its first read.  The moves are those of a
-    dot-standard tableau, and a bosonic k-strip splits into k one-cell moves,
-    as standardize splits it: no chain of strips of any weight reaches outer
-    from a dead state."""
-
-    __slots__ = ("outer", "stars")
-
-    def __init__(self, outer, stars):
-        super().__init__({outer: ([], [])})
-        self.outer, self.stars = outer, stars
-
-    def __missing__(self, state):
-        star, rows = state
-        corners, vectors = self.stars(star)
-        cells = [m for m in _cells(corners, rows) if self[m[:2]] is not _DEAD]
-        dotted = []
-        if len(rows) < self.outer.n_circles:
-            strips = _strips(vectors, rows, True)
-            dotted = [m for m in strips if self[m[1:3]] is not _DEAD]
-        self[state] = moves = (cells, dotted) if cells or dotted else _DEAD
-        return moves
-
-
 def _targets(sp: Superpartition, size: int, dotted: bool, vectors) -> list:
-    """The `size`-cell strips that `vectors`, from the _star_moves of sp's
+    """The `size`-cell strips that `vectors`, the _strip_vectors of sp's
     star, make over sp, as (target, cells, new-circle index), sorted by
     target."""
     padded = sp[0] + (0,)
@@ -338,7 +265,7 @@ def _uncapped_targets(gamma, size, dotted) -> list:
     size = _as_int(size)
     if size < 0:
         raise ValueError(f"strip size must be >= 0, got {size}")
-    return _targets(gamma, size, dotted, _star_moves(gamma[0], None, size)[1])
+    return _targets(gamma, size, dotted, _strip_vectors(gamma[0], size, None))
 
 
 def bosonic_strips(gamma: Superpartition, size: int) -> tuple[Superpartition, ...]:
@@ -453,10 +380,12 @@ def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles).  The
-    walk steps only onto live states of the call's _LiveMoves, so every chain
-    it follows can still end at outer."""
-    stars = _star_table(outer, outer.degree)
-    live = _LiveMoves(outer, stars)
+    walk reads only liveness from the call's _live_moves table: it steps
+    only onto states the table holds, so every chain it follows can still
+    end at outer."""
+    cap, degree = outer[0], outer.degree
+    stars = functools.cache(lambda star: _strip_vectors(star, degree - sum(star), cap))
+    live = _live_moves(outer, inner)
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)
@@ -465,12 +394,12 @@ def _walk(outer, inner, menu, emit) -> None:
                 emit(chain, weight, cells, circles)
             return
         letter = len(weight) + 1
-        vectors = stars(sp[0])[1]
+        vectors = stars(sp[0])
         for part in parts:
             for target, new_cells, new_circles in _steps(
                 sp, circles, letter, part, vectors, outer
             ):
-                if live[target] is _DEAD:
+                if target not in live:
                     continue
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)
@@ -616,6 +545,10 @@ def standardize(tab: STableau) -> STableau:
 # Schur expansions
 
 
+# the moves of a state missing from a _live_moves table
+_DEAD = ((), ())
+
+
 def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Expr:
     """s_{outer/inner} = sum over dot-standard tableaux of sign * L_comp(T).
 
@@ -629,13 +562,13 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     so it adds one inversion per filled circle below it; the circles of the
     inner shape stay unfilled.  Parts are ints inside the walk: k for a
     non-dotted part k, ~v for the dotted part dv.  Each diagram state reads
-    its moves from the call's _LiveMoves, which filters its star's
-    _star_moves, built once per star, by its circle rows and keeps only the
-    moves onto live states: every state the walk enters counts at least one
-    suffix.  Those tables and the memo of walk states live for one call."""
+    its moves from the call's _live_moves table, built backward from outer,
+    which holds only moves onto live states and no dead state: every state
+    the walk enters counts at least one suffix.  That table and the memo of
+    walk states live for one call."""
     _require_inside(outer, inner)
     degree = outer.degree
-    moves = _LiveMoves(outer, _star_table(outer, degree))
+    moves = _live_moves(outer, inner)
 
     @functools.cache
     def walk(star, rows, filled, last):
@@ -643,7 +576,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
         glued: dict[tuple[int, ...], int] = {}
         if (star, rows) == outer:
             free[()] = 1
-        cells, dotted = moves[star, rows]
+        cells, dotted = moves.get((star, rows), _DEAD)
         for new, new_rows, row in cells:
             out = glued if last is not None and row <= last else free
             sub_free, sub_glued = walk(new, new_rows, filled, row)

@@ -36,6 +36,11 @@ SUBSETS = {
         "tests/test_superschur.py",
         "tests/test_cli_outputs.py",
     ],
+    "_livetable.py": [
+        "tests/test_schur_walk.py",
+        "tests/test_superschur.py",
+        "tests/test_cli_outputs.py",
+    ],
     "hopf.py": ["tests/test_hopf.py"],
     "composition.py": [
         "tests/test_refinement_orders.py",
@@ -71,16 +76,17 @@ MUTANTS = [
         "a strip may not push a circle onto the circle in the row below",
     ),
     (
-        "superschur.py",
-        "            if row + 1 in rows:\n                continue\n",
-        "",
-        "a one-cell move may not push a circle onto the circle below",
+        "_livetable.py",
+        "if u <= len(add) and not add[u - 1]:",
+        "if u <= len(add):",
+        "a circle stays only in a row the strip leaves alone, or one pushed onto it would stack",
     ),
     (
-        "superschur.py",
-        "(new, add.index(1) + 1)",
-        "(new, add.index(1))",
-        "the corner's row is 1-based, as the circle rows are",
+        "_livetable.py",
+        "        if u > 1 and add[u - 2]:  # the cell in the row above pushed it down\n"
+        "            here.append(u - 1)\n",
+        "",
+        "a circle may have come down from the row above, where the strip has a cell",
     ),
     (
         "superschur.py",
@@ -90,9 +96,9 @@ MUTANTS = [
     ),
     (
         "superschur.py",
-        "min(most, degree - sum(star))",
-        "min(most, degree - sum(star) - 1)",
-        "a walk's star gets every strip size that fits under the outer shape",
+        "_strip_vectors(star, degree - sum(star), cap)",
+        "_strip_vectors(star, degree - sum(star) - 1, cap)",
+        "a listing's star gets every strip size that fits under the outer shape",
     ),
     (
         "superschur.py",
@@ -101,14 +107,14 @@ MUTANTS = [
         "a tableau's walk adds no circle beyond the outer shape's",
     ),
     (
-        "superschur.py",
-        "if cells or dotted else _DEAD",
-        "if True else _DEAD",
-        "the Schur walk enters only states from which the outer shape is reached",
+        "_livetable.py",
+        "        here = [r for r in here if r == 1 or under[r - 2] > under[r - 1]]\n",
+        "",
+        "the live table holds diagrams only: each circle ends the topmost row of its length",
     ),
     (
         "superschur.py",
-        "                if live[target] is _DEAD:\n                    continue\n",
+        "                if target not in live:\n                    continue\n",
         "",
         "the tableau listings step only onto states that reach the outer shape",
     ),
@@ -117,6 +123,12 @@ MUTANTS = [
         "key1 = (parts[0] + 1,) + parts[1:]",
         "key1 = (parts[0],) + parts[1:]",
         "a glued one-cell letter lengthens the suffix's first part by one",
+    ),
+    (
+        "superschur.py",
+        "free[key1] = free.get(key1, 0) + sign * c",
+        "glued[key1] = glued.get(key1, 0) + sign * c",
+        "a dotted letter starts a part of its own, so its suffixes count as free",
     ),
     (
         "hopf.py",
@@ -129,6 +141,18 @@ MUTANTS = [
         "_same(_convolution(alpha, ops[basis], True), target) and _same(",
         "_same(_convolution(alpha, ops[basis], True), target) or _same(",
         "both convolutions of the antipode with the identity are the unit",
+    ),
+    (
+        "hopf.py",
+        "(alpha.length + comb(alpha.fermionic_degree, 2)) % 2",
+        "(alpha.length + alpha.fermionic_degree) % 2",
+        "the antipode's sign counts the C(m,2) swaps of the dotted parts, not m",
+    ),
+    (
+        "hopf.py",
+        "accumulate(out, acc.terms, -c if crossings % 2 else c)",
+        "accumulate(out, acc.terms, c)",
+        "reversing the columns passes each column's dotted parts over the later ones",
     ),
     (
         "shuffles.py",

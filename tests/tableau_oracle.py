@@ -8,7 +8,10 @@ enumerate_s_tableaux and realize_s read it through the same menus as the
 package's.  They stay here as the oracle for the package's listings, and
 dot_standard_tableaux as the oracle for schur_to_L, so that neither oracle
 shares the live-state table the package's walks read.  The strips come from
-the package's _star_table and _targets, which tests/strip_oracle.py checks."""
+the package's _strip_vectors and _targets, which tests/strip_oracle.py
+checks."""
+
+import functools
 
 from superqsym.composition import DottedPart, _coerce_part
 from superqsym.realize import SuperPolynomial
@@ -16,7 +19,7 @@ from superqsym.superschur import (
     STableau,
     _circle_inversions,
     _initial_circles,
-    _star_table,
+    _strip_vectors,
     _targets,
 )
 
@@ -27,7 +30,7 @@ def _steps(sp, circles, letter, part, stars, outer):
     if part.dotted and sp.n_circles >= outer.n_circles:
         return []
     out = []
-    vectors = stars(sp[0])[1]
+    vectors = stars(sp[0])
     for target, cells, idx in _targets(sp, part.value, part.dotted, vectors):
         letters = [l for _, l in circles]
         if idx is not None:
@@ -40,7 +43,8 @@ def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over every chain of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles)."""
-    stars = _star_table(outer, outer.degree)
+    cap, degree = outer[0], outer.degree
+    stars = functools.cache(lambda star: _strip_vectors(star, degree - sum(star), cap))
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)

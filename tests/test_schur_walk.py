@@ -1,6 +1,7 @@
 """The memoized walk behind schur_to_L against the tableau enumeration it
 replaces, the pruned tableau listings against the unpruned walk they
-replace, and the constructive strips against the filtering oracles."""
+replace, the backward live table against the forward one it replaces, and
+the constructive strips against the filtering oracles."""
 
 import functools
 import hashlib
@@ -8,9 +9,10 @@ import types
 
 from hypothesis import given, settings, strategies as st
 
+import live_oracle
 import strip_oracle
 import tableau_oracle
-from superqsym import superschur
+from superqsym import _livetable, superschur
 from superqsym.algebra import Expr
 from superqsym.superschur import (
     EMPTY_SHAPE,
@@ -136,11 +138,11 @@ def test_strips_match_the_filter():
 
 
 def test_walk_moves_match_the_product_filter():
-    """The walk's moves from every diagram state inside every outer shape,
-    capped by the outer shape and not, read through the star-only stage
-    (_star_moves) and the circle filters, against the generator the package
-    had before, which filtered every row-room vector: same tuples, same
-    order."""
+    """The forward moves from every diagram state inside every outer shape,
+    capped by the outer shape and not, read through the oracle's star-only
+    stage (live_oracle._star_moves), its one-cell filter and the package's
+    _strips, against the generator the package had before, which filtered
+    every row-room vector: same tuples, same order."""
     universe = shapes(7)
     for lam in universe:
         for mu in universe:
@@ -152,14 +154,14 @@ def test_walk_moves_match_the_product_filter():
             most = max(lam.degree - mu.degree, 1)
             sizes = range(most + 1)
             for cap in (lam.star(), None):
-                corners, vectors = superschur._star_moves(star, cap, most)
+                corners, vectors = live_oracle._star_moves(star, cap, most)
                 want = [
                     (new, new_rows, cells[0][0])
                     for new, new_rows, cells, _ in strip_oracle._strips(
                         star, rows, range(1, 2), False, cap
                     )
                 ]
-                got = list(superschur._cells(corners, rows))
+                got = list(live_oracle._cells(corners, rows))
                 assert got == want, (lam, mu, cap)
                 for dotted in (False, True):
                     want = [
@@ -172,38 +174,86 @@ def test_walk_moves_match_the_product_filter():
                     assert got == want, (lam, mu, cap, dotted)
 
 
-def test_walk_builds_each_star_once_per_call(monkeypatch):
-    """One schur_to_L call builds the moves (corners and strip vectors) of
-    each star it meets once, however many circle configurations share the
-    star; the next call builds them again, so no table outlives a call."""
+def reached(table, inner):
+    """The states of a _live_moves table that its moves reach from inner."""
+    seen = {inner} if inner in table else set()
+    stack = list(seen)
+    while stack:
+        cells, dotted = table[stack.pop()]
+        for state in [m[:2] for m in cells] + [m[1:3] for m in dotted]:
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return seen
+
+
+def assert_same_live_moves(lam, mu):
+    """The backward table holds every live state of the forward oracle with
+    the same moves in the same order, and the states it reaches from mu are
+    those live states, outer included; returns the number of states it holds
+    that mu cannot reach."""
+    oracle = live_oracle.live_moves(lam, mu)
+    live = {s: m for s, m in oracle.items() if m is not live_oracle._DEAD}
+    table = _livetable._live_moves(lam, mu)
+    for state, (cells, dotted) in live.items():
+        assert table[state] == (list(cells), list(dotted)), (lam, mu, state)
+    assert reached(table, tuple(mu)) | {tuple(lam)} == set(live), (lam, mu)
+    return len(table) - len(live)
+
+
+def test_backward_table_matches_the_forward_oracle():
+    """On every straight shape of degree <= 9 with at most four circles the
+    backward table holds exactly the oracle's live states, and on every skew
+    pair of shapes(6) every state the walks can enter, each with the
+    oracle's moves in the oracle's order.  A skew table may also hold live
+    states above inner that inner cannot reach; no walk enters them."""
+    straight = [lam for d in range(10) for m in range(5) for lam in superpartitions(d, m)]
+    assert len(straight) == 822
+    for lam in straight:
+        assert assert_same_live_moves(lam, EMPTY_SHAPE) == 0, lam
+    unreached = sum(assert_same_live_moves(lam, mu) for lam, mu in skew_pairs(6))
+    assert unreached == 1421
+
+
+def test_backward_table_expands_no_dead_state():
+    """The backward table holds only live states: 32 on (2,1,0;3), where the
+    forward oracle's table holds 89 states, 57 of them dead, and 12 on
+    (3,1;2), where it holds 79, 67 of them dead."""
+    for text, held, oracle_held, dead in (("(2,1,0;3)", 32, 89, 57), ("(3,1;2)", 12, 79, 67)):
+        lam = Superpartition.parse(text)
+        oracle = live_oracle.live_moves(lam, EMPTY_SHAPE)
+        assert len(oracle) == oracle_held, text
+        assert sum(m is live_oracle._DEAD for m in oracle.values()) == dead, text
+        table = _livetable._live_moves(lam, EMPTY_SHAPE)
+        assert len(table) == held == oracle_held - dead, text
+
+
+def test_live_table_builds_each_star_once_per_call(monkeypatch):
+    """One schur_to_L call builds the removal table of each star it meets
+    once, however many circle configurations share the star, and builds no
+    forward strip vectors; the next call builds the same tables again, so no
+    table outlives a call."""
     lam = Superpartition((3, 1, 0), (2, 1))
     want = enumerated(lam)
-    built = {"moves": [], "vectors": [], "states": []}
-    moves, vectors, cells = (
-        superschur._star_moves, superschur._strip_vectors, superschur._cells
-    )
+    built = {"removals": [], "vectors": []}
+    removals, vectors = _livetable._removals, superschur._strip_vectors
 
-    def count_moves(star, cap, most):
-        built["moves"].append(star)
-        return moves(star, cap, most)
+    def count_removals(star, inner):
+        built["removals"].append(star)
+        return removals(star, inner)
 
-    def count_vectors(star, most, cap):
+    def count_vectors(star, *args):
         built["vectors"].append(star)
-        return vectors(star, most, cap)
+        return vectors(star, *args)
 
-    def count_states(star_corners, rows):
-        built["states"].append(rows)
-        return cells(star_corners, rows)
-
-    monkeypatch.setattr(superschur, "_star_moves", count_moves)
+    monkeypatch.setattr(_livetable, "_removals", count_removals)
     monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
-    monkeypatch.setattr(superschur, "_cells", count_states)
     assert schur_to_L(lam) == want
     first = {name: list(seen) for name, seen in built.items()}
-    assert first["moves"] == first["vectors"]
-    assert len(first["moves"]) == len(set(first["moves"]))
+    assert first["vectors"] == []
+    assert len(first["removals"]) == len(set(first["removals"]))
     # many diagram states share a star, and each reads the star's one build
-    assert 2 * len(first["moves"]) < len(first["states"])
+    assert len(first["removals"]) < len(_livetable._live_moves(lam, EMPTY_SHAPE))
     for seen in built.values():
         seen.clear()
     assert schur_to_L(lam) == want
