@@ -228,7 +228,7 @@ def test_backward_table_expands_no_dead_state():
         assert len(table) == held == oracle_held - dead, text
 
 
-def test_live_table_builds_each_star_once_per_call(monkeypatch):
+def test_walk_builds_each_star_once_per_call(monkeypatch):
     """One schur_to_L call builds the removal table of each star it meets
     once, however many circle configurations share the star, and builds no
     forward strip vectors; the next call builds the same tables again, so no
