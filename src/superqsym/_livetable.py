@@ -6,6 +6,7 @@ A diagram is a pair (star, rows): the row lengths, longest first, and the
 diagram rows of the circles listed from below.  A strip is a vector of the
 cells it adds per row, with one entry for the empty row under the star."""
 
+import functools
 import operator
 from itertools import product
 
@@ -24,38 +25,64 @@ def _new_circle_row(padded, add) -> int:
     return row
 
 
-def _removals(star, inner):
-    """The strips whose removal from `star` leaves a star holding `inner`, as
-    (old star, old star with its empty row, the strip's vector over that,
-    cell count): the one-cell strips, with the row of the cell in place of
-    the count, and all strips by the row their new circle would end."""
+def _corners(star, inner):
+    """The one-cell strips whose removal from `star` leaves a star holding
+    `inner`, as (old star, old star with its empty row, the strip's vector
+    over that, row of the cell)."""
     padded = star + (0,)
     low = inner + (0,) * (len(star) - len(inner))
-    cells, by_row = [], {}
-    for old in product(*map(range, map(max, padded[1:], low), [v + 1 for v in star])):
-        under = (old[:-1] if old and not old[-1] else old) + (0,)
+    found = []
+    for j, v in enumerate(star):
+        if v > padded[j + 1] and v > low[j]:
+            # a last row of one cell empties, and the old star loses it
+            under = padded[:j] + (v - 1,) + padded[j + 1 : -1 if v == 1 else None]
+            add = (0,) * j + (1,) + (0,) * (len(under) - j - 1)
+            found.append((under[:-1], under, add, j + 1))
+    return found
+
+
+def _circle_strips(star, inner, u):
+    """The strips whose removal from `star` leaves a star holding `inner` and
+    whose new circle ends row u, as (old star, old star with its empty row,
+    the strip's vector over that, cell count).  By _new_circle_row, each old
+    row from row u down is as long as the new row below it, old row u-1 is
+    longer than new row u, and the rows above are free between the new row
+    below and their own length."""
+    padded = star + (0,)
+    low = inner + (0,) * (len(star) - len(inner))
+    # old rows u, u+1, ... and the empty row under them; when u is the new
+    # star's empty row, the old star keeps all its rows
+    tail = padded[u:] or (0,)
+    if any(map(operator.lt, tail, low[u - 1 :])):
+        return []
+    room = [range(max(padded[j + 1], low[j]), v + 1) for j, v in enumerate(star[: u - 1])]
+    if u > 1:
+        room[-1] = range(max(padded[u - 1] + 1, low[u - 2]), star[u - 2] + 1)
+    found = []
+    for head in product(*room):
+        under = head + tail
         add = tuple(map(operator.sub, padded, under))
-        size = sum(add)
-        by_row.setdefault(_new_circle_row(under, add), []).append((under[:-1], under, add, size))
-        if size == 1:
-            cells.append((under[:-1], under, add, add.index(1) + 1))
-    return cells, by_row
+        found.append((under[:-1], under, add, sum(add)))
+    return found
 
 
-def _origins(rows, add, under) -> list:
+def _origins(rows, add, under):
     """The circle rows, from below, of every diagram over the star `under`
     (with its empty row) whose circles the strip `add` moves to `rows`.  Each
     circle ends the topmost row of its length."""
-    found = [()]
+    choices = []
     for u in rows:
         here = []
-        if u <= len(add) and not add[u - 1]:  # it stayed in a row with no cell
+        # it stayed in a row with no cell
+        if u <= len(add) and not add[u - 1] and (u == 1 or under[u - 2] > under[u - 1]):
             here.append(u)
-        if u > 1 and add[u - 2]:  # the cell in the row above pushed it down
+        # the cell in the row above pushed it down
+        if u > 1 and add[u - 2] and (u == 2 or under[u - 3] > under[u - 2]):
             here.append(u - 1)
-        here = [r for r in here if r == 1 or under[r - 2] > under[r - 1]]
-        found = [o + (r,) for o in found for r in here]
-    return found
+        if not here:
+            return ()
+        choices.append(here)
+    return product(*choices)
 
 
 def _live_moves(outer, inner) -> dict:
@@ -66,36 +93,37 @@ def _live_moves(outer, inner) -> dict:
     live states, as (new star, new circle rows, row of the cell) and (cell
     count, new star, new circle rows, index of the new circle among the
     circles from below), both in the order superschur._strip_vectors lists
-    the strips.  A skew table may hold live states that inner cannot reach;
-    no walk enters them.
+    the strips, which is the order of their new stars.  A skew table may
+    hold live states that inner cannot reach; no walk enters them.
 
     A state taken off the stack finds its predecessors through its star's
-    _removals: one cell, or, taking out one of its circles, a strip whose new
-    circle ends that circle's row.  Each edge found is the predecessor's
-    move.  A bosonic k-strip splits into k one-cell moves, so no chain of
-    strips of any weight reaches outer from a state the table lacks."""
+    _corners, and, taking out one of its circles, through the _circle_strips
+    whose new circle ends that circle's row; each is built once per call.
+    Each edge found is the predecessor's move.  A bosonic k-strip splits into
+    k one-cell moves, so no chain of strips of any weight reaches outer from
+    a state the table lacks."""
     inner_star, least = inner[0], inner.n_circles
-    stars: dict = {}
+    corners = functools.cache(lambda star: _corners(star, inner_star))
+    strips = functools.cache(lambda star, u: _circle_strips(star, inner_star, u))
     table = {outer: ([], [])}
     stack = [outer]
     while stack:
         star, rows = stack.pop()
-        if star not in stars:
-            stars[star] = _removals(star, inner_star)
-        cells, by_row = stars[star]
-        edges = [(0, rows, *strip[:3], (star, rows, strip[3])) for strip in cells]
+        groups = [(0, rows, corners(star), None)]
         for idx, u in enumerate(rows if len(rows) > least else ()):
-            rest = rows[:idx] + rows[idx + 1 :]
-            edges += [(1, rest, *s[:3], (s[3], star, rows, idx)) for s in by_row.get(u, ())]
-        for kind, rest, old, under, add, move in edges:
-            for origin in _origins(rest, add, under):
-                moves = table.get((old, origin))
-                if moves is None:
-                    moves = table[old, origin] = ([], [])
-                    stack.append((old, origin))
-                moves[kind].append((add, move))
-    for moves in table.values():
-        for found in moves:
-            found.sort(key=operator.itemgetter(0))
-            found[:] = [move for _, move in found]
+            groups.append((1, rows[:idx] + rows[idx + 1 :], strips(star, u), idx))
+        for kind, rest, found, idx in groups:
+            for old, under, add, n in found:
+                move = (n, star, rows, idx) if kind else (star, rows, n)
+                for origin in _origins(rest, add, under):
+                    moves = table.get((old, origin))
+                    if moves is None:
+                        moves = table[old, origin] = ([], [])
+                        stack.append((old, origin))
+                    moves[kind].append(move)
+    for cells, dotted in table.values():
+        if len(cells) > 1:
+            cells.sort()
+        if len(dotted) > 1:
+            dotted.sort(key=operator.itemgetter(1))
     return table

@@ -1,5 +1,6 @@
 """Command-line surface: batch subcommands over the library, one result per
-invocation.  Exit codes: 0 ok, 1 domain error, 2 parse error, 3 verify failure.
+invocation.  Exit codes: 0 ok, 1 domain error or an input too deep or too
+large to compute, 2 parse error, 3 verify failure.
 
 main() empties the package memos (superqsym.clear_caches) when a command
 returns, whatever its exit: they are bounded by entry count, not by size,
@@ -277,6 +278,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # every domain error of the package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        name = type(exc).__name__
+        print(f"error: the input is too large to compute ({name})", file=sys.stderr)
         return 1
     finally:
         clear_caches()

@@ -560,56 +560,56 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     non-dotted run that joins the prefix's last part (its first cell lies in a
     row <= the prefix's last row).  A new circle letter is the largest so far,
     so it adds one inversion per filled circle below it; the circles of the
-    inner shape stay unfilled.  Parts are ints inside the walk: k for a
-    non-dotted part k, ~v for the dotted part dv.  Each diagram state reads
+    inner shape stay unfilled.  A suffix's composition is one int inside the
+    walk, its parts the digits in base 2*degree+2, the first part lowest: 2k
+    for a non-dotted part k, 2v+1 for the dotted part dv.  Each state reads
     its moves from the call's _live_moves table, built backward from outer,
     which holds only moves onto live states and no dead state: every state
     the walk enters counts at least one suffix.  That table and the memo of
     walk states live for one call."""
     _require_inside(outer, inner)
-    degree = outer.degree
+    base = 2 * outer.degree + 2
     moves = _live_moves(outer, inner)
 
     @functools.cache
     def walk(star, rows, filled, last):
-        free: dict[tuple[int, ...], int] = {}
-        glued: dict[tuple[int, ...], int] = {}
+        free: dict[int, int] = {}
+        glued: dict[int, int] = {}
         if (star, rows) == outer:
-            free[()] = 1
+            free[0] = 1
         cells, dotted = moves.get((star, rows), _DEAD)
         for new, new_rows, row in cells:
             out = glued if last is not None and row <= last else free
             sub_free, sub_glued = walk(new, new_rows, filled, row)
-            for parts, c in sub_free.items():
-                key1 = (1,) + parts
-                out[key1] = out.get(key1, 0) + c
-            for parts, c in sub_glued.items():
-                key1 = (parts[0] + 1,) + parts[1:]
-                out[key1] = out.get(key1, 0) + c
+            for key, c in sub_free.items():
+                key = key * base + 2
+                out[key] = out.get(key, 0) + c
+            for key, c in sub_glued.items():
+                key += 2
+                out[key] = out.get(key, 0) + c
         for size, new, new_rows, idx in dotted:
-            part = ~size
+            digit = 2 * size + 1
             below = filled & ((1 << idx) - 1)
             sign = -1 if below.bit_count() & 1 else 1
             sub_free, _ = walk(
                 new, new_rows, below | (1 << idx) | (filled >> idx) << (idx + 1), None
             )
-            for parts, c in sub_free.items():
-                key1 = (part,) + parts
-                free[key1] = free.get(key1, 0) + sign * c
+            for key, c in sub_free.items():
+                key = key * base + digit
+                free[key] = free.get(key, 0) + sign * c
         return free, glued
 
     free, _ = walk(*inner, 0, None)
     del walk  # walk reaches itself through its closure: free the walk now
-    part_of = {v: DottedPart(v, False) for v in range(1, degree + 1)}
-    part_of.update((~v, DottedPart(v, True)) for v in range(degree + 1))
-    out = Expr._trusted(
-        "L",
-        {
-            DottedComposition._of(map(part_of.__getitem__, parts)): c
-            for parts, c in free.items()
-        },
-    )
-    return out
+    part_of = [DottedPart(d >> 1, bool(d & 1)) for d in range(base)]
+    terms = {}
+    for key, c in free.items():
+        parts = []
+        while key:
+            key, digit = divmod(key, base)
+            parts.append(part_of[digit])
+        terms[DottedComposition._of(parts)] = c
+    return Expr._trusted("L", terms)
 
 
 def realize_s(

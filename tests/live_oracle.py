@@ -1,16 +1,45 @@
 """The Schur walk's live moves as the package built them before it built
-them backward from the outer shape.
+them backward from the outer shape, and the strips the backward table read
+before it built only those a live state reads.
 
 _LiveMoves expands every diagram state forward: it lists the state's
 one-cell moves (_cells over its star's corners) and fermionic strips
 (superschur._strips over its star's vectors), keeps those onto live states,
 and marks a state dead when it keeps none.  It stays here as the oracle for
-the package's backward table, superschur._live_moves, which must hold the
-same live states with the same moves in the same order."""
+the package's backward table, _livetable._live_moves, which must hold the
+same live states with the same moves in the same order.
+
+_removals lists every strip whose removal from a star leaves a star holding
+inner's, the one-cell ones apart, and files them all by the row their new
+circle would end.  It stays here as the oracle for the package's builders,
+_livetable._corners and _livetable._circle_strips, which build only the
+strips the backward table reads."""
 
 import functools
+import operator
+from itertools import product
 
+from superqsym._livetable import _new_circle_row
 from superqsym.superschur import _strip_vectors, _strips
+
+
+def _removals(star, inner):
+    """The strips whose removal from `star` leaves a star holding `inner`, as
+    (old star, old star with its empty row, the strip's vector over that,
+    cell count): the one-cell strips, with the row of the cell in place of
+    the count, and all strips by the row their new circle would end."""
+    padded = star + (0,)
+    low = inner + (0,) * (len(star) - len(inner))
+    cells, by_row = [], {}
+    for old in product(*map(range, map(max, padded[1:], low), [v + 1 for v in star])):
+        under = (old[:-1] if old and not old[-1] else old) + (0,)
+        add = tuple(map(operator.sub, padded, under))
+        size = sum(add)
+        by_row.setdefault(_new_circle_row(under, add), []).append((under[:-1], under, add, size))
+        if size == 1:
+            cells.append((under[:-1], under, add, add.index(1) + 1))
+    return cells, by_row
+
 
 # the moves of a dead diagram state, one object for all of them
 _DEAD = ((), ())

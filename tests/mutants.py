@@ -53,6 +53,7 @@ SUBSETS = {
     ],
     "algebra.py": ["tests/test_algebra.py", "tests/test_render_writer.py"],
     "cli.py": ["tests/test_cli.py"],
+    "realize.py": ["tests/test_realize.py"],
 }
 
 # (file, old text, new text, why the new text is wrong)
@@ -77,13 +78,13 @@ MUTANTS = [
     ),
     (
         "_livetable.py",
-        "if u <= len(add) and not add[u - 1]:",
-        "if u <= len(add):",
+        "if u <= len(add) and not add[u - 1] and",
+        "if u <= len(add) and",
         "a circle stays only in a row the strip leaves alone, or one pushed onto it would stack",
     ),
     (
         "_livetable.py",
-        "        if u > 1 and add[u - 2]:  # the cell in the row above pushed it down\n"
+        "        if u > 1 and add[u - 2] and (u == 2 or under[u - 3] > under[u - 2]):\n"
         "            here.append(u - 1)\n",
         "",
         "a circle may have come down from the row above, where the strip has a cell",
@@ -108,8 +109,14 @@ MUTANTS = [
     ),
     (
         "_livetable.py",
-        "        here = [r for r in here if r == 1 or under[r - 2] > under[r - 1]]\n",
-        "",
+        "not add[u - 1] and (u == 1 or under[u - 2] > under[u - 1]):\n"
+        "            here.append(u)\n"
+        "        # the cell in the row above pushed it down\n"
+        "        if u > 1 and add[u - 2] and (u == 2 or under[u - 3] > under[u - 2]):\n",
+        "not add[u - 1]:\n"
+        "            here.append(u)\n"
+        "        # the cell in the row above pushed it down\n"
+        "        if u > 1 and add[u - 2]:\n",
         "the live table holds diagrams only: each circle ends the topmost row of its length",
     ),
     (
@@ -120,15 +127,27 @@ MUTANTS = [
     ),
     (
         "superschur.py",
-        "key1 = (parts[0] + 1,) + parts[1:]",
-        "key1 = (parts[0],) + parts[1:]",
+        "            for key, c in sub_glued.items():\n                key += 2\n",
+        "            for key, c in sub_glued.items():\n",
         "a glued one-cell letter lengthens the suffix's first part by one",
     ),
     (
         "superschur.py",
-        "free[key1] = free.get(key1, 0) + sign * c",
-        "glued[key1] = glued.get(key1, 0) + sign * c",
+        "free[key] = free.get(key, 0) + sign * c",
+        "glued[key] = glued.get(key, 0) + sign * c",
         "a dotted letter starts a part of its own, so its suffixes count as free",
+    ),
+    (
+        "_livetable.py",
+        "room[-1] = range(max(padded[u - 1] + 1, low[u - 2]), star[u - 2] + 1)",
+        "room[-1] = range(max(padded[u - 1], low[u - 2]), star[u - 2] + 1)",
+        "old row u-1 is longer than new row u, or the new circle would end a row above u",
+    ),
+    (
+        "_livetable.py",
+        "if v > padded[j + 1] and v > low[j]:",
+        "if v > padded[j + 1]:",
+        "a corner removed from a row of inner's length leaves a star that does not hold inner",
     ),
     (
         "hopf.py",
@@ -277,6 +296,10 @@ MUTANTS = [
         "        # every domain error of the package subclasses ValueError\n"
         '        print(f"error: {exc}", file=sys.stderr)\n'
         "        return 1\n"
+        "    except (RecursionError, MemoryError) as exc:\n"
+        "        name = type(exc).__name__\n"
+        '        print(f"error: the input is too large to compute ({name})", file=sys.stderr)\n'
+        "        return 1\n"
         "    finally:\n"
         "        clear_caches()\n",
         "    try:\n"
@@ -288,6 +311,10 @@ MUTANTS = [
         "        # every domain error of the package subclasses ValueError\n"
         '        print(f"error: {exc}", file=sys.stderr)\n'
         "        return 1\n"
+        "    except (RecursionError, MemoryError) as exc:\n"
+        "        name = type(exc).__name__\n"
+        '        print(f"error: the input is too large to compute ({name})", file=sys.stderr)\n'
+        "        return 1\n"
         "    clear_caches()\n"
         "    return code\n",
         "the memos are released on every exit, after an error or an exception too",
@@ -298,6 +325,24 @@ MUTANTS = [
         "        parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
         "",
         "an argument the subcommand does not know is refused, as the full parser refuses it",
+    ),
+    (
+        "cli.py",
+        "    except (RecursionError, MemoryError) as exc:\n",
+        "    except MemoryError as exc:\n",
+        "an input too deep for the interpreter's recursion limit fails with one error line",
+    ),
+    (
+        "realize.py",
+        "            sign = -sign\n",
+        "",
+        "each swap of the insertion sort flips the sign of the anticommuting thetas",
+    ),
+    (
+        "realize.py",
+        "    return (((t, tuple(sorted(xp.items()))), sign),)",
+        "    return (((t, tuple(sorted(xp.items()))), 1),)",
+        "a product of monomials carries the sign of sorting its joined thetas",
     ),
 ]
 

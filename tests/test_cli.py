@@ -194,6 +194,30 @@ class TestExitCodes:
         assert out == ""
         assert "error: number of variables must be >= 0, got -3" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("schur", "(;600)"), ("convert", "[1100]", "--from", "M", "--to", "L")],
+    )
+    def test_too_deep_input_is_1(self, argv):
+        """A one-row shape and a long plain part recurse past the
+        interpreter's limit: one error line, no traceback, no output."""
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: the input is too large to compute (RecursionError)"]
+
+    def test_out_of_memory_is_1(self, capsys, monkeypatch):
+        import superqsym.cli as cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.superschur, "schur_to_L", exhausted)
+        assert main(["schur", "(1;2)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the input is too large to compute (MemoryError)\n"
+
     @pytest.mark.parametrize("bounds", [("-1", "1"), ("3", "-1")])
     def test_negative_verify_bounds_is_1(self, capsys, bounds):
         degree, fermionic = bounds

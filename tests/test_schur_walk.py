@@ -1,7 +1,8 @@
 """The memoized walk behind schur_to_L against the tableau enumeration it
 replaces, the pruned tableau listings against the unpruned walk they
-replace, the backward live table against the forward one it replaces, and
-the constructive strips against the filtering oracles."""
+replace, the backward live table against the forward one it replaces, its
+strip builders against the enumeration of every removable strip, and the
+constructive strips against the filtering oracles."""
 
 import functools
 import hashlib
@@ -228,36 +229,87 @@ def test_backward_table_expands_no_dead_state():
         assert len(table) == held == oracle_held - dead, text
 
 
+def test_builders_match_the_removals_oracle():
+    """The backward table's builders against the oracle that lists every
+    removable strip and files it by the row of its new circle: on every star
+    of at most ten cells, every inner star of shapes(3) inside it and every
+    circle row u, _corners gives the oracle's one-cell strips and
+    _circle_strips the oracle's strips of row u, as sorted lists.  The
+    counts (one-cell strips, strips, rows) show that every kind of strip is
+    compared."""
+    inners = sorted({mu.star() for mu in shapes(3)})
+    compared = [0, 0, 0]
+    for n in range(11):
+        for star in superschur.partitions_of(n):
+            for inner in inners:
+                if len(inner) > len(star) or any(map(int.__gt__, inner, star)):
+                    continue
+                cells, by_row = live_oracle._removals(star, inner)
+                assert set(by_row) <= set(range(1, len(star) + 2)), (star, inner)
+                got = _livetable._corners(star, inner)
+                assert sorted(got) == sorted(cells), (star, inner)
+                compared[0] += len(got)
+                for u in range(1, len(star) + 2):
+                    got = _livetable._circle_strips(star, inner, u)
+                    assert sorted(got) == sorted(by_row.get(u, [])), (star, inner, u)
+                    compared[1] += len(got)
+                    compared[2] += 1
+    assert compared == [1764, 7115, 4248]
+
+
 def test_walk_builds_each_star_once_per_call(monkeypatch):
-    """One schur_to_L call builds the removal table of each star it meets
-    once, however many circle configurations share the star, and builds no
-    forward strip vectors; the next call builds the same tables again, so no
-    table outlives a call."""
+    """One schur_to_L call builds the corners of each star it meets once,
+    and the strips of each (star, circle row) a state holds once, however
+    many diagram states share them, and builds no forward strip vectors;
+    the next call builds the same tables again, so no table outlives a
+    call."""
     lam = Superpartition((3, 1, 0), (2, 1))
     want = enumerated(lam)
-    built = {"removals": [], "vectors": []}
-    removals, vectors = _livetable._removals, superschur._strip_vectors
+    built = {"corners": [], "strips": [], "vectors": []}
+    corners, strips = _livetable._corners, _livetable._circle_strips
+    vectors = superschur._strip_vectors
 
-    def count_removals(star, inner):
-        built["removals"].append(star)
-        return removals(star, inner)
+    def count_corners(star, inner):
+        built["corners"].append(star)
+        return corners(star, inner)
+
+    def count_strips(star, inner, u):
+        built["strips"].append((star, u))
+        return strips(star, inner, u)
 
     def count_vectors(star, *args):
         built["vectors"].append(star)
         return vectors(star, *args)
 
-    monkeypatch.setattr(_livetable, "_removals", count_removals)
+    monkeypatch.setattr(_livetable, "_corners", count_corners)
+    monkeypatch.setattr(_livetable, "_circle_strips", count_strips)
     monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
     assert schur_to_L(lam) == want
     first = {name: list(seen) for name, seen in built.items()}
     assert first["vectors"] == []
-    assert len(first["removals"]) == len(set(first["removals"]))
-    # many diagram states share a star, and each reads the star's one build
-    assert len(first["removals"]) < len(_livetable._live_moves(lam, EMPTY_SHAPE))
+    states = len(_livetable._live_moves(lam, EMPTY_SHAPE))
+    for name in ("corners", "strips"):
+        assert len(first[name]) == len(set(first[name])), name
+        # many diagram states share a star, and each reads the star's one build
+        assert 0 < len(first[name]) < states, name
     for seen in built.values():
         seen.clear()
     assert schur_to_L(lam) == want
     assert built == first
+
+
+def test_term_order_is_pinned():
+    """schur_to_L's terms, with their coefficients and in their order, on
+    every skew pair of shapes(6), straight shapes included: the blake2b
+    digest was taken before the walk keyed its suffixes as packed
+    integers."""
+    digest = hashlib.blake2b(digest_size=32)
+    for lam, mu in skew_pairs(6):
+        digest.update(repr(list(schur_to_L(lam, mu).terms.items())).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "9fdae1ad01277b95c5a1c58484832c53135df28bb9d39c305321c902cea558a6"
+    )
 
 
 def test_tableau_listing_builds_each_star_once_per_call(monkeypatch):
