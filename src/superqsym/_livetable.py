@@ -87,7 +87,9 @@ def _origins(rows, add, under):
 
 def _live_moves(outer, inner) -> dict:
     """A walk's per-call table, built backward from outer, of the moves
-    between live diagram states, those from which outer can be reached.  It
+    between live diagram states, those from which outer can be reached.
+    superschur.schur_to_L reads its moves from it, and the tableau listings'
+    walk, superschur._walk, reads every step from it.  It
     maps outer to no moves, and each other live state whose star holds
     inner's, with at least inner's circles, to (cells, dotted): its moves onto
     live states, as (new star, new circle rows, row of the cell) and (cell

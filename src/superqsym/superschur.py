@@ -173,18 +173,17 @@ def superpartitions(degree: int, circles: int) -> list[Superpartition]:
 # A strip works on the diagram, which is the superpartition itself: `star`,
 # the row lengths longest first, and `rows`, the diagram rows of the circles
 # listed from below.  Each kind of strip is made in two stages: one reads the
-# star alone, and the other filters its output by the circle rows, so a walk
-# that meets a star under many circle configurations builds the first once.
+# star alone, and the other filters its output by the circle rows.  The Schur
+# walks build no strips here: they read their moves from _livetable.
 
 
-def _strip_vectors(star, most: int, cap, only=None) -> list:
+def _strip_vectors(star, most: int, only=None) -> list:
     """The star-only stage of the strips over a diagram whose row lengths are
     `star`: every vector of at most `most` cells added per row, in
     lexicographic order, as (cell count, new star, vector, _new_circle_row).
-    With `cap`, a star such as an outer shape's, no row grows past it; with
-    None, no row is capped.  With `only`, one vector with an entry per row of
-    star and one for the empty row under it, the output holds that vector
-    alone, or nothing when it is not among them.
+    With `only`, one vector with an entry per row of star and one for the
+    empty row under it, the output holds that vector alone, or nothing when
+    it is not among them.
 
     Each row has room up to the old length of the row above, so every vector
     is a horizontal strip.  None of this reads the circles, which only
@@ -193,8 +192,6 @@ def _strip_vectors(star, most: int, cap, only=None) -> list:
     room = []
     for i, here in enumerate(padded):
         top = min(padded[i - 1], here + most) if i else here + most
-        if cap is not None:
-            top = min(top, cap[i] if i < len(cap) else 0)
         room.append(range(max(0, top - here) + 1))
     if only is None:
         adds = product(*room)
@@ -236,41 +233,31 @@ def _strips(vectors, rows, dotted):
         yield size, new, moved[:idx] + (row,) + moved[idx:], idx
 
 
-def _targets(sp: Superpartition, size: int, dotted: bool, vectors) -> list:
-    """The `size`-cell strips that `vectors`, the _strip_vectors of sp's
-    star, make over sp, as (target, cells, new-circle index), sorted by
-    target."""
-    padded = sp[0] + (0,)
-    found = [
-        (
-            Superpartition._of((star, rows)),
-            tuple(
-                (r, c)
-                for r, (lo, hi) in enumerate(zip(padded, star), 1)
-                for c in range(lo + 1, hi + 1)
-            ),
-            idx,
-        )
-        for _, star, rows, idx in _strips(
-            [v for v in vectors if v[0] == size], sp[1], dotted
-        )
-    ]
+def _by_target(found) -> list:
+    """`found`, pairs (diagram, new-circle index), as (target, index) sorted
+    by target: fermionic parts, then bosonic."""
+    found = [(Superpartition._of(diagram), idx) for diagram, idx in found]
     found.sort(key=lambda t: (t[0].fermionic, t[0].bosonic))
     return found
 
 
 def _uncapped_targets(gamma, size, dotted) -> list:
+    """The `size`-cell strips over gamma, as (target, new-circle index),
+    sorted by target."""
     # every shape contains the empty one, so this only checks gamma's type
     _require_inside(gamma, EMPTY_SHAPE)
     size = _as_int(size)
     if size < 0:
         raise ValueError(f"strip size must be >= 0, got {size}")
-    return _targets(gamma, size, dotted, _strip_vectors(gamma[0], size, None))
+    vectors = [v for v in _strip_vectors(gamma[0], size) if v[0] == size]
+    return _by_target(
+        ((star, rows), idx) for _, star, rows, idx in _strips(vectors, gamma[1], dotted)
+    )
 
 
 def bosonic_strips(gamma: Superpartition, size: int) -> tuple[Superpartition, ...]:
     """All targets one bosonic horizontal `size`-strip above gamma."""
-    return tuple(target for target, _, _ in _uncapped_targets(gamma, size, False))
+    return tuple(target for target, _ in _uncapped_targets(gamma, size, False))
 
 
 def fermionic_strips(
@@ -281,7 +268,7 @@ def fermionic_strips(
     strip cell; remaining circles move as in the bosonic case."""
     return tuple(
         (target, target.circles_from_below()[idx] + 1)
-        for target, _, idx in _uncapped_targets(gamma, size, True)
+        for target, idx in _uncapped_targets(gamma, size, True)
     )
 
 
@@ -355,36 +342,57 @@ class STableau(NamedTuple):
         return "\n".join(lines)
 
 
+# the moves of a state missing from a _live_moves table
+_DEAD = ((), ())
+
+
 def _initial_circles(inner: Superpartition) -> tuple[tuple[int, Optional[int]], ...]:
     return tuple((v, None) for v in inner.circles_from_below())
 
 
-def _steps(sp, circles, letter, part, vectors, outer):
-    """(target, cells, new circles) for every strip of `part` over sp that
-    `vectors`, _strip_vectors records over sp's star, make inside outer, where
-    `circles` pairs each circle value of sp, from below, with its letter (None
-    on a circle of the inner shape); a dotted part's new circle gets `letter`.
-    A dotted part needs a circle of outer left to fill."""
-    if part.dotted and sp.n_circles >= outer.n_circles:
-        return []
-    out = []
-    for target, cells, idx in _targets(sp, part.value, part.dotted, vectors):
-        letters = [l for _, l in circles]
-        if idx is not None:
-            letters.insert(idx, letter)
-        out.append((target, cells, tuple(zip(target.circles_from_below(), letters))))
-    return out
+def _step(sp, circles, letter, target, idx):
+    """(target, cells, new circles) of the strip from sp to target, where
+    `circles` pairs sp's circle values, from below, with their letters (None
+    on inner's circles); a new circle, at index idx from below, gets `letter`."""
+    cells = tuple(
+        (r, c)
+        for r, (lo, hi) in enumerate(zip(sp[0] + (0,), target[0]), 1)
+        for c in range(lo + 1, hi + 1)
+    )
+    letters = [l for _, l in circles]
+    if idx is not None:
+        letters.insert(idx, letter)
+    return target, cells, tuple(zip(target.circles_from_below(), letters))
+
+
+def _steps(live, sp, part) -> list:
+    """The (target, new-circle index) of every strip of `part` over sp that
+    the _live_moves table `live` holds, sorted by target.  A dotted part is
+    one of sp's dotted moves; a bosonic k-strip is k one-cell moves, each in
+    a row no lower than the last, so bottom row first and each row's cells
+    left to right; a 0-strip stays on sp."""
+    if part.dotted:
+        dotted = live.get(sp, _DEAD)[1]
+        found = [((new, rows), idx) for n, new, rows, idx in dotted if n == part.value]
+        return _by_target(found)
+    # (state, row of its last cell): the first cell may go in any row
+    layer = [(sp, len(sp[0]) + 1)]
+    for _ in range(part.value):
+        layer = [
+            ((new, rows), row)
+            for state, last in layer
+            for new, rows, row in live.get(state, _DEAD)[0]
+            if row <= last
+        ]
+    return _by_target((state, None) for state, _ in layer)
 
 
 def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles).  The
-    walk reads only liveness from the call's _live_moves table: it steps
-    only onto states the table holds, so every chain it follows can still
-    end at outer."""
-    cap, degree = outer[0], outer.degree
-    stars = functools.cache(lambda star: _strip_vectors(star, degree - sum(star), cap))
+    walk reads every step from the call's _live_moves table, so every chain
+    it follows can still end at outer."""
     live = _live_moves(outer, inner)
 
     def go(sp, chain, cells, circles, weight):
@@ -394,13 +402,9 @@ def _walk(outer, inner, menu, emit) -> None:
                 emit(chain, weight, cells, circles)
             return
         letter = len(weight) + 1
-        vectors = stars(sp[0])
         for part in parts:
-            for target, new_cells, new_circles in _steps(
-                sp, circles, letter, part, vectors, outer
-            ):
-                if target not in live:
-                    continue
+            for target, idx in _steps(live, sp, part):
+                target, new_cells, new_circles = _step(sp, circles, letter, target, idx)
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)
                 weight.append(part)
@@ -506,23 +510,22 @@ def standardize(tab: STableau) -> STableau:
                 steps.append((DottedPart(1, False), (cell,)))
 
     sp = tab.inner
-    outer = tab.outer
     chain = [sp]
     circles = _initial_circles(tab.inner)
     out_cells: list[tuple[tuple[int, int], int]] = []
     weight: list[DottedPart] = []
     for letter, (part, cells) in enumerate(steps, start=1):
-        # the cells fix the strip: check the one vector that adds them
+        # the cells fix the strip: check the one vector that adds them; a
+        # step past outer is caught at the end, as stars and circles only grow
         star, want = sp[0], frozenset(cells)
         add = tuple(sum(1 for r, _ in want if r == i) for i in range(1, len(star) + 2))
-        most = min(part.value, outer.degree - sum(star))
-        vectors = _strip_vectors(star, most, outer[0], add)
+        vectors = _strip_vectors(star, part.value, add)
         matches = [
-            e
-            for e in _steps(sp, circles, letter, part, vectors, outer)
-            if frozenset(e[1]) == want
+            _step(sp, circles, letter, Superpartition._of((new, rows)), idx)
+            for n, new, rows, idx in _strips(vectors, sp[1], part.dotted)
+            if n == part.value
         ]
-        if len(matches) != 1:
+        if len(matches) != 1 or frozenset(matches[0][1]) != want:
             raise ValueError("standardization produced an ambiguous or invalid step")
         target, new_cells, new_circles = matches[0]
         out_cells.extend((cell, letter) for cell in new_cells)
@@ -543,10 +546,6 @@ def standardize(tab: STableau) -> STableau:
 
 # ---------------------------------------------------------------------------
 # Schur expansions
-
-
-# the moves of a state missing from a _live_moves table
-_DEAD = ((), ())
 
 
 def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Expr:
@@ -616,9 +615,9 @@ def realize_s(
     outer: Superpartition, inner: Superpartition, nvars: int
 ) -> SuperPolynomial:
     """Generating sum over all s-tableaux with exactly `nvars` letters
-    (weights may contain 0 and d0).  It walks the listings' pruned walk, whose
-    live states schur_to_L reads too, so it is no longer an independent
-    oracle for schur_to_L; the tests keep an unpruned copy of the walk."""
+    (weights may contain 0 and d0).  It walks the listings' walk, which reads
+    its steps from the live table schur_to_L reads too, so it is no longer an
+    independent oracle for schur_to_L; the tests keep an unpruned copy."""
     nvars = _check_nvars(nvars)
     _require_inside(outer, inner)
     terms: dict = {}

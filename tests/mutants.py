@@ -97,15 +97,15 @@ MUTANTS = [
     ),
     (
         "superschur.py",
-        "_strip_vectors(star, degree - sum(star), cap)",
-        "_strip_vectors(star, degree - sum(star) - 1, cap)",
-        "a listing's star gets every strip size that fits under the outer shape",
+        "if row <= last\n",
+        "if row < last\n",
+        "a bosonic k-strip may put several cells in one row, left to right",
     ),
     (
         "superschur.py",
-        "if part.dotted and sp.n_circles >= outer.n_circles:",
-        "if part.dotted and sp.n_circles > outer.n_circles:",
-        "a tableau's walk adds no circle beyond the outer shape's",
+        "for n, new, rows, idx in dotted if n == part.value]",
+        "for n, new, rows, idx in dotted if n >= part.value]",
+        "a dotted part dk is a fermionic strip of exactly k cells",
     ),
     (
         "_livetable.py",
@@ -121,9 +121,9 @@ MUTANTS = [
     ),
     (
         "superschur.py",
-        "                if target not in live:\n                    continue\n",
-        "",
-        "the tableau listings step only onto states that reach the outer shape",
+        "letters.insert(idx, letter)",
+        "letters.insert(0, letter)",
+        "a new circle's letter goes in the circle's own slot from below",
     ),
     (
         "superschur.py",
@@ -172,6 +172,24 @@ MUTANTS = [
         "accumulate(out, acc.terms, -c if crossings % 2 else c)",
         "accumulate(out, acc.terms, c)",
         "reversing the columns passes each column's dotted parts over the later ones",
+    ),
+    (
+        "hopf.py",
+        "c = -c1 * c2 if a_odd and b_odd else c1 * c2",
+        "c = c1 * c2",
+        "Delta(a)Delta(b) passes a2 over b1, a Koszul sign when both are odd",
+    ),
+    (
+        "hopf.py",
+        "sign = -1 if (a.fermionic_degree * b.fermionic_degree) % 2 else 1",
+        "sign = 1",
+        "S(a . b) carries the sign (-1)^(m(a)m(b))",
+    ),
+    (
+        "hopf.py",
+        "sign = -1 if (a.fermionic_degree * b.fermionic_degree - 1) % 2 else 1",
+        "sign = -1",
+        "S(a (.) b) carries the sign (-1)^(m(a)m(b)-1)",
     ),
     (
         "shuffles.py",

@@ -9,9 +9,9 @@ for the package's bosonic_strips and fermionic_strips.
 _strips is the generator the package had before its strips were built
 directly: it walks every vector of cells added per row, builds each vector's
 cells, and keeps those whose circles land legally.  It is the oracle for the
-one-cell and fermionic moves of the Schur walk: superschur._cells over a
-star's corners and superschur._strips over its vectors, both from
-superschur._star_moves."""
+package's superschur._strips over superschur._strip_vectors, and the strip
+source of tests/tableau_oracle.py and tests/live_oracle.py, so that no
+oracle shares strip code with what it checks."""
 
 from itertools import product
 
@@ -89,8 +89,8 @@ def _strips(star, rows, sizes: range, dotted, cap=None):
     """Every horizontal strip of type s over the diagram (star, rows) whose
     cell count lies in `sizes`, kept from every vector of cells added per
     row.  Yields (new star, new circle rows, cells, index of the new circle
-    among the circles from below, or None for a bosonic strip).  With `cap`, a star such as an outer
-    shape's, no row grows past it.
+    among the circles from below, or None for a bosonic strip).  With `cap`,
+    a star such as an outer shape's, no row grows past it.
 
     An old circle keeps its row, or moves one row down when the strip has a
     cell in its row; it must then end the topmost row of its length.  A

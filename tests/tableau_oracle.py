@@ -8,34 +8,33 @@ enumerate_s_tableaux and realize_s read it through the same menus as the
 package's.  They stay here as the oracle for the package's listings, and
 dot_standard_tableaux as the oracle for schur_to_L, so that neither oracle
 shares the live-state table the package's walks read.  The strips come from
-the package's _strip_vectors and _targets, which tests/strip_oracle.py
-checks."""
+strip_oracle._strips, which shares no strip code with the package."""
 
-import functools
-
+from strip_oracle import _strips
 from superqsym.composition import DottedPart, _coerce_part
 from superqsym.realize import SuperPolynomial
 from superqsym.superschur import (
     STableau,
+    Superpartition,
     _circle_inversions,
     _initial_circles,
-    _strip_vectors,
-    _targets,
 )
 
 
-def _steps(sp, circles, letter, part, stars, outer):
+def _steps(sp, circles, letter, part, outer):
     """(target, cells, new circles) for every strip of `part` over sp inside
-    outer; a dotted part's new circle gets `letter`."""
+    outer, sorted by target; a dotted part's new circle gets `letter`."""
     if part.dotted and sp.n_circles >= outer.n_circles:
         return []
     out = []
-    vectors = stars(sp[0])
-    for target, cells, idx in _targets(sp, part.value, part.dotted, vectors):
+    sizes = range(part.value, part.value + 1)
+    for new, rows, cells, idx in _strips(sp[0], sp[1], sizes, part.dotted, outer[0]):
+        target = Superpartition._of((new, rows))
         letters = [l for _, l in circles]
         if idx is not None:
             letters.insert(idx, letter)
         out.append((target, cells, tuple(zip(target.circles_from_below(), letters))))
+    out.sort(key=lambda step: (step[0].fermionic, step[0].bosonic))
     return out
 
 
@@ -43,8 +42,6 @@ def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over every chain of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
     there; a stop at outer calls emit(chain, weight, cells, circles)."""
-    cap, degree = outer[0], outer.degree
-    stars = functools.cache(lambda star: _strip_vectors(star, degree - sum(star), cap))
 
     def go(sp, chain, cells, circles, weight):
         parts = menu(sp, weight)
@@ -55,7 +52,7 @@ def _walk(outer, inner, menu, emit) -> None:
         letter = len(weight) + 1
         for part in parts:
             for target, new_cells, new_circles in _steps(
-                sp, circles, letter, part, stars, outer
+                sp, circles, letter, part, outer
             ):
                 chain.append(target)
                 cells.extend((cell, letter) for cell in new_cells)

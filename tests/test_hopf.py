@@ -449,8 +449,11 @@ def _no_dotted_fusion(good):
 
 class TestVerifySuite:
     def test_small_universe_passes(self):
-        report = verify_hopf(3, 1)
-        assert report.passed
+        # m <= 2 is the least universe where the bialgebra's Koszul sign and
+        # the signs of S(a . b) and S(a (.) b) each decide a check
+        for bounds in ((3, 1), (3, 2)):
+            report = verify_hopf(*bounds)
+            assert report.passed, bounds
         names = {c.name for c in report.checks}
         assert "convolution_M" in names and "bialgebra_L" in names
 

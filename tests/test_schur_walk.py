@@ -8,6 +8,7 @@ import functools
 import hashlib
 import types
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import live_oracle
@@ -15,6 +16,7 @@ import strip_oracle
 import tableau_oracle
 from superqsym import _livetable, superschur
 from superqsym.algebra import Expr
+from superqsym.composition import DottedPart
 from superqsym.superschur import (
     EMPTY_SHAPE,
     Superpartition,
@@ -127,6 +129,22 @@ def test_random_shapes_up_to_seven(shape):
     assert schur_to_L(lam, mu) == enumerated(lam, mu)
 
 
+@settings(max_examples=25, deadline=None)
+@given(skew_shapes())
+def test_random_listings_up_to_seven(shape):
+    """The listings against the unpruned oracle on skew shapes beyond
+    shapes(6): the same tableaux and terms, in the same order, bosonic
+    k-strips included."""
+    lam, mu = shape
+    want = tableau_oracle.dot_standard_tableaux(lam, mu)
+    assert dot_standard_tableaux(lam, mu) == want
+    for weight in weights(lam, mu):
+        want = tableau_oracle.enumerate_s_tableaux(lam, mu, weight)
+        assert enumerate_s_tableaux(lam, mu, weight) == want, weight
+    got, want = realize_s(lam, mu, 2), tableau_oracle.realize_s(lam, mu, 2)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_strips_match_the_filter():
     for gamma in shapes(6):
         for size in range(5):
@@ -139,40 +157,30 @@ def test_strips_match_the_filter():
 
 
 def test_walk_moves_match_the_product_filter():
-    """The forward moves from every diagram state inside every outer shape,
-    capped by the outer shape and not, read through the oracle's star-only
-    stage (live_oracle._star_moves), its one-cell filter and the package's
-    _strips, against the generator the package had before, which filtered
-    every row-room vector: same tuples, same order."""
+    """The strips over every diagram state of shapes(7), of at most each
+    size an outer shape of shapes(7) leaves room for, read through the
+    package's _strip_vectors and _strips, against the generator the package
+    had before, which filtered every row-room vector: same tuples, same
+    order."""
     universe = shapes(7)
-    for lam in universe:
-        for mu in universe:
-            if not lam.contains(mu):
-                continue
-            star, rows = mu
-            # at least one cell, so that every state's one-cell moves are
-            # checked, those of a full shape uncapped included
-            most = max(lam.degree - mu.degree, 1)
-            sizes = range(most + 1)
-            for cap in (lam.star(), None):
-                corners, vectors = live_oracle._star_moves(star, cap, most)
-                want = [
-                    (new, new_rows, cells[0][0])
-                    for new, new_rows, cells, _ in strip_oracle._strips(
-                        star, rows, range(1, 2), False, cap
-                    )
-                ]
-                got = list(live_oracle._cells(corners, rows))
-                assert got == want, (lam, mu, cap)
-                for dotted in (False, True):
-                    want = [
-                        (len(cells), new, new_rows, idx)
-                        for new, new_rows, cells, idx in strip_oracle._strips(
-                            star, rows, sizes, dotted, cap
-                        )
-                    ]
-                    got = list(superschur._strips(vectors, rows, dotted))
-                    assert got == want, (lam, mu, cap, dotted)
+    # at least one cell, so that every state's one-cell strips are checked
+    cases = {
+        (mu, max(lam.degree - mu.degree, 1))
+        for lam in universe
+        for mu in universe
+        if lam.contains(mu)
+    }
+    for (star, rows), most in cases:
+        vectors = superschur._strip_vectors(star, most)
+        for dotted in (False, True):
+            want = [
+                (len(cells), new, new_rows, idx)
+                for new, new_rows, cells, idx in strip_oracle._strips(
+                    star, rows, range(most + 1), dotted
+                )
+            ]
+            got = list(superschur._strips(vectors, rows, dotted))
+            assert got == want, (star, rows, most, dotted)
 
 
 def reached(table, inner):
@@ -257,14 +265,9 @@ def test_builders_match_the_removals_oracle():
     assert compared == [1764, 7115, 4248]
 
 
-def test_walk_builds_each_star_once_per_call(monkeypatch):
-    """One schur_to_L call builds the corners of each star it meets once,
-    and the strips of each (star, circle row) a state holds once, however
-    many diagram states share them, and builds no forward strip vectors;
-    the next call builds the same tables again, so no table outlives a
-    call."""
-    lam = Superpartition((3, 1, 0), (2, 1))
-    want = enumerated(lam)
+def count_builds(monkeypatch):
+    """Record every star the live table's builders, _corners and
+    _circle_strips, and the forward _strip_vectors are called on."""
     built = {"corners": [], "strips": [], "vectors": []}
     corners, strips = _livetable._corners, _livetable._circle_strips
     vectors = superschur._strip_vectors
@@ -284,6 +287,18 @@ def test_walk_builds_each_star_once_per_call(monkeypatch):
     monkeypatch.setattr(_livetable, "_corners", count_corners)
     monkeypatch.setattr(_livetable, "_circle_strips", count_strips)
     monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
+    return built
+
+
+def test_walk_builds_each_star_once_per_call(monkeypatch):
+    """One schur_to_L call builds the corners of each star it meets once,
+    and the strips of each (star, circle row) a state holds once, however
+    many diagram states share them, and builds no forward strip vectors;
+    the next call builds the same tables again, so no table outlives a
+    call."""
+    lam = Superpartition((3, 1, 0), (2, 1))
+    want = enumerated(lam)
+    built = count_builds(monkeypatch)
     assert schur_to_L(lam) == want
     first = {name: list(seen) for name, seen in built.items()}
     assert first["vectors"] == []
@@ -313,23 +328,20 @@ def test_term_order_is_pinned():
 
 
 def test_tableau_listing_builds_each_star_once_per_call(monkeypatch):
-    """dot_standard_tableaux reads every step's strips from one per-call star
-    table: a call builds each star's strip vectors at most once, and the next
-    call builds them again.  The digest pins the 290 tableaux of the listing,
+    """dot_standard_tableaux reads every step from the call's live table: a
+    call builds each star's corners and each (star, circle row)'s strips at
+    most once, builds no forward strip vectors, and the next call builds the
+    same tables again.  The digest pins the 290 tableaux of the listing,
     tableau for tableau and in order."""
     lam = Superpartition((3, 1, 0), (2, 1))
-    built = []
-    vectors = superschur._strip_vectors
-
-    def count_vectors(star, *args):
-        built.append(star)
-        return vectors(star, *args)
-
-    monkeypatch.setattr(superschur, "_strip_vectors", count_vectors)
+    built = count_builds(monkeypatch)
     tabs = dot_standard_tableaux(lam, EMPTY_SHAPE)
-    first = list(built)
-    assert len(first) == len(set(first)), len(first)
-    built.clear()
+    first = {name: list(seen) for name, seen in built.items()}
+    assert first["vectors"] == []
+    for name in ("corners", "strips"):
+        assert 0 < len(first[name]) == len(set(first[name])), name
+    for seen in built.values():
+        seen.clear()
     assert dot_standard_tableaux(lam, EMPTY_SHAPE) == tabs
     assert built == first
     assert len(tabs) == 290
@@ -340,18 +352,18 @@ def test_tableau_listing_builds_each_star_once_per_call(monkeypatch):
 
 
 def test_tableau_walk_stays_inside_the_outer_shape(monkeypatch):
-    """Every strip the tableau walk takes lands inside the outer shape: no
+    """Every step the tableau walk takes lands inside the outer shape: no
     step adds a cell past it, nor a circle beyond its own circles."""
     lam = Superpartition((3, 1, 0), (2, 1))
     reached = []
-    targets = superschur._targets
+    step = superschur._step
 
     def record(*args):
-        found = targets(*args)
-        reached.extend(target for target, _, _ in found)
+        found = step(*args)
+        reached.append(found[0])
         return found
 
-    monkeypatch.setattr(superschur, "_targets", record)
+    monkeypatch.setattr(superschur, "_step", record)
     assert len(dot_standard_tableaux(lam, EMPTY_SHAPE)) == 290
     assert lam in reached
     assert all(lam.contains(target) for target in reached)
@@ -377,9 +389,9 @@ def test_standardize_builds_only_the_sizes_its_steps_use(monkeypatch):
         builds = []
         largest = None
 
-        def count_vectors(star, most, cap, only=None):
+        def count_vectors(star, most, only=None):
             assert most <= largest, (star, most, largest)
-            found = vectors(star, most, cap, only)
+            found = vectors(star, most, only)
             builds.append(len(found))
             return found
 
@@ -394,6 +406,25 @@ def test_standardize_builds_only_the_sizes_its_steps_use(monkeypatch):
         assert (len(builds), sum(builds)) == (n_steps, n_steps), fermionic
         listing = repr([tuple(tab) for tab in std]).encode()
         assert hashlib.sha256(listing).hexdigest() == digest
+
+
+def test_standardize_refuses_a_step_past_the_outer_shape():
+    """standardize builds each step with no cap, so a step past the outer
+    shape, a cell beyond its rows or a circle beyond its circles, is caught
+    by the final check: stars and circles never shrink."""
+    sp = Superpartition.parse
+    one, dot = DottedPart(1, False), DottedPart(0, True)
+    cases = [
+        # the second cell widens row 1 past outer, though the degree fits
+        ("(;1,1)", (one, one), (((1, 1), 1), ((1, 2), 2))),
+        # the d0 adds a circle outer does not have
+        ("(;1)", (one, dot), (((1, 1), 1),)),
+    ]
+    for text, weight, cells in cases:
+        outer = sp(text)
+        tab = superschur.STableau(EMPTY_SHAPE, outer, (), weight, cells, ())
+        with pytest.raises(ValueError):
+            standardize(tab)
 
 
 def recording_functools(calls):
@@ -466,13 +497,15 @@ def test_listing_walk_enters_only_frames_on_listed_chains(monkeypatch):
 
 
 def test_schur_walk_lists_no_tableaux(monkeypatch):
+    """schur_to_L counts the tableaux: it takes no listing step and calls no
+    listing."""
     def refuse(*args):
         raise AssertionError("schur_to_L listed strips or tableaux")
 
     lam, mu = Superpartition((3, 1), (3, 2, 1)), Superpartition((0,), (1,))
     want = enumerated(lam, mu)
-    monkeypatch.setattr(superschur, "_targets", refuse)
-    monkeypatch.setattr(superschur, "dot_standard_tableaux", refuse)
+    for name in ("_steps", "_step", "dot_standard_tableaux"):
+        monkeypatch.setattr(superschur, name, refuse)
     got = schur_to_L(lam, mu)
     monkeypatch.undo()
     assert got == want
