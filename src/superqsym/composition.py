@@ -497,35 +497,18 @@ def column_decomposition(gamma: DottedComposition) -> list[DottedComposition]:
 
 
 def compositions_of(n: int, m: int) -> list[DottedComposition]:
-    """All dotted compositions of bidegree (n, m), sorted.  Each part is
-    built once and shared by every composition that holds it."""
+    """All dotted compositions of bidegree (n, m), sorted: those of n + m
+    with m dots, as compositions_with_total lists them."""
     n, m = _as_int(n), _as_int(m)
-    plain = [DottedPart(v, False) for v in range(n + 1)]
-    dots = [DottedPart(v, True) for v in range(n + 1)] if m > 0 else []
-    results: list[DottedComposition] = []
-
-    def go(rem_n: int, rem_m: int, acc: list[DottedPart]):
-        if rem_n == 0 and rem_m == 0:
-            results.append(DottedComposition._of(tuple(acc)))
-        # dv sorts before v, and both before any larger first part
-        for v in range(rem_n + 1):
-            if rem_m > 0:
-                acc.append(dots[v])
-                go(rem_n - v, rem_m - 1, acc)
-                acc.pop()
-            if v:
-                acc.append(plain[v])
-                go(rem_n - v, rem_m, acc)
-                acc.pop()
-
-    go(n, m, [])
-    del go  # go reaches itself through its closure: free the walk now
-    return results
+    if m == 0:
+        return compositions_with_total(n, 0)
+    return [alpha for alpha in compositions_with_total(n + m, m) if alpha.fermionic_degree == m]
 
 
 def compositions_with_total(total: int, max_fermionic: Optional[int] = None) -> list[DottedComposition]:
     """All dotted compositions with n + m == total (optionally capping m),
-    sorted.  Each part is built once and shared, as in compositions_of."""
+    sorted.  Each part is built once and shared by every composition that
+    holds it."""
     total = _as_int(total)
     top = total if max_fermionic is None else min(total, _as_int(max_fermionic))
     plain = [DottedPart(v, False) for v in range(total + 1)]

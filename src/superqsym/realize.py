@@ -42,21 +42,11 @@ class FaithfulnessError(ValueError):
 
 def _sort_sign(indices: Iterable[int]) -> tuple[int, Theta]:
     """Sign of the permutation sorting `indices`; 0 on repeats."""
-    lst = list(indices)
-    seen = set()
-    for i in lst:
-        if i in seen:
-            return 0, ()
-        seen.add(i)
-    sign = 1
-    # insertion sort; grids are tiny
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(lst)
+    lst = tuple(indices)
+    if len(set(lst)) < len(lst):
+        return 0, ()
+    inversions = sum(a > b for a, b in itertools.combinations(lst, 2))
+    return -1 if inversions % 2 else 1, tuple(sorted(lst))
 
 
 def monomial(theta: Iterable[int], xpows: Mapping[int, int]) -> tuple[int, Monomial]:
@@ -185,44 +175,36 @@ def _defsets_sum(
     equal: frozenset[int],
 ) -> SuperPolynomial:
     """Sum over i_1 <= ... <= i_{n+m} <= nvars with forced strict/equal steps,
-    with theta/x factors read off F(alpha)."""
+    with theta/x factors read off F(alpha).  Positions joined by an equal
+    step share one slot, and each strict step before a position adds one to
+    its index; so the slots' shifted indices run over the weakly increasing
+    tuples of 1..nvars - #strict."""
     n, m = alpha.degrees()
-    total = n + m
     F = def_sets(alpha).F
+    # each position's slot, index shift and dot; at the end `slot` counts
+    # the slots and `shift` the strict steps
+    place = []
+    slot = shift = 0
+    for k in range(1, n + m + 1):
+        place.append((slot, shift, k in F))
+        if k not in equal:
+            slot += 1
+        if k in strict:
+            shift += 1
     out: dict[Monomial, int] = {}
-    if total == 0:
-        return SuperPolynomial.one(nvars)
-
-    seq = [0] * (total + 1)  # 1-based positions
-
-    def go(k: int):
-        if k > total:
-            theta = []
-            xpows: dict[int, int] = {}
-            for j in range(1, total + 1):
-                if j in F:
-                    theta.append(seq[j])
-                else:
-                    xpows[seq[j]] = xpows.get(seq[j], 0) + 1
-            sign, t = _sort_sign(theta)
-            if sign == 0:
-                return
-            key = (t, tuple(sorted((i, e) for i, e in xpows.items() if e)))
+    for idx in itertools.combinations_with_replacement(range(1, nvars - shift + 1), slot):
+        theta = []
+        xpows: dict[int, int] = {}
+        for j, up, dotted in place:
+            i = idx[j] + up
+            if dotted:
+                theta.append(i)
+            else:
+                xpows[i] = xpows.get(i, 0) + 1
+        sign, t = _sort_sign(theta)
+        if sign:
+            key = (t, tuple(sorted(xpows.items())))
             out[key] = out.get(key, 0) + sign
-            return
-        lo = 1 if k == 1 else seq[k - 1]
-        if k > 1 and (k - 1) in strict:
-            lo = seq[k - 1] + 1
-        if k > 1 and (k - 1) in equal:
-            choices = [seq[k - 1]]
-        else:
-            choices = range(lo, nvars + 1)
-        for v in choices:
-            seq[k] = v
-            go(k + 1)
-
-    go(1)
-    del go  # go reaches itself through its closure: free the walk now
     return SuperPolynomial._trusted(nvars, out)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional
 
 from ._livetable import _live_moves, _new_circle_row
@@ -147,23 +147,18 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> list[tuple[int, ...
 
 
 def superpartitions(degree: int, circles: int) -> list[Superpartition]:
-    """All superpartitions with |star| = degree and the given circle count."""
+    """All superpartitions with |star| = degree and the given circle count;
+    a negative degree or count has none."""
     degree, circles = _as_int(degree), _as_int(circles)
-    results: list[Superpartition] = []
-
-    def ferm(remaining: int, count: int, cap: int, acc: list[int]):
-        if count == 0:
-            for bos in partitions_of(remaining):
-                results.append(Superpartition(tuple(acc), bos))
-            return
-        # smallest possible tail sum: 0+1+...+(count-1)
-        for v in range(min(cap, remaining), count - 2, -1):
-            acc.append(v)
-            ferm(remaining - v, count - 1, v - 1, acc)
-            acc.pop()
-
-    ferm(degree, circles, degree, [])
-    del ferm  # ferm reaches itself through its closure: free the walk now
+    if circles < 0:
+        return []
+    # the fermionic parts are distinct, from degree down to 0; a negative
+    # rest has no partitions
+    results = [
+        Superpartition(ferm, bos)
+        for ferm in combinations(range(degree, -1, -1), circles)
+        for bos in partitions_of(degree - sum(ferm))
+    ]
     return sorted(results, key=lambda sp: (sp.fermionic, sp.bosonic))
 
 
@@ -390,40 +385,33 @@ def _steps(live, sp, part) -> list:
 def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight) gives the parts the next letter may take, or None to stop
-    there; a stop at outer calls emit(chain, weight, cells, circles).  The
-    walk reads every step from the call's _live_moves table, so every chain
-    it follows can still end at outer."""
+    there; a stop at outer calls emit(chain, weight, cells, circles), all
+    tuples.  The walk reads every step from the call's _live_moves table, so
+    every chain it follows can still end at outer.  It keeps its frames on a
+    stack, not the interpreter's, pushing parts and steps in reverse so that
+    they pop in order."""
     live = _live_moves(outer, inner)
-
-    def go(sp, chain, cells, circles, weight):
+    stack = [(inner, (inner,), (), _initial_circles(inner), ())]
+    while stack:
+        sp, chain, cells, circles, weight = stack.pop()
         parts = menu(sp, weight)
         if parts is None:
             if sp == outer:
                 emit(chain, weight, cells, circles)
-            return
+            continue
         letter = len(weight) + 1
-        for part in parts:
-            for target, idx in _steps(live, sp, part):
-                target, new_cells, new_circles = _step(sp, circles, letter, target, idx)
-                chain.append(target)
-                cells.extend((cell, letter) for cell in new_cells)
-                weight.append(part)
-                go(target, chain, cells, new_circles, weight)
-                weight.pop()
-                del cells[len(cells) - len(new_cells) :]
-                chain.pop()
-
-    go(inner, [inner], [], _initial_circles(inner), [])
-    del go  # go reaches itself through its closure: free the walk now
+        for part in reversed(parts):
+            for target, idx in reversed(_steps(live, sp, part)):
+                target, added, new_circles = _step(sp, circles, letter, target, idx)
+                new_cells = cells + tuple((cell, letter) for cell in added)
+                stack.append((target, chain + (target,), new_cells, new_circles, weight + (part,)))
 
 
 def _tableaux(outer, inner, menu) -> list[STableau]:
     results: list[STableau] = []
 
     def emit(chain, weight, cells, circles):
-        results.append(
-            STableau(inner, outer, tuple(chain), tuple(weight), tuple(cells), circles)
-        )
+        results.append(STableau(inner, outer, chain, weight, cells, circles))
 
     _walk(outer, inner, menu, emit)
     return results

@@ -247,23 +247,23 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "            if rem_m > 0:\n"
+        "            if rem_m > 0 and v < rem:\n"
         "                acc.append(dots[v])\n"
-        "                go(rem_n - v, rem_m - 1, acc)\n"
+        "                go(rem - v - 1, rem_m - 1, acc)\n"
         "                acc.pop()\n"
         "            if v:\n"
         "                acc.append(plain[v])\n"
-        "                go(rem_n - v, rem_m, acc)\n"
+        "                go(rem - v, rem_m, acc)\n"
         "                acc.pop()\n",
         "            if v:\n"
         "                acc.append(plain[v])\n"
-        "                go(rem_n - v, rem_m, acc)\n"
+        "                go(rem - v, rem_m, acc)\n"
         "                acc.pop()\n"
-        "            if rem_m > 0:\n"
+        "            if rem_m > 0 and v < rem:\n"
         "                acc.append(dots[v])\n"
-        "                go(rem_n - v, rem_m - 1, acc)\n"
+        "                go(rem - v - 1, rem_m - 1, acc)\n"
         "                acc.pop()\n",
-        "compositions_of lists dv before v at each first value",
+        "the compositions of a total list dv before v at each first value",
     ),
     (
         "composition.py",
@@ -352,15 +352,33 @@ MUTANTS = [
     ),
     (
         "realize.py",
-        "            sign = -sign\n",
-        "",
-        "each swap of the insertion sort flips the sign of the anticommuting thetas",
+        "return -1 if inversions % 2 else 1,",
+        "return 1,",
+        "each inversion of the theta indices flips the sign of the anticommuting thetas",
     ),
     (
         "realize.py",
         "    return (((t, tuple(sorted(xp.items()))), sign),)",
         "    return (((t, tuple(sorted(xp.items()))), 1),)",
         "a product of monomials carries the sign of sorting its joined thetas",
+    ),
+    (
+        "realize.py",
+        "        if k in strict:\n            shift += 1\n",
+        "",
+        "each strict step before a position raises its index by one more",
+    ),
+    (
+        "realize.py",
+        "        if k not in equal:\n            slot += 1\n",
+        "        slot += 1\n",
+        "positions joined by an equal step share one index",
+    ),
+    (
+        "superschur.py",
+        "for target, idx in reversed(_steps(live, sp, part)):",
+        "for target, idx in _steps(live, sp, part):",
+        "the listing walk pushes each part's steps in reverse, so that they pop in order",
     ),
 ]
 

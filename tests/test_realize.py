@@ -180,6 +180,19 @@ class TestRealizeL:
             via_m = realize_expr(L_to_M(Expr.basis_element("L", alpha)), 5)
             assert direct == via_m, alpha
 
+    def test_defsets_sums_match_independent_routes_past_the_gate(self):
+        """Both D/E/F sums against routes that share none of their code, on
+        every composition with n + m <= 7 and m <= 3 in 0..6 variables:
+        realize_L against the plain index sum of its M expansion, and
+        realize_M_defsets against the plain index sum of M."""
+        for alpha in universe(7, 3):
+            via_m = L_to_M(Expr.basis_element("L", alpha))
+            for nvars in range(7):
+                got = realize_L(alpha, nvars)
+                assert got == realize_expr(via_m, nvars), (alpha, nvars)
+                got = realize_M_defsets(alpha, nvars)
+                assert got == realize_M(alpha, nvars), (alpha, nvars)
+
     def test_shift_indices(self):
         p = realize_L(comp("d1"), 2)
         q = shift_indices(p, 2, 4)

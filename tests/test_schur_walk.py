@@ -6,6 +6,7 @@ constructive strips against the filtering oracles."""
 
 import functools
 import hashlib
+import sys
 import types
 
 import pytest
@@ -494,6 +495,18 @@ def test_listing_walk_enters_only_frames_on_listed_chains(monkeypatch):
         assert len(frames) <= 1 + sum(len(tab.chain) for tab in tabs), fermionic
         listing = repr([tuple(tab) for tab in tabs]).encode()
         assert hashlib.sha256(listing).hexdigest() == digest
+
+
+def test_listing_walk_runs_past_the_recursion_limit():
+    """The listing walk keeps its frames on a stack of its own, so a
+    1,200-cell row, one letter per cell, lists its one tableau under the
+    interpreter's recursion limit."""
+    assert sys.getrecursionlimit() < 1200
+    row = Superpartition((), (1200,))
+    tabs = enumerate_s_tableaux(row, EMPTY_SHAPE, [1] * 1200)
+    assert len(tabs) == 1
+    assert tabs[0].cells == tuple(((1, c), c) for c in range(1, 1201))
+    assert tabs[0].chain[-1] == row
 
 
 def test_schur_walk_lists_no_tableaux(monkeypatch):

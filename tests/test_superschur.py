@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import classical_oracle as co
@@ -97,6 +99,22 @@ class TestSuperpartition:
         # one circle, degree 2: (2;), (1;1), (0;2), (0;1,1)
         assert len(superpartitions(2, 1)) == 4
         assert len(superpartitions(0, 0)) == 1
+
+    def test_a_negative_bound_lists_nothing(self):
+        assert superpartitions(3, -1) == []
+        assert superpartitions(-1, 0) == superpartitions(-1, 2) == []
+
+    def test_enumeration_is_pinned(self):
+        """superpartitions(d, m) for d <= 10 and m <= 4, shape for shape and
+        in order: the sha256 was taken while a recursive walk listed the
+        fermionic parts."""
+        digest = hashlib.sha256()
+        for d in range(11):
+            for m in range(5):
+                digest.update(repr(superpartitions(d, m)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "9adf0b3e5c5bf320f7b156e968a16b8bf2b7816620b84dbc44af160882213e14"
+        )
 
 
 def _strip_conditions_bosonic(small, big, size):
