@@ -303,6 +303,51 @@ def _same(x: dict, y: dict) -> bool:
     return x == y
 
 
+class _Ids(dict):
+    """Dense int ids of the compositions one suite run meets: `ids[alpha]`
+    gives alpha's id, assigning the next one on a first read; `comps[i]` is
+    the composition of id i and `odd[i]` its dot parity.  The checks key
+    their sums by ids, int pairs and int triples, which hash in C, where a
+    composition re-hashes part by part on every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.comps: list[DottedComposition] = []
+        self.odd: list[int] = []
+
+    def __missing__(self, alpha: DottedComposition) -> int:
+        i = self[alpha] = len(self.comps)
+        self.comps.append(alpha)
+        self.odd.append(alpha.fermionic_degree % 2)
+        return i
+
+
+def _interned_ops(ids: _Ids, kernel: Callable, coprod: Callable, anti: Callable):
+    """(product kernel, coproduct, antipode) of one basis on ids, each
+    memoized for the run: the kernel's (id, coefficient) pairs per id pair,
+    and the coproduct's and antipode's terms per id, keyed by id pairs and
+    ids.  The memo calls the kernel without its module memo, so the run holds
+    each product once, and calls a replaced kernel as it is, so a wrapper
+    that keeps the kernel under `__wrapped__` is still the one called."""
+    comps = ids.comps
+    if hasattr(kernel, "cache_info"):
+        kernel = kernel.__wrapped__
+
+    @cache
+    def mul_ids(i: int, j: int) -> tuple:
+        return tuple([(ids[g], c) for g, c in kernel(comps[i], comps[j])])
+
+    @cache
+    def coprod_ids(i: int) -> dict:
+        return {(ids[u], ids[v]): c for (u, v), c in coprod(comps[i]).terms.items()}
+
+    @cache
+    def anti_ids(i: int) -> dict:
+        return {ids[g]: c for g, c in anti(comps[i]).terms.items()}
+
+    return mul_ids, coprod_ids, anti_ids
+
+
 def _triple(t: dict, coprod: Callable, left: bool) -> dict:
     """(Delta x id) or (id x Delta) applied to a tensor's terms; keys are
     triples, and cancelled terms stay as zeros for `_same` to drop."""
@@ -320,7 +365,7 @@ def _triple(t: dict, coprod: Callable, left: bool) -> dict:
     return out
 
 
-def _convolution(alpha: DottedComposition, ops, left: bool) -> dict:
+def _convolution(alpha: int, ops, left: bool) -> dict:
     """(S * id) or (id * S) of one basis element: S(a)·b or a·S(b) summed
     over the coproduct's splits (a, b), read straight from the product
     kernel's pairs; cancelled terms stay as zeros for `_same` to drop."""
@@ -335,21 +380,20 @@ def _convolution(alpha: DottedComposition, ops, left: bool) -> dict:
     return out
 
 
-def _bialgebra_sides(pair, mul: Callable, coprod: Callable) -> tuple[dict, dict]:
-    """Delta(ab) and Delta(a)Delta(b), with the Koszul sign, as terms with
-    the zeros kept.  Each product's (key, coefficient) pairs are read as the
-    kernel gives them: by linearity a repeated key needs no summing first."""
+def _bialgebra_sides(pair, mul: Callable, coprod: Callable, odd: list) -> tuple[dict, dict]:
+    """Delta(ab) and Delta(a)Delta(b), with the Koszul sign read from the
+    ids' dot parities `odd`, as terms with the zeros kept.  Each product's
+    (key, coefficient) pairs are read as the kernel gives them: by linearity
+    a repeated key needs no summing first."""
     a, b = pair
     lhs: dict = {}
     for gamma, v in mul(a, b):
         accumulate(lhs, coprod(gamma), v)
     rhs: dict = {}
     get = rhs.get
-    b_splits = [
-        (b1, b2, c2, b1.fermionic_degree % 2) for (b1, b2), c2 in coprod(b).items()
-    ]
+    b_splits = [(b1, b2, c2, odd[b1]) for (b1, b2), c2 in coprod(b).items()]
     for (a1, a2), c1 in coprod(a).items():
-        a_odd = a2.fermionic_degree % 2
+        a_odd = odd[a2]
         for b1, b2, c2, b_odd in b_splits:
             c = -c1 * c2 if a_odd and b_odd else c1 * c2
             right = mul(a2, b2)
@@ -361,41 +405,48 @@ def _bialgebra_sides(pair, mul: Callable, coprod: Callable) -> tuple[dict, dict]
     return lhs, rhs
 
 
-def _bullet_sides(pair, anti: Callable) -> tuple[dict, dict]:
+def _bullet_sides(pair, anti: Callable, ids: _Ids) -> tuple[dict, dict]:
     """S(a . b) against (-1)^(m(a)m(b)) (S(b) . S(a) + S(b) (.) S(a)); the
     left side is a copy of the memoized antipode, the right keeps its zeros."""
     a, b = pair
-    sign = -1 if (a.fermionic_degree * b.fermionic_degree) % 2 else 1
+    comps, odd = ids.comps, ids.odd
+    sign = -1 if odd[a] * odd[b] else 1
     sa, sb = anti(a), anti(b)
     rhs: dict = {}
     get = rhs.get
     for u, cu in sb.items():
         cu *= sign
+        u = comps[u]
         for v, cv in sa.items():
             c = cu * cv
-            key = u.concat(v)
+            v = comps[v]
+            key = ids[u.concat(v)]
             rhs[key] = get(key, 0) + c
-            key = near_concat(u, v)
-            if key is not None:
+            fused = near_concat(u, v)
+            if fused is not None:
+                key = ids[fused]
                 rhs[key] = get(key, 0) + c
-    return dict(anti(a.concat(b))), rhs
+    return dict(anti(ids[comps[a].concat(comps[b])])), rhs
 
 
-def _odot_sides(pair, anti: Callable) -> tuple[dict, dict]:
+def _odot_sides(pair, anti: Callable, ids: _Ids) -> tuple[dict, dict]:
     """S(a (.) b) against (-1)^(m(a)m(b)-1) S(b) (.) S(a); the left side is a
     copy of the memoized antipode, the right keeps its zeros."""
     a, b = pair
-    fused = near_concat(a, b)
-    lhs = {} if fused is None else dict(anti(fused))
-    sign = -1 if (a.fermionic_degree * b.fermionic_degree - 1) % 2 else 1
+    comps, odd = ids.comps, ids.odd
+    fused = near_concat(comps[a], comps[b])
+    lhs = {} if fused is None else dict(anti(ids[fused]))
+    sign = -1 if (odd[a] * odd[b] - 1) % 2 else 1
     sb, sa = anti(b), anti(a)
     rhs: dict = {}
     get = rhs.get
     for u, cu in sb.items():
         cu *= sign
+        u = comps[u]
         for v, cv in sa.items():
-            key = near_concat(u, v)
-            if key is not None:
+            fused = near_concat(u, comps[v])
+            if fused is not None:
+                key = ids[fused]
                 rhs[key] = get(key, 0) + cu * cv
     return lhs, rhs
 
@@ -411,38 +462,41 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
             f"verify bounds must be >= 0, got max degree {max_total} "
             f"and max fermionic degree {max_fermionic}"
         )
-    singles = universe(max_total, max_fermionic)
+    ids = _Ids()
+    comps = ids.comps
+    members = universe(max_total, max_fermionic)
+    singles = [ids[a] for a in members]
     singles_desc = f"n+m<={max_total}, m<={max_fermionic}"
     pairs_desc = f"combined {singles_desc}"
-    sizes = [(a, sum(a.degrees()), a.fermionic_degree) for a in singles]
+    sizes = [(ids[a], sum(a.degrees()), a.fermionic_degree) for a in members]
     pairs = [
-        (a, b)
-        for a, ta, ma in sizes
-        for b, tb, mb in sizes
-        if ta + tb <= max_total and ma + mb <= max_fermionic
+        (i, j)
+        for i, ti, mi in sizes
+        for j, tj, mj in sizes
+        if ti + tj <= max_total and mi + mj <= max_fermionic
     ]
+    e = ids[EMPTY]
     report = HopfReport()
 
-    def memo(op: Callable) -> Callable:
-        """op's terms per basis element, kept for the run."""
-        return cache(lambda alpha: op(alpha).terms)
-
-    # (product kernel, coproduct, antipode) of each basis, and the M image of
-    # an L element, read when the suite runs, so a replaced module-level
-    # function is the one checked; each check reads the memos the earlier
-    # ones filled.  The kernels' own memos are bounded by entry count, and
-    # from (7, 2) on the suite asks for more pairs than they keep
+    # (product kernel, coproduct, antipode) of each basis on ids, and the M
+    # image of an L element, read when the suite runs, so a replaced
+    # module-level function is the one checked; each check reads the memos
+    # the earlier ones filled
     ops = {
-        "M": (cache(overlapping_shuffles), memo(coproduct_M), memo(antipode_M)),
-        "L": (cache(fundamental_product), memo(coproduct_L), memo(antipode_L)),
+        "M": _interned_ops(ids, overlapping_shuffles, coproduct_M, antipode_M),
+        "L": _interned_ops(ids, fundamental_product, coproduct_L, antipode_L),
     }
     to_M = cache(L_to_M)
+
+    def shown(item) -> str:
+        """An item as its counterexample text, its ids read as compositions."""
+        return str(comps[item] if type(item) is int else (comps[item[0]], comps[item[1]]))
 
     def run(name: str, desc: str, items, test: Callable) -> None:
         result = CheckResult(name, desc, "pass")
         for item in items:
             if not test(item):
-                result = CheckResult(name, desc, "fail", str(item))
+                result = CheckResult(name, desc, "fail", shown(item))
                 break
         report.checks.append(result)
 
@@ -452,9 +506,9 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
             left: dict = {}
             right: dict = {}
             for (a, b), c in coprod(alpha).items():
-                if a == EMPTY:
+                if a == e:
                     left[b] = left.get(b, 0) + c
-                if b == EMPTY:
+                if b == e:
                     right[a] = right.get(a, 0) + c
             return _same(left, {alpha: 1}) and _same(right, {alpha: 1})
 
@@ -463,13 +517,13 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
             return _same(_triple(t, coprod, True), _triple(t, coprod, False))
 
         def convolution_ok(alpha, basis=basis):
-            target = {EMPTY: 1} if alpha == EMPTY else {}
+            target = {e: 1} if alpha == e else {}
             return _same(_convolution(alpha, ops[basis], True), target) and _same(
                 _convolution(alpha, ops[basis], False), target
             )
 
         def bialgebra_ok(pair, mul=mul, coprod=coprod):
-            return _same(*_bialgebra_sides(pair, mul, coprod))
+            return _same(*_bialgebra_sides(pair, mul, coprod, ids.odd))
 
         run(f"counit_{basis}", singles_desc, singles, counit_ok)
         run(f"coassociativity_{basis}", singles_desc, singles, coassoc_ok)
@@ -477,18 +531,18 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         run(f"bialgebra_{basis}", pairs_desc, pairs, bialgebra_ok)
 
     anti_M = ops["M"][2]
-    run("antipode_bullet_M", pairs_desc, pairs, lambda p: _same(*_bullet_sides(p, anti_M)))
-    run("antipode_odot_M", pairs_desc, pairs, lambda p: _same(*_odot_sides(p, anti_M)))
+    run("antipode_bullet_M", pairs_desc, pairs, lambda p: _same(*_bullet_sides(p, anti_M, ids)))
+    run("antipode_odot_M", pairs_desc, pairs, lambda p: _same(*_odot_sides(p, anti_M, ids)))
 
     def bullet_L_ok(pair):
         # cross-basis consistency of the concatenation product
-        a, b = pair
+        a, b = comps[pair[0]], comps[pair[1]]
         ea, eb = Expr.basis_element("L", a), Expr.basis_element("L", b)
         return to_M(bullet(ea, eb)) == bullet(to_M(ea), to_M(eb))
 
     def odot_L_ok(pair):
         # Eq. (5.4), with odot recomputed through the M basis
-        a, b = pair
+        a, b = comps[pair[0]], comps[pair[1]]
         if not (a and b):
             return True
         if a[-1].dotted or b[0].dotted:

@@ -384,17 +384,18 @@ def _steps(live, sp, part) -> list:
 
 def _walk(outer, inner, menu, emit) -> None:
     """Depth-first walk over the chains of strips from inner inside outer.
-    menu(sp, weight) gives the parts the next letter may take, or None to stop
-    there; a stop at outer calls emit(chain, weight, cells, circles), all
-    tuples.  The walk reads every step from the call's _live_moves table, so
-    every chain it follows can still end at outer.  It keeps its frames on a
+    menu(sp, weight, sizes) gives the parts the next letter may take, or None
+    to stop there, where `sizes` lists, in order, the cell counts of sp's
+    dotted moves; a stop at outer calls emit(chain, weight, cells, circles),
+    all tuples.  The walk reads every step from the call's _live_moves table,
+    so every chain it follows can still end at outer.  It keeps its frames on a
     stack, not the interpreter's, pushing parts and steps in reverse so that
     they pop in order."""
     live = _live_moves(outer, inner)
     stack = [(inner, (inner,), (), _initial_circles(inner), ())]
     while stack:
         sp, chain, cells, circles, weight = stack.pop()
-        parts = menu(sp, weight)
+        parts = menu(sp, weight, sorted({move[0] for move in live.get(sp, _DEAD)[1]}))
         if parts is None:
             if sp == outer:
                 emit(chain, weight, cells, circles)
@@ -435,7 +436,7 @@ def enumerate_s_tableaux(
     _require_inside(outer, inner)
     wt = tuple(_coerce_part(p, min_plain=0) for p in weight)
 
-    def menu(sp, weight):
+    def menu(sp, weight, sizes):
         return None if len(weight) == len(wt) else (wt[len(weight)],)
 
     return _tableaux(outer, inner, menu)
@@ -448,12 +449,11 @@ def dot_standard_tableaux(
     entries equal 1; dotted entries of any size including d0)."""
     _require_inside(outer, inner)
 
-    def menu(sp, weight):
+    def menu(sp, weight, sizes):
         if sp == outer:
             return None
-        remaining = outer.degree - sp.degree
-        parts = [DottedPart(1, False)] if remaining else []
-        parts.extend(DottedPart(v, True) for v in range(remaining + 1))
+        parts = [DottedPart(1, False)] if sp.degree < outer.degree else []
+        parts.extend(DottedPart(v, True) for v in sizes)
         return parts
 
     return _tableaux(outer, inner, menu)
@@ -610,11 +610,12 @@ def realize_s(
     _require_inside(outer, inner)
     terms: dict = {}
 
-    def menu(sp, weight):
+    def menu(sp, weight, sizes):
         if len(weight) == nvars:
             return None
-        remaining = outer.degree - sp.degree
-        return [DottedPart(v, d) for d in (False, True) for v in range(remaining + 1)]
+        parts = [DottedPart(v, False) for v in range(outer.degree - sp.degree + 1)]
+        parts.extend(DottedPart(v, True) for v in sizes)
+        return parts
 
     def emit(chain, weight, cells, circles):
         theta = tuple(i for i, p in enumerate(weight, start=1) if p.dotted)

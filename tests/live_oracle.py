@@ -16,11 +16,20 @@ circle would end.  It stays here as the oracle for the package's builders,
 _livetable._corners and _livetable._circle_strips, which build only the
 strips the backward table reads."""
 
+import functools
 import operator
 from itertools import product
 
-from strip_oracle import _strips
+import strip_oracle
 from superqsym._livetable import _new_circle_row
+
+
+@functools.cache
+def _strips(star, rows, sizes, dotted, cap):
+    """strip_oracle._strips, listed once per argument tuple for the life of
+    the test process: a table expands each state once, but the differential
+    tests build many tables over the same states."""
+    return tuple(strip_oracle._strips(star, rows, sizes, dotted, cap))
 
 
 def _removals(star, inner):

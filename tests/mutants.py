@@ -181,13 +181,13 @@ MUTANTS = [
     ),
     (
         "hopf.py",
-        "sign = -1 if (a.fermionic_degree * b.fermionic_degree) % 2 else 1",
+        "sign = -1 if odd[a] * odd[b] else 1",
         "sign = 1",
         "S(a . b) carries the sign (-1)^(m(a)m(b))",
     ),
     (
         "hopf.py",
-        "sign = -1 if (a.fermionic_degree * b.fermionic_degree - 1) % 2 else 1",
+        "sign = -1 if (odd[a] * odd[b] - 1) % 2 else 1",
         "sign = -1",
         "S(a (.) b) carries the sign (-1)^(m(a)m(b)-1)",
     ),
@@ -379,6 +379,18 @@ MUTANTS = [
         "for target, idx in reversed(_steps(live, sp, part)):",
         "for target, idx in _steps(live, sp, part):",
         "the listing walk pushes each part's steps in reverse, so that they pop in order",
+    ),
+    (
+        "hopf.py",
+        'result = CheckResult(name, desc, "fail", shown(item))',
+        'result = CheckResult(name, desc, "fail", str(item))',
+        "a counterexample is shown as compositions, not as the run's ids",
+    ),
+    (
+        "hopf.py",
+        "self.odd.append(alpha.fermionic_degree % 2)",
+        "self.odd.append(alpha.fermionic_degree // 2)",
+        "an id's parity is its dot count mod 2, which the Koszul signs read",
     ),
 ]
 

@@ -1,9 +1,11 @@
 """The axiom suite's per-item formulas, which read the product kernels'
-pairs directly, against the formulas they replace (hopf_oracle): equal left
-and right sides and equal verdicts on every item of universes larger than
-verify's acceptance gate (5, 2), and no memoized result touched by the
-in-place comparison."""
+pairs directly and sum over interned composition ids, against the formulas
+they replace (hopf_oracle), which sum over compositions: equal left and
+right sides, once the ids are read back as compositions, and equal verdicts
+on every item of universes larger than verify's acceptance gate (5, 2), and
+no memoized result touched by the in-place comparison."""
 
+import functools
 from collections import Counter
 from functools import cache
 
@@ -12,6 +14,7 @@ import pytest
 import hopf_oracle as oracle
 import superqsym.hopf as hopf
 from test_hopf import _negate_nonunit
+from superqsym import clear_caches
 from superqsym.algebra import _clean
 from superqsym.composition import EMPTY, comp, universe
 
@@ -22,9 +25,10 @@ KERNELS = {
 
 
 def _ops(basis: str, sabotage=None):
-    """(product kernel, coproduct terms, antipode terms), memoized for the
-    whole test as verify_hopf memoizes them for the run; `sabotage`, if
-    given, breaks the kernel."""
+    """(product kernel, coproduct terms, antipode terms) on compositions, as
+    the oracle reads them, memoized for the whole test as verify_hopf
+    memoizes its id-keyed ones for the run; `sabotage`, if given, breaks the
+    kernel."""
     kernel, coprod, anti = KERNELS[basis]
     return (
         sabotage(kernel) if sabotage else kernel,
@@ -46,38 +50,59 @@ def _items(max_total: int, max_fermionic: int):
     return singles, pairs
 
 
-def _assert_same_sides(new, old, item):
+def _decoded(terms: dict, comps: list) -> dict:
+    """Id-keyed terms with each id, alone or in a pair, read back as its
+    composition; the zeros stay."""
+    return {
+        comps[k] if type(k) is int else tuple(comps[i] for i in k): c
+        for k, c in terms.items()
+    }
+
+
+def _assert_same_sides(new, old, item, comps):
     lhs, rhs = new
     olhs, orhs = old
-    assert _clean(lhs) == olhs and _clean(rhs) == orhs, item
+    assert _clean(_decoded(lhs, comps)) == olhs, item
+    assert _clean(_decoded(rhs, comps)) == orhs, item
     assert hopf._same(lhs, rhs) == (olhs == orhs), item
 
 
 def _check_universe(bounds, sabotage=None):
-    """Every convolution, bialgebra and antipode-theorem item of `bounds`
-    against the oracle; returns how many items failed the axiom."""
+    """Every convolution, bialgebra and antipode-theorem item of `bounds`,
+    on the ids verify_hopf sums over, decoded and checked against the oracle
+    on compositions; returns how many items failed the axiom."""
     singles, pairs = _items(*bounds)
+    ids = hopf._Ids()
+    comps = ids.comps
     failed = 0
     for basis in ("M", "L"):
         ops = _ops(basis, sabotage)
+        kernel, coprod, anti = KERNELS[basis]
+        id_ops = hopf._interned_ops(
+            ids, sabotage(kernel) if sabotage else kernel, coprod, anti
+        )
         for alpha in singles:
             for left in (True, False):
-                new = hopf._convolution(alpha, ops, left)
+                new = hopf._convolution(ids[alpha], id_ops, left)
                 old = oracle.convolution(alpha, ops, left)
-                assert _clean(new) == old, (basis, alpha, left)
+                assert _clean(_decoded(new, comps)) == old, (basis, alpha, left)
         mul, coprod, _ = ops
-        for pair in pairs:
-            new = hopf._bialgebra_sides(pair, mul, coprod)
-            old = oracle.bialgebra_sides(pair, mul, coprod)
-            _assert_same_sides(new, old, (basis, pair))
+        id_mul, id_coprod, _ = id_ops
+        for a, b in pairs:
+            new = hopf._bialgebra_sides((ids[a], ids[b]), id_mul, id_coprod, ids.odd)
+            old = oracle.bialgebra_sides((a, b), mul, coprod)
+            _assert_same_sides(new, old, (basis, a, b), comps)
             failed += old[0] != old[1]
     anti_M = _ops("M")[2]
-    for pair in pairs:
+    id_anti_M = hopf._interned_ops(ids, *KERNELS["M"])[2]
+    for a, b in pairs:
         for new, old in [
             (hopf._bullet_sides, oracle.bullet_sides),
             (hopf._odot_sides, oracle.odot_sides),
         ]:
-            _assert_same_sides(new(pair, anti_M), old(pair, anti_M), pair)
+            _assert_same_sides(
+                new((ids[a], ids[b]), id_anti_M, ids), old((a, b), anti_M), (a, b), comps
+            )
     return failed
 
 
@@ -158,3 +183,25 @@ def test_each_result_is_asked_once_per_run(monkeypatch):
             assert {k for e in calls for k in e.terms} == singles
         else:
             assert set(calls) == singles, name
+
+
+def test_run_leaves_the_kernel_memos_empty():
+    # the run's id-keyed kernel memo calls the undecorated kernels, so the
+    # module memos hold no second copy of the products it computed
+    clear_caches()
+    assert hopf.verify_hopf(4, 2).passed
+    for kernel in (hopf.overlapping_shuffles, hopf.fundamental_product):
+        assert kernel.cache_info().currsize == 0, kernel.__name__
+
+
+def test_a_replaced_kernel_that_keeps_the_original_is_the_one_checked(monkeypatch):
+    # a replacement made with functools.wraps, as a tracer makes one, keeps
+    # the module memo under __wrapped__: the run calls the replacement, and
+    # unwraps only a kernel that is itself the module memo
+    good = hopf.fundamental_product
+    broken = functools.wraps(good)(_negate_nonunit(good))
+    assert broken.__wrapped__ is good
+    monkeypatch.setattr(hopf, "fundamental_product", broken)
+    report = hopf.verify_hopf(3, 1)
+    failing = [(c.name, c.counterexample) for c in report.checks if c.status == "fail"]
+    assert failing == [("convolution_L", "[d0,1]"), ("bialgebra_L", "([d0], [1])")]
