@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
+from itertools import chain, product as cartesian
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
@@ -26,7 +27,6 @@ from .composition import (
     _as_int,
     column_decomposition,
     is_column,
-    is_maximal,
     near_concat,
     universe,
     weak_coarsenings,
@@ -211,15 +211,52 @@ def antipode_M(a) -> Expr:
     return Expr._trusted("M", out)
 
 
+def _maximal_coarsenings(column: DottedComposition) -> list[DottedComposition]:
+    """The weak coarsenings of a column in which no two plain parts touch,
+    built directly.  Each run of ones before, between or after the dots
+    splits into the ones the dot on its left takes, at most one plain block,
+    and the ones the dot on its right takes; the coarsenings are the product
+    of these choices, run by run."""
+    runs = [0]
+    dots: list[int] = []
+    for p in column:
+        if p.dotted:
+            dots.append(p.value)
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    last = len(dots)
+    # run i's choices (a, k, b): a ones to the dot on its left, a plain
+    # block of k ones, b ones to the dot on its right
+    choices = [
+        [
+            (a, r - a - b, b)
+            for a in range(r + 1 if i else 1)
+            for b in range(r - a + 1 if i < last else 1)
+        ]
+        for i, r in enumerate(runs)
+    ]
+    plain = [DottedPart(v, False) for v in range(max(runs) + 1)]
+    out = []
+    for first, *rest in cartesian(*choices):
+        _, block, b = first
+        parts = [plain[block]] if block else []
+        for v, (a, block, right) in zip(dots, rest):
+            parts.append(DottedPart(v + b + a, True))
+            if block:
+                parts.append(plain[block])
+            b = right
+        out.append(DottedComposition._of(tuple(parts)))
+    return out
+
+
 def antipode_L_column(alpha: DottedComposition) -> Expr:
     """Antipode of a column: signed sum of L over the maximal weak
     coarsenings of the reverse."""
     if not is_column(alpha):
         raise NotAColumnError(f"{alpha} is not a column")
-    sign = _antipode_sign(alpha)
-    return Expr._trusted(
-        "L",
-        {beta: sign for beta in weak_coarsenings(alpha.reverse()) if is_maximal(beta)},
+    return Expr._wrap(
+        "L", dict.fromkeys(_maximal_coarsenings(alpha.reverse()), _antipode_sign(alpha))
     )
 
 
@@ -241,6 +278,74 @@ def antipode_L(a) -> Expr:
     return Expr._trusted("L", out)
 
 
+def _unit_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, list]:
+    """alpha^1, alpha with each plain part split into ones, and the weak
+    coarsenings of its reverse in which no block holds two ones of one part
+    of alpha.  Only the gaps between two parts of alpha may be joined, and
+    each block holds at most one dot: between two dots with no forced cut
+    between them, the free gaps may not all be joined.  The coarsenings are
+    the product of each such stretch's join patterns."""
+    one = DottedPart(1, False)
+    units: list[DottedPart] = []
+    # the gaps between two parts of alpha, by stretch from one dot to the
+    # next, and whether a forced cut inside a plain part parts the stretch's
+    # two dots already
+    free: list[list[int]] = [[]]
+    parted = [True]
+    for p in reversed(alpha):
+        if units:
+            free[-1].append(len(units) - 1)
+        if p.dotted:
+            units.append(p)
+            free.append([])
+            parted.append(False)
+        else:
+            units += [one] * p.value
+            parted[-1] = parted[-1] or p.value > 1
+    parted[-1] = True
+    # each stretch's cut patterns; the last joins every gap, which puts two
+    # dots in one block unless a forced cut parts them
+    patterns = [list(cartesian((True, False), repeat=len(gaps))) for gaps in free]
+    for s, keep in enumerate(parted):
+        if not keep:
+            patterns[s].pop()
+    gaps = [j for stretch in free for j in stretch]
+    out = []
+    for combo in cartesian(*patterns):
+        cut = [True] * len(units)
+        for j, c in zip(gaps, chain.from_iterable(combo)):
+            cut[j] = c
+        parts = []
+        value = 0
+        dotted = False
+        for u, end in zip(units, cut):
+            value += u.value
+            dotted = dotted or u.dotted
+            if end:
+                parts.append(DottedPart(value, dotted))
+                value = 0
+                dotted = False
+        out.append(DottedComposition._of(tuple(parts)))
+    return DottedComposition._of(tuple(units)), out
+
+
+def _antipode_L_via_M(a) -> Expr:
+    """The M-basis formula on L: M_to_L(antipode_M(L_to_M(a))) without the
+    listing.  In the sum over strong refinements beta of alpha, a cut inside
+    a plain part where gamma has no block boundary pairs two betas of
+    opposite sign, so only alpha^1 is left:
+    S(L_alpha) = M_to_L((-1)^(l(alpha^1) + C(m,2)) sum of M_gamma over the
+    coarsenings of _unit_coarsenings."""
+    e = _as_expr(a, "L")
+    out: dict = {}
+    for alpha, c in e.terms.items():
+        units, gammas = _unit_coarsenings(alpha)
+        c *= _antipode_sign(units)
+        for gamma in gammas:
+            out[gamma] = out.get(gamma, 0) + c
+    return M_to_L(Expr._trusted("M", out))
+
+
 def antipode(a: Expr, via: str = "columns") -> Expr:
     """S(a) on the M or L basis.  On L, `via` picks the column decomposition
     ("columns") or the M-basis formula ("monomial"); on M both name the
@@ -251,7 +356,7 @@ def antipode(a: Expr, via: str = "columns") -> Expr:
     if basis == "M":
         return antipode_M(a)
     if basis == "L":
-        return antipode_L(a) if via == "columns" else M_to_L(antipode_M(L_to_M(a)))
+        return antipode_L(a) if via == "columns" else _antipode_L_via_M(a)
     raise ValueError("no antipode is implemented on the Lbar basis")
 
 

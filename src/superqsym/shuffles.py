@@ -193,8 +193,11 @@ def overlapping_shuffles(
     """All lattice paths with unit H/V/diagonal steps on the parts grid;
     diagonals may not cross doubly-dotted cells; one (gamma, sign) per path.
     Memoized per pair."""
+    if not (alpha and beta):
+        # the one path runs along one side of the grid, below no dotted cell
+        return ((alpha or beta, 1),)
     table = _moves(alpha, beta, _overlap_diagonals)
-    out = [] if table[0][0] else [(alpha, 1)]
+    out = []
     entries = []
 
     def go(x: int, y: int, odd: int):
@@ -324,11 +327,14 @@ def fundamental_product(
     reads gamma as comp_of_word does while it steps: the parts closed so
     far, and the length and last value of the open non-dotted run.  No path
     is built.  Memoized per pair."""
+    if not (alpha and beta):
+        # the one path runs along one side of the grid, below no dotted cell
+        return ((alpha or beta, 1),)
     w_alpha = represent(alpha, 1)
     w_beta = represent(beta, _above(w_alpha))
     table = _moves(w_alpha, w_beta, _fundamental_diagonals)
     runs = [DottedPart(k, False) for k in range(len(w_alpha) + len(w_beta) + 1)]
-    acc: dict[DottedComposition, int] = {} if table[0][0] else {alpha: 1}
+    acc: dict[DottedComposition, int] = {}
 
     def go(x: int, y: int, odd: int, parts: tuple, run: int, last: int):
         for _, entry, x2, y2, flip, end in table[x][y]:

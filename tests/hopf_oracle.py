@@ -4,10 +4,28 @@ key by `_summed`, the combination went through `bilinear` on those dicts or on
 a singleton, and both sides were copied by `_clean` before they were
 compared.  They stay here, with each check's verdict turned into the two sides
 it compared, as the oracle for hopf._convolution, hopf._bialgebra_sides,
-hopf._bullet_sides and hopf._odot_sides.  The verdict is `lhs == rhs`."""
+hopf._bullet_sides and hopf._odot_sides.  The verdict is `lhs == rhs`.
 
-from superqsym.algebra import _clean, _pair, accumulate, bilinear
-from superqsym.hopf import _concat, _near_concat
+Both antipode routes on L as the package had them before they built only
+the terms they keep stay here too: the columns route filtered every weak
+coarsening of a reversed column for the maximal ones, and the monomial route
+composed L_to_M, antipode_M and M_to_L."""
+
+from superqsym.algebra import Expr, L_to_M, M_to_L, _clean, _pair, accumulate, bilinear
+from superqsym.composition import is_maximal, weak_coarsenings
+from superqsym.hopf import _antipode_sign, _concat, _near_concat, antipode_M
+
+
+def antipode_L_column(alpha) -> Expr:
+    """The antipode of a column: the maximal weak coarsenings of its
+    reverse, each with the column's sign."""
+    sign = _antipode_sign(alpha)
+    return Expr("L", {b: sign for b in weak_coarsenings(alpha.reverse()) if is_maximal(b)})
+
+
+def antipode_monomial(x: Expr) -> Expr:
+    """S(x) on L through the M basis."""
+    return M_to_L(antipode_M(L_to_M(x)))
 
 
 def _summed(pairs) -> dict:

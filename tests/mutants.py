@@ -392,6 +392,31 @@ MUTANTS = [
         "self.odd.append(alpha.fermionic_degree // 2)",
         "an id's parity is its dot count mod 2, which the Koszul signs read",
     ),
+    (
+        "shuffles.py",
+        "        return ((alpha or beta, 1),)\n    w_alpha = represent(alpha, 1)",
+        "        return ((alpha, 1),)\n    w_alpha = represent(alpha, 1)",
+        "L_alpha times the unit L_[] is L_alpha on either side",
+    ),
+    (
+        "shuffles.py",
+        "        return ((alpha or beta, 1),)\n    table = _moves(alpha, beta, _overlap_diagonals)",
+        "        return ((alpha, 1),)\n    table = _moves(alpha, beta, _overlap_diagonals)",
+        "M_alpha times the unit M_[] is M_alpha on either side",
+    ),
+    (
+        "hopf.py",
+        "for a in range(r + 1 if i else 1)",
+        "for a in range(1)",
+        "in a maximal coarsening of a column a dot's block may take the ones on its right",
+    ),
+    (
+        "hopf.py",
+        "            units += [one] * p.value\n",
+        "            free[-1] += range(len(units), len(units) + p.value - 1)\n"
+        "            units += [one] * p.value\n",
+        "in the monomial antipode no block holds two ones of one part of alpha",
+    ),
 ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import classical_oracle as co
+import hopf_oracle
 import superqsym.hopf as hopf
 from superqsym.algebra import Expr, L_to_M, M_to_L, TensorExpr, bilinear, tensor, unit
 from superqsym.composition import (
@@ -11,6 +12,7 @@ from superqsym.composition import (
     comp,
     compositions_of,
     compositions_with_total,
+    is_column,
     universe,
 )
 from superqsym.hopf import (
@@ -332,6 +334,25 @@ class TestAntipodeL:
     def test_single_column_decomposition(self):
         alpha = comp(1, 1, "d5", 1, 1, 1)
         assert antipode_L(alpha) == antipode_L_column(alpha)
+
+    def test_columns_generator_matches_the_filter(self):
+        columns = [alpha for alpha in universe(9) if is_column(alpha)]
+        assert EMPTY in columns
+        for alpha in columns:
+            assert antipode_L_column(alpha) == hopf_oracle.antipode_L_column(alpha), alpha
+
+    def test_monomial_route_matches_the_composed_maps(self):
+        for alpha in universe(7, 3):
+            x = Expr.basis_element("L", alpha)
+            assert antipode(x, via="monomial") == hopf_oracle.antipode_monomial(x), alpha
+        x = L(2, 1) + L(1, 2).scale(3) - L("d1", 2, 1) + L(3, "d0")
+        assert antipode(x, via="monomial") == hopf_oracle.antipode_monomial(x)
+
+    def test_long_inputs_past_the_recursion_limit(self):
+        # one term each: the filter and the composed maps hit the recursion
+        # limit or list 2^1099 refinements
+        assert antipode(L(*[1] * 1100)) == L(1100)
+        assert antipode(L(1100), via="monomial") == L(*[1] * 1100)
 
     def test_cross_route(self):
         for gamma in universe(4):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import classical_oracle as co
-from superqsym.composition import DottedPart, comp, compositions_of
+from superqsym import shuffles
+from superqsym.composition import EMPTY, DottedPart, comp, compositions_of
 from superqsym.shuffles import (
     DottedPermutation,
     comp_of_word,
@@ -105,6 +106,25 @@ class TestRepresent:
     def test_round_trip_shifted_start(self, start):
         alpha = comp(2, "d0", 1, 1, "d2")
         assert comp_of_word(represent(alpha, start)) == alpha
+
+
+@pytest.mark.parametrize("kernel", [fundamental_product, overlapping_shuffles])
+def test_an_empty_factor_builds_no_grid(kernel, monkeypatch):
+    calls = Counter()
+    for name in ("represent", "_moves"):
+
+        def counted(*args, real=getattr(shuffles, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(shuffles, name, counted)
+    beta = comp(2, "d1", 1)
+    for x, y, other in [(EMPTY, beta, beta), (beta, EMPTY, beta), (EMPTY, EMPTY, EMPTY)]:
+        assert kernel.__wrapped__(x, y) == ((other, 1),)
+    assert not calls
+    # the counters do see a grid: two nonempty factors build one
+    kernel.__wrapped__(beta, beta)
+    assert calls["_moves"] == 1
 
 
 class TestOverlappingShuffles:
