@@ -374,9 +374,9 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     the walk emits gamma in sort order when each start offers its blocks in
     part order."""
     l = len(alpha)
-    results: list[DottedComposition] = []
-    # each start's blocks, listed once; each block's part is built at its
-    # first use and shared
+    # each start's blocks, listed once and stored reversed, so that a frame
+    # pushes them and they pop in part order; each block's part is built at
+    # its first use and shared
     made: dict[tuple[int, int], DottedPart] = {}
     starts: list[list[tuple[DottedPart, int]]] = []
     for i in range(l):
@@ -393,19 +393,16 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
             # a plain block, then itself with a trailing d0: the d0 sorts first
             at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)
             blocks.insert(at, (part, j + 1))
-        starts.append(blocks)
-
-    def go(i: int, acc: list[DottedPart]):
+        starts.append(blocks[::-1])
+    results: list[DottedComposition] = []
+    # frames (start, parts so far)
+    stack: list[tuple[int, tuple]] = [(0, ())]
+    while stack:
+        i, parts = stack.pop()
         if i == l:
-            results.append(DottedComposition._of(tuple(acc)))
-            return
-        for part, j in starts[i]:
-            acc.append(part)
-            go(j, acc)
-            acc.pop()
-
-    go(0, [])
-    del go  # go reaches itself through its closure: free the walk now
+            results.append(DottedComposition._of(parts))
+        else:
+            stack += [(j, parts + (part,)) for part, j in starts[i]]
     return tuple(results)
 
 

@@ -18,7 +18,6 @@ from .algebra import (
     _as_expr,
     accumulate,
     bilinear,
-    unit,
 )
 from .composition import (
     EMPTY,
@@ -260,90 +259,41 @@ def antipode_L_column(alpha: DottedComposition) -> Expr:
     )
 
 
-def antipode_L(a) -> Expr:
-    """Column-decomposition antipode: S(L_gamma) factors through the columns
-    in reverse order under the concatenation product."""
+def _column_sum(a, coarsen: Callable, basis: str) -> Expr:
+    """The shape both antipode formulas on L share.  For each term c L_alpha,
+    (-1)^(l(alpha^1) + C(m,2)) c times the sum, over one coarsening of each
+    column of rev(alpha) by `coarsen`, of the concatenated choices, read on
+    `basis`.  alpha^1 is alpha with its plain parts split into ones, so
+    l(alpha^1) is the columns' total length."""
     e = _as_expr(a, "L")
     out: dict = {}
-    for gamma, c in e.terms.items():
-        columns = column_decomposition(gamma)
-        ms = [col.fermionic_degree for col in columns]
-        crossings = sum(
-            ms[i] * ms[j] for i in range(len(ms)) for j in range(i + 1, len(ms))
-        )
-        acc = unit("L")
-        for col in reversed(columns):
-            acc = bullet(acc, antipode_L_column(col))
-        accumulate(out, acc.terms, -c if crossings % 2 else c)
-    return Expr._trusted("L", out)
+    for alpha, c in e.terms.items():
+        columns = column_decomposition(alpha.reverse())
+        if (sum(map(len, columns)) + comb(alpha.fermionic_degree, 2)) % 2:
+            c = -c
+        for choice in cartesian(*map(coarsen, columns)):
+            gamma = DottedComposition._of(tuple(chain.from_iterable(choice)))
+            out[gamma] = out.get(gamma, 0) + c
+    return Expr._trusted(basis, out)
 
 
-def _unit_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, list]:
-    """alpha^1, alpha with each plain part split into ones, and the weak
-    coarsenings of its reverse in which no block holds two ones of one part
-    of alpha.  Only the gaps between two parts of alpha may be joined, and
-    each block holds at most one dot: between two dots with no forced cut
-    between them, the free gaps may not all be joined.  The coarsenings are
-    the product of each such stretch's join patterns."""
-    one = DottedPart(1, False)
-    units: list[DottedPart] = []
-    # the gaps between two parts of alpha, by stretch from one dot to the
-    # next, and whether a forced cut inside a plain part parts the stretch's
-    # two dots already
-    free: list[list[int]] = [[]]
-    parted = [True]
-    for p in reversed(alpha):
-        if units:
-            free[-1].append(len(units) - 1)
-        if p.dotted:
-            units.append(p)
-            free.append([])
-            parted.append(False)
-        else:
-            units += [one] * p.value
-            parted[-1] = parted[-1] or p.value > 1
-    parted[-1] = True
-    # each stretch's cut patterns; the last joins every gap, which puts two
-    # dots in one block unless a forced cut parts them
-    patterns = [list(cartesian((True, False), repeat=len(gaps))) for gaps in free]
-    for s, keep in enumerate(parted):
-        if not keep:
-            patterns[s].pop()
-    gaps = [j for stretch in free for j in stretch]
-    out = []
-    for combo in cartesian(*patterns):
-        cut = [True] * len(units)
-        for j, c in zip(gaps, chain.from_iterable(combo)):
-            cut[j] = c
-        parts = []
-        value = 0
-        dotted = False
-        for u, end in zip(units, cut):
-            value += u.value
-            dotted = dotted or u.dotted
-            if end:
-                parts.append(DottedPart(value, dotted))
-                value = 0
-                dotted = False
-        out.append(DottedComposition._of(tuple(parts)))
-    return DottedComposition._of(tuple(units)), out
+def antipode_L(a) -> Expr:
+    """Column-decomposition antipode: S(L_gamma) factors through the columns
+    in reverse order under the concatenation product.  Reversed, the columns
+    of gamma are the columns of rev(gamma); passing each column's dotted
+    parts over the later ones turns the columns' signs into gamma^1's."""
+    return _column_sum(a, _maximal_coarsenings, "L")
 
 
 def _antipode_L_via_M(a) -> Expr:
     """The M-basis formula on L: M_to_L(antipode_M(L_to_M(a))) without the
     listing.  In the sum over strong refinements beta of alpha, a cut inside
     a plain part where gamma has no block boundary pairs two betas of
-    opposite sign, so only alpha^1 is left:
-    S(L_alpha) = M_to_L((-1)^(l(alpha^1) + C(m,2)) sum of M_gamma over the
-    coarsenings of _unit_coarsenings."""
-    e = _as_expr(a, "L")
-    out: dict = {}
-    for alpha, c in e.terms.items():
-        units, gammas = _unit_coarsenings(alpha)
-        c *= _antipode_sign(units)
-        for gamma in gammas:
-            out[gamma] = out.get(gamma, 0) + c
-    return M_to_L(Expr._trusted("M", out))
+    opposite sign, so only alpha^1 is left, and its forced cuts are the
+    column boundaries of rev(alpha): S(L_alpha) is M_to_L of
+    (-1)^(l(alpha^1) + C(m,2)) times the sum of M over the concatenated weak
+    coarsenings of those columns."""
+    return M_to_L(_column_sum(a, weak_coarsenings, "M"))
 
 
 def antipode(a: Expr, via: str = "columns") -> Expr:

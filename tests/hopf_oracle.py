@@ -9,11 +9,14 @@ hopf._bullet_sides and hopf._odot_sides.  The verdict is `lhs == rhs`.
 Both antipode routes on L as the package had them before they built only
 the terms they keep stay here too: the columns route filtered every weak
 coarsening of a reversed column for the maximal ones, and the monomial route
-composed L_to_M, antipode_M and M_to_L."""
+composed L_to_M, antipode_M and M_to_L.  So does the columns route as it was
+before both routes became one product over the columns of rev(alpha): the
+column antipodes folded in reverse order by `bullet`, with the sign of the
+dotted parts that cross; here each column antipode is the filter above."""
 
-from superqsym.algebra import Expr, L_to_M, M_to_L, _clean, _pair, accumulate, bilinear
-from superqsym.composition import is_maximal, weak_coarsenings
-from superqsym.hopf import _antipode_sign, _concat, _near_concat, antipode_M
+from superqsym.algebra import Expr, L_to_M, M_to_L, _clean, _pair, accumulate, bilinear, unit
+from superqsym.composition import column_decomposition, is_maximal, weak_coarsenings
+from superqsym.hopf import _antipode_sign, _concat, _near_concat, antipode_M, bullet
 
 
 def antipode_L_column(alpha) -> Expr:
@@ -21,6 +24,22 @@ def antipode_L_column(alpha) -> Expr:
     reverse, each with the column's sign."""
     sign = _antipode_sign(alpha)
     return Expr("L", {b: sign for b in weak_coarsenings(alpha.reverse()) if is_maximal(b)})
+
+
+def antipode_columns(x: Expr) -> Expr:
+    """S(x) on L through the column decomposition: each term's column
+    antipodes concatenated in reverse order, signed by the pairs of dotted
+    parts in different columns."""
+    out: dict = {}
+    for gamma, c in x.terms.items():
+        columns = column_decomposition(gamma)
+        ms = [col.fermionic_degree for col in columns]
+        crossings = sum(ms[i] * ms[j] for i in range(len(ms)) for j in range(i + 1, len(ms)))
+        acc = unit("L")
+        for col in reversed(columns):
+            acc = bullet(acc, antipode_L_column(col))
+        accumulate(out, acc.terms, -c if crossings % 2 else c)
+    return Expr("L", out)
 
 
 def antipode_monomial(x: Expr) -> Expr:

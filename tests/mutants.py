@@ -169,9 +169,9 @@ MUTANTS = [
     ),
     (
         "hopf.py",
-        "accumulate(out, acc.terms, -c if crossings % 2 else c)",
-        "accumulate(out, acc.terms, c)",
-        "reversing the columns passes each column's dotted parts over the later ones",
+        "if (sum(map(len, columns)) + comb(alpha.fermionic_degree, 2)) % 2:",
+        "if (len(alpha) + comb(alpha.fermionic_degree, 2)) % 2:",
+        "both antipodes on L carry the sign of alpha^1, alpha with its plain parts split into ones",
     ),
     (
         "hopf.py",
@@ -412,10 +412,15 @@ MUTANTS = [
     ),
     (
         "hopf.py",
-        "            units += [one] * p.value\n",
-        "            free[-1] += range(len(units), len(units) + p.value - 1)\n"
-        "            units += [one] * p.value\n",
-        "in the monomial antipode no block holds two ones of one part of alpha",
+        "cartesian(*map(coarsen, columns))",
+        "cartesian(coarsen(DottedComposition._of(tuple(chain.from_iterable(columns)))))",
+        "no block of an antipode term on L holds two ones of one part of alpha: each column is coarsened alone",
+    ),
+    (
+        "composition.py",
+        "starts.append(blocks[::-1])",
+        "starts.append(blocks)",
+        "the walk pops each start's blocks in part order only if they were pushed reversed",
     ),
 ]
 

@@ -348,11 +348,23 @@ class TestAntipodeL:
         x = L(2, 1) + L(1, 2).scale(3) - L("d1", 2, 1) + L(3, "d0")
         assert antipode(x, via="monomial") == hopf_oracle.antipode_monomial(x)
 
+    def test_columns_route_matches_the_bullet_fold(self):
+        for alpha in universe(8, 3):
+            x = Expr.basis_element("L", alpha)
+            assert antipode_L(x) == hopf_oracle.antipode_columns(x), alpha
+        x = L(2, 1) + L(1, 2).scale(3) - L("d1", 2, 1) + L(3, "d0")
+        assert antipode_L(x) == hopf_oracle.antipode_columns(x)
+
     def test_long_inputs_past_the_recursion_limit(self):
         # one term each: the filter and the composed maps hit the recursion
-        # limit or list 2^1099 refinements
+        # limit or list 2^1099 refinements; no two dots share a block, so
+        # 1,100 d1 parts have one coarsening on either basis
         assert antipode(L(*[1] * 1100)) == L(1100)
         assert antipode(L(1100), via="monomial") == L(*[1] * 1100)
+        dots = ["d1"] * 1100
+        assert antipode(M(*dots)) == M(*dots)
+        for via in ("columns", "monomial"):
+            assert antipode(L(*dots), via=via) == L(*dots), via
 
     def test_cross_route(self):
         for gamma in universe(4):
@@ -468,6 +480,15 @@ def _no_dotted_fusion(good):
     return broken
 
 
+def _drop_first_of_two(good):
+    # a column with two maximal coarsenings loses the first
+    def broken(column):
+        found = good(column)
+        return found[1:] if len(found) == 2 else found
+
+    return broken
+
+
 class TestVerifySuite:
     def test_small_universe_passes(self):
         # m <= 2 is the least universe where the bialgebra's Koszul sign and
@@ -559,12 +580,13 @@ class TestVerifySuite:
             ),
             pytest.param(
                 "bullet", _negate_dotted_start_L,
-                [
-                    ("convolution_L", "[d0]"),
-                    ("bullet_L", "([], [d0])"),
-                    ("odot_L", "([d0,1], [1])"),
-                ],
+                [("bullet_L", "([], [d0])"), ("odot_L", "([d0,1], [1])")],
                 id="bullet",
+            ),
+            pytest.param(
+                "_maximal_coarsenings", _drop_first_of_two,
+                [("convolution_L", "[d0,1]")],
+                id="_maximal_coarsenings",
             ),
         ],
     )
