@@ -36,7 +36,10 @@ def _exact(c):
     if type(c) is int:
         return c
     if not isinstance(c, Fraction):
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except OverflowError:  # an infinity; a NaN raises ValueError itself
+            raise ValueError(f"a coefficient must be finite, got {c!r}") from None
     return c.numerator if c.denominator == 1 else c
 
 
@@ -290,6 +293,8 @@ def cofundamental_to_M(e) -> Expr:
 
 
 def _as_pair(key) -> tuple[DottedComposition, DottedComposition]:
+    if not isinstance(key, tuple) or len(key) != 2:
+        raise ValueError(f"a tensor key is a pair of compositions, got {key!r}")
     return (_as_composition(key[0]), _as_composition(key[1]))
 
 
@@ -431,6 +436,13 @@ def _coeff_json(c) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+def _coeff_from_json(term: dict) -> Fraction:
+    den = int(term["den"])
+    if not den:
+        raise ValueError(f"a coefficient's denominator must be nonzero, got {term['den']!r}")
+    return Fraction(int(term["num"]), den)
+
+
 def expr_to_json(e: Expr) -> dict:
     """The JSON document of an Expr; terms with a part in common share that
     part's dict."""
@@ -446,7 +458,7 @@ def expr_to_json(e: Expr) -> dict:
 
 def expr_from_json(data: dict) -> Expr:
     terms = {
-        DottedComposition.from_json(t["comp"]): Fraction(int(t["num"]), int(t["den"]))
+        DottedComposition.from_json(t["comp"]): _coeff_from_json(t)
         for t in data["terms"]
     }
     return Expr(data["basis"], terms)
@@ -472,7 +484,7 @@ def tensor_to_json(t: TensorExpr) -> dict:
 def tensor_from_json(data: dict) -> TensorExpr:
     read = DottedComposition.from_json
     terms = {
-        (read(t["left"]), read(t["right"])): Fraction(int(t["num"]), int(t["den"]))
+        (read(t["left"]), read(t["right"])): _coeff_from_json(t)
         for t in data["terms"]
     }
     return TensorExpr(tuple(data["bases"]), terms)

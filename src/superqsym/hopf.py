@@ -251,12 +251,10 @@ def _maximal_coarsenings(column: DottedComposition) -> list[DottedComposition]:
 
 def antipode_L_column(alpha: DottedComposition) -> Expr:
     """Antipode of a column: signed sum of L over the maximal weak
-    coarsenings of the reverse."""
+    coarsenings of the reverse, which is one column, as antipode_L sums."""
     if not is_column(alpha):
         raise NotAColumnError(f"{alpha} is not a column")
-    return Expr._wrap(
-        "L", dict.fromkeys(_maximal_coarsenings(alpha.reverse()), _antipode_sign(alpha))
-    )
+    return antipode_L(alpha)
 
 
 def _column_sum(a, coarsen: Callable, basis: str) -> Expr:
@@ -409,14 +407,9 @@ def _triple(t: dict, coprod: Callable, left: bool) -> dict:
     out: dict = {}
     get = out.get
     for (a, b), c in t.items():
-        if left:
-            for (u, v), d in coprod(a).items():
-                key = (u, v, b)
-                out[key] = get(key, 0) + c * d
-        else:
-            for (u, v), d in coprod(b).items():
-                key = (a, u, v)
-                out[key] = get(key, 0) + c * d
+        for (u, v), d in coprod(a if left else b).items():
+            key = (u, v, b) if left else (a, u, v)
+            out[key] = get(key, 0) + c * d
     return out
 
 
@@ -460,12 +453,20 @@ def _bialgebra_sides(pair, mul: Callable, coprod: Callable, odd: list) -> tuple[
     return lhs, rhs
 
 
-def _bullet_sides(pair, anti: Callable, ids: _Ids) -> tuple[dict, dict]:
-    """S(a . b) against (-1)^(m(a)m(b)) (S(b) . S(a) + S(b) (.) S(a)); the
-    left side is a copy of the memoized antipode, the right keeps its zeros."""
+def _antipode_sides(pair, anti: Callable, ids: _Ids, fused_only: bool) -> tuple[dict, dict]:
+    """S(a . b) against (-1)^(m(a)m(b)) (S(b) . S(a) + S(b) (.) S(a)), or with
+    `fused_only` S(a (.) b) against (-1)^(m(a)m(b)-1) S(b) (.) S(a): the fused
+    half of the first right side with its sign negated.  The left side is a
+    copy of the memoized antipode, the right keeps its zeros."""
     a, b = pair
     comps, odd = ids.comps, ids.odd
     sign = -1 if odd[a] * odd[b] else 1
+    if fused_only:
+        sign = -sign
+        fused = near_concat(comps[a], comps[b])
+        lhs = {} if fused is None else dict(anti(ids[fused]))
+    else:
+        lhs = dict(anti(ids[comps[a].concat(comps[b])]))
     sa, sb = anti(a), anti(b)
     rhs: dict = {}
     get = rhs.get
@@ -475,34 +476,13 @@ def _bullet_sides(pair, anti: Callable, ids: _Ids) -> tuple[dict, dict]:
         for v, cv in sa.items():
             c = cu * cv
             v = comps[v]
-            key = ids[u.concat(v)]
-            rhs[key] = get(key, 0) + c
+            if not fused_only:
+                key = ids[u.concat(v)]
+                rhs[key] = get(key, 0) + c
             fused = near_concat(u, v)
             if fused is not None:
                 key = ids[fused]
                 rhs[key] = get(key, 0) + c
-    return dict(anti(ids[comps[a].concat(comps[b])])), rhs
-
-
-def _odot_sides(pair, anti: Callable, ids: _Ids) -> tuple[dict, dict]:
-    """S(a (.) b) against (-1)^(m(a)m(b)-1) S(b) (.) S(a); the left side is a
-    copy of the memoized antipode, the right keeps its zeros."""
-    a, b = pair
-    comps, odd = ids.comps, ids.odd
-    fused = near_concat(comps[a], comps[b])
-    lhs = {} if fused is None else dict(anti(ids[fused]))
-    sign = -1 if (odd[a] * odd[b] - 1) % 2 else 1
-    sb, sa = anti(b), anti(a)
-    rhs: dict = {}
-    get = rhs.get
-    for u, cu in sb.items():
-        cu *= sign
-        u = comps[u]
-        for v, cv in sa.items():
-            fused = near_concat(u, comps[v])
-            if fused is not None:
-                key = ids[fused]
-                rhs[key] = get(key, 0) + cu * cv
     return lhs, rhs
 
 
@@ -586,8 +566,8 @@ def verify_hopf(max_total: int, max_fermionic: int) -> HopfReport:
         run(f"bialgebra_{basis}", pairs_desc, pairs, bialgebra_ok)
 
     anti_M = ops["M"][2]
-    run("antipode_bullet_M", pairs_desc, pairs, lambda p: _same(*_bullet_sides(p, anti_M, ids)))
-    run("antipode_odot_M", pairs_desc, pairs, lambda p: _same(*_odot_sides(p, anti_M, ids)))
+    for name, fused in [("antipode_bullet_M", False), ("antipode_odot_M", True)]:
+        run(name, pairs_desc, pairs, lambda p, f=fused: _same(*_antipode_sides(p, anti_M, ids, f)))
 
     def bullet_L_ok(pair):
         # cross-basis consistency of the concatenation product

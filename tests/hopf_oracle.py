@@ -3,8 +3,8 @@ read the product kernels' pairs directly: each product was first summed per
 key by `_summed`, the combination went through `bilinear` on those dicts or on
 a singleton, and both sides were copied by `_clean` before they were
 compared.  They stay here, with each check's verdict turned into the two sides
-it compared, as the oracle for hopf._convolution, hopf._bialgebra_sides,
-hopf._bullet_sides and hopf._odot_sides.  The verdict is `lhs == rhs`.
+it compared, as the oracle for hopf._convolution, hopf._bialgebra_sides and
+both modes of hopf._antipode_sides.  The verdict is `lhs == rhs`.
 
 Both antipode routes on L as the package had them before they built only
 the terms they keep stay here too: the columns route filtered every weak

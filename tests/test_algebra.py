@@ -89,6 +89,13 @@ class TestExprArithmetic:
             t.terms, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key())
         )
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_a_coefficient_that_is_not_finite_is_refused(self, bad):
+        with pytest.raises(ValueError):
+            Expr("L", {comp(1): bad})
+        with pytest.raises(ValueError):
+            L(1).scale(bad)
+
     def test_coefficient_reads_its_key_as_the_constructor_does(self):
         e = Expr("L", {(1,): 1, (2, "d1"): 3})
         assert e.coefficient((1,)) == 1
@@ -194,6 +201,11 @@ class TestTensor:
         with pytest.raises(BasisMismatchError):
             koszul_mul(t1, t2, product_M)
 
+    @pytest.mark.parametrize("key", [(comp(1),), (comp(1), comp(1), comp(1))])
+    def test_a_key_that_is_not_a_pair_is_refused(self, key):
+        with pytest.raises(ValueError):
+            TensorExpr(("L", "L"), {key: 1})
+
     def test_raw_tuple_keys_are_read_as_compositions(self):
         t = TensorExpr(("M", "M"), {((1,), (2,)): 1})
         assert t == tensor(M(1), M(2))
@@ -219,6 +231,13 @@ class TestSerialization:
     def test_tensor_json_round_trip(self):
         t = tensor(L(1), L("d2")) - tensor(L("d2"), L(1))
         assert tensor_from_json(json.loads(json.dumps(tensor_to_json(t)))) == t
+
+    def test_a_zero_denominator_is_refused(self):
+        zero = {"num": "1", "den": "0"}
+        with pytest.raises(ValueError):
+            expr_from_json({"basis": "L", "terms": [{"comp": [], **zero}]})
+        with pytest.raises(ValueError):
+            tensor_from_json({"bases": ["L", "L"], "terms": [{"left": [], "right": [], **zero}]})
 
     def test_plain_rendering(self):
         assert render_expr(M(2) - M(1, 1)) == "-M[1,1] + M[2]"

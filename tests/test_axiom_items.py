@@ -96,13 +96,9 @@ def _check_universe(bounds, sabotage=None):
     anti_M = _ops("M")[2]
     id_anti_M = hopf._interned_ops(ids, *KERNELS["M"])[2]
     for a, b in pairs:
-        for new, old in [
-            (hopf._bullet_sides, oracle.bullet_sides),
-            (hopf._odot_sides, oracle.odot_sides),
-        ]:
-            _assert_same_sides(
-                new((ids[a], ids[b]), id_anti_M, ids), old((a, b), anti_M), (a, b), comps
-            )
+        for fused_only, old in [(False, oracle.bullet_sides), (True, oracle.odot_sides)]:
+            new = hopf._antipode_sides((ids[a], ids[b]), id_anti_M, ids, fused_only)
+            _assert_same_sides(new, old((a, b), anti_M), (a, b), comps)
     return failed
 
 
