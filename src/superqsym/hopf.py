@@ -250,8 +250,8 @@ def _maximal_coarsenings(column: DottedComposition) -> list[DottedComposition]:
 
 
 def antipode_L_column(alpha: DottedComposition) -> Expr:
-    """Antipode of a column: signed sum of L over the maximal weak
-    coarsenings of the reverse, which is one column, as antipode_L sums."""
+    """Antipode of a column, the one-column case of antipode_L: signed sum
+    of L over the maximal weak coarsenings of the reverse."""
     if not is_column(alpha):
         raise NotAColumnError(f"{alpha} is not a column")
     return antipode_L(alpha)
