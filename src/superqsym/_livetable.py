@@ -6,7 +6,6 @@ A diagram is a pair (star, rows): the row lengths, longest first, and the
 diagram rows of the circles listed from below.  A strip is a vector of the
 cells it adds per row, with one entry for the empty row under the star."""
 
-import functools
 import operator
 from itertools import product
 
@@ -105,15 +104,21 @@ def _live_moves(outer, inner) -> dict:
     k one-cell moves, so no chain of strips of any weight reaches outer from
     a state the table lacks."""
     inner_star, least = inner[0], inner.n_circles
-    corners = functools.cache(lambda star: _corners(star, inner_star))
-    strips = functools.cache(lambda star, u: _circle_strips(star, inner_star, u))
+    # the call's builds: _corners by star, _circle_strips by (star, row)
+    corners, strips = {}, {}
     table = {outer: ([], [])}
     stack = [outer]
     while stack:
         star, rows = stack.pop()
-        groups = [(0, rows, corners(star), None)]
+        found = corners.get(star)
+        if found is None:
+            found = corners[star] = _corners(star, inner_star)
+        groups = [(0, rows, found, None)]
         for idx, u in enumerate(rows if len(rows) > least else ()):
-            groups.append((1, rows[:idx] + rows[idx + 1 :], strips(star, u), idx))
+            found = strips.get((star, u))
+            if found is None:
+                found = strips[star, u] = _circle_strips(star, inner_star, u)
+            groups.append((1, rows[:idx] + rows[idx + 1 :], found, idx))
         for kind, rest, found, idx in groups:
             for old, under, add, n in found:
                 move = (n, star, rows, idx) if kind else (star, rows, n)

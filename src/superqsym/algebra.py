@@ -9,6 +9,7 @@ machine integers until a non-integral scalar enters."""
 from __future__ import annotations
 
 import json
+import numbers
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
@@ -32,10 +33,13 @@ def _check_basis(basis: str) -> str:
 
 def _exact(c):
     """The stored form of a coefficient: an int when it is integral, else a
-    Fraction."""
+    Fraction.  As composition._as_int does, it refuses a bool, so that True
+    is not read as 1, and text, so that "1/2" is not parsed."""
     if type(c) is int:
         return c
     if not isinstance(c, Fraction):
+        if isinstance(c, bool) or not isinstance(c, numbers.Number):
+            raise TypeError(f"expected a number, got {c!r}")
         try:
             c = Fraction(c)
         except OverflowError:  # an infinity; a NaN raises ValueError itself
@@ -196,7 +200,7 @@ class Expr(_Combination):
 
     @classmethod
     def basis_element(cls, basis: str, alpha: DottedComposition, coeff=1) -> "Expr":
-        return cls._trusted(_check_basis(basis), {_as_composition(alpha): coeff})
+        return cls._trusted(_check_basis(basis), {_as_composition(alpha): _exact(coeff)})
 
     def support(self) -> list[DottedComposition]:
         """The keys in the order of DottedComposition.sort_key."""

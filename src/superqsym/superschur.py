@@ -588,15 +588,22 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
 
     free, _ = walk(*inner, 0, None)
     del walk  # walk reaches itself through its closure: free the walk now
-    part_of = [DottedPart(d >> 1, bool(d & 1)) for d in range(base)]
+    # each digit's part is built when the digit first occurs
+    part_of = [None] * base
     terms = {}
     for key, c in free.items():
+        if not c:
+            continue
         parts = []
         while key:
             key, digit = divmod(key, base)
-            parts.append(part_of[digit])
+            part = part_of[digit]
+            if part is None:
+                part = part_of[digit] = DottedPart(digit >> 1, digit & 1 == 1)
+            parts.append(part)
         terms[DottedComposition._of(parts)] = c
-    return Expr._trusted("L", terms)
+    # the coefficients are nonzero ints
+    return Expr._wrap("L", terms)
 
 
 def realize_s(

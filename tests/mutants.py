@@ -9,6 +9,9 @@ mutant's test in a fresh interpreter; only if that test passes does it run
 the whole test subset named for the mutated file.  A failing test kills the
 mutant; a passing subset lets it survive.  Each line reports the verdict,
 whether the named test or only the subset killed it, and the time taken.
+Every pytest child runs under a 2 GiB address-space limit, set in that child
+only, so a mutant that runs away on a large input fails with MemoryError,
+which kills it, and its line says so.
 Before the mutants, every subset must pass on the unchanged copy, and so
 must the named tests run together on their own.
 
@@ -22,10 +25,13 @@ a fresh interpreter, and the whole run takes minutes."""
 
 from __future__ import annotations
 
+import os
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -80,6 +86,13 @@ MUTANTS = [
         "stacked = []",
         "a strip may not push a circle onto the circle in the row below",
         "tests/test_superschur.py::TestStrips::test_generate_matches_independent_checker",
+    ),
+    (
+        "superschur.py",
+        "        if not c:\n            continue\n",
+        "",
+        "a composition whose signed tableaux cancel is no term: no zero coefficient is stored",
+        "tests/test_schur_walk.py::test_straight_shapes_up_to_six",
     ),
     (
         "_livetable.py",
@@ -498,25 +511,50 @@ MUTANTS = [
 # a subset still running after this long has hung, which kills its mutant
 TIMEOUT_S = 600
 
+# the address space each pytest child may map: a runaway mutant fails its
+# test with MemoryError, which kills it, instead of taking the machine's memory
+MEMORY_LIMIT = 2 << 30
 
-def run_subset(tree: Path, tests: list[str]) -> tuple[int, float]:
-    """Run the tests in `tree` and return pytest's exit code (1 after a hang)
-    and the time."""
+
+def limit_memory() -> None:
+    """Cap the address space of the child this runs in (only there)."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def run_subset(tree: Path, tests: list[str]) -> tuple[int, float, bool]:
+    """Run the tests in `tree` under the memory limit and return pytest's
+    exit code (1 after a hang), the time, and whether the run failed out of
+    memory: it raised MemoryError after its resident set passed half the
+    limit, which a test that raises MemoryError itself does not reach."""
     # -B: no bytecode is written, so no module compiled from a mutant is
     # ever read back for the restored source
     command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     start = time.perf_counter()
-    try:
-        code = subprocess.run(
+    with tempfile.TemporaryFile() as log:
+        child = subprocess.Popen(
             command + tests,
             cwd=tree,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT_S,
-        ).returncode
-    except subprocess.TimeoutExpired:
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            preexec_fn=limit_memory,
+        )
+        # wait4 reaps the child and reads its own peak RSS; a hang is killed
+        timer = threading.Timer(TIMEOUT_S, child.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            timer.cancel()
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        raised = b"MemoryError" in log.read()
+    took = time.perf_counter() - start
+    if took >= TIMEOUT_S:  # the timer killed a hang
         code = 1
-    return code, time.perf_counter() - start
+    out_of_memory = code != 0 and raised and usage.ru_maxrss << 10 > MEMORY_LIMIT // 2
+    return code, took, out_of_memory
 
 
 def main() -> int:
@@ -530,12 +568,12 @@ def main() -> int:
         shutil.copy(ROOT / "pyproject.toml", tree)
         package = tree / "src" / "superqsym"
         for name, tests in SUBSETS.items():
-            code, took = run_subset(tree, tests)
+            code, took, _ = run_subset(tree, tests)
             print(f"unmutated {name}: {'pass' if code == 0 else 'FAIL'} {took:.1f}s")
             failed |= code != 0
         # a named test that passes only after the rest of its subset would
         # kill every mutant; one that is not found fails here too
-        code, took = run_subset(tree, sorted({m[4] for m in MUTANTS}))
+        code, took, _ = run_subset(tree, sorted({m[4] for m in MUTANTS}))
         print(f"unmutated named tests: {'pass' if code == 0 else 'FAIL'} {took:.1f}s")
         failed |= code != 0
         if failed:
@@ -549,14 +587,16 @@ def main() -> int:
                 continue
             path.write_text(source.replace(old, new))
             try:
-                code, took = run_subset(tree, [test])
+                code, took, out_of_memory = run_subset(tree, [test])
                 by = "its test"
                 if code == 0:
-                    code, rest = run_subset(tree, SUBSETS[name])
+                    code, rest, out_of_memory = run_subset(tree, SUBSETS[name])
                     took += rest
                     by = "the subset"
             finally:
                 path.write_text(source)
+            if out_of_memory:
+                by += f" out of memory (MemoryError under {MEMORY_LIMIT >> 30} GiB)"
             # 1: a test failed; 2: the mutant broke collection
             verdict = {0: "SURVIVED", 1: f"killed by {by}", 2: f"killed by {by}"}.get(
                 code, f"ERROR {code}"

@@ -31,7 +31,7 @@ from superqsym.composition import (
     weak_leq,
 )
 from superqsym.hopf import product_M
-from superqsym.realize import realize_L
+from superqsym.realize import SuperPolynomial, realize_L
 from superqsym.shuffles import fundamental_paths, word
 from superqsym.superschur import EMPTY_SHAPE, Superpartition, dot_standard_tableaux
 
@@ -94,6 +94,20 @@ class TestExprArithmetic:
         with pytest.raises(ValueError):
             Expr("L", {comp(1): bad})
         with pytest.raises(ValueError):
+            L(1).scale(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "1/2", " 3 "])
+    def test_a_coefficient_that_is_a_bool_or_text_is_refused(self, bad):
+        """A coefficient is a number: True is not read as 1, nor "1/2" parsed."""
+        with pytest.raises(TypeError):
+            Expr("L", {comp(1): bad})
+        with pytest.raises(TypeError):
+            Expr.basis_element("L", comp(1), bad)
+        with pytest.raises(TypeError):
+            TensorExpr(("L", "M"), {(comp(1), comp(2)): bad})
+        with pytest.raises(TypeError):
+            SuperPolynomial(1, {((), ((1, 1),)): bad})
+        with pytest.raises(TypeError):
             L(1).scale(bad)
 
     def test_coefficient_reads_its_key_as_the_constructor_does(self):

@@ -55,6 +55,9 @@ def shapes(size):
 
 
 def test_straight_shapes_up_to_six():
+    """On (1,0;2), (1,0;2,1) and (1,0;3) the signed tableaux of some
+    compositions cancel: an Expr stores no zero coefficient, so a stored
+    zero fails the equality."""
     for lam in shapes(6):
         assert schur_to_L(lam) == enumerated(lam), lam
 
@@ -325,6 +328,21 @@ def test_term_order_is_pinned():
         digest.update(b"\n")
     assert digest.hexdigest() == (
         "9fdae1ad01277b95c5a1c58484832c53135df28bb9d39c305321c902cea558a6"
+    )
+
+
+def test_term_order_is_pinned_to_degree_seven():
+    """schur_to_L's terms, with their coefficients and in their order, on
+    the 311 shapes of DEGREE_7, a universe larger than the bench's, whose
+    degree-7 shapes have one circle: the blake2b digest was taken before the
+    decode built parts lazily and skipped zero coefficients itself."""
+    assert len(DEGREE_7) == 311
+    digest = hashlib.blake2b(digest_size=32)
+    for lam in DEGREE_7:
+        digest.update(repr(list(schur_to_L(lam).terms.items())).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "95e2b0848ca45b82813d2f67971776a4287026b8fed9827cb1646becc0b3ae5f"
     )
 
 
