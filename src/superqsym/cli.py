@@ -240,30 +240,137 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reader(command: argparse.ArgumentParser):
+    """A reader of the plain argv that the subcommand parser `command`
+    takes, read off the parser's own actions; None when the parser has an
+    action of a kind it does not read.
+
+    The reader takes exact option names, as `--opt value` or `--opt=value`,
+    flags with no value, one argument per positional, values that pass the
+    action's `type` and `choices`, and every required option.  For such argv
+    it returns the namespace argparse would, less `command`.  For any other
+    argv it returns None, and argparse reads it and prints and exits as its
+    own: help, an abbreviation, `--`, an unknown option, a value or
+    positional that starts with '-' and is no negative integer, an empty
+    `--opt=`, a value for a flag, a bad value, a missing argument."""
+    flags: dict[str, argparse.Action] = {}
+    takes: dict[str, tuple] = {}
+    positionals = []
+    required = []
+    defaults = {}
+    late = []
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._StoreConstAction) and action.option_strings:
+            table, entry = flags, action
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            table, entry = takes, (action, action.type, action.choices)
+            # argparse passes a string default it did not replace through type
+            if action.type is not None and isinstance(action.default, str):
+                late.append((action, action.type, action.default))
+        else:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if not action.option_strings:
+            positionals.append(entry)
+        elif action.required:
+            required.append(action)
+        for name in action.option_strings:
+            if name[1:2].isdigit():
+                return None  # argparse would then read '-1' as an option
+            table[name] = entry
+    defaults["func"] = command.get_default("func")
+
+    def plain(arg: str) -> bool:
+        """Whether argparse reads arg as a value, not as an option."""
+        return arg[:1] != "-" or (arg[1:].isdigit() and arg.isascii())
+
+    def read(argv: list[str]) -> argparse.Namespace | None:
+        given = {}  # each action met, with its last value
+        at = 0
+        rest = iter(argv)
+        for arg in rest:
+            if plain(arg):
+                if at == len(positionals):
+                    return None
+                entry = positionals[at]
+                at += 1
+            elif arg in flags:
+                action = flags[arg]
+                given[action] = action.const
+                continue
+            elif arg in takes:
+                entry = takes[arg]
+                # a missing value reads as "-", which is no value
+                arg = next(rest, "-")
+                if not plain(arg):
+                    return None
+            else:
+                name, _, arg = arg.partition("=")
+                entry = takes.get(name)
+                if entry is None or not arg:
+                    return None
+            action, convert, choices = entry
+            if convert is not None:
+                try:
+                    arg = convert(arg)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and arg not in choices:
+                return None
+            given[action] = arg
+        if at < len(positionals):
+            return None
+        for action in required:
+            if action not in given:
+                return None
+        values = defaults.copy()
+        for action, value in given.items():
+            values[action.dest] = value
+        for action, convert, default in late:
+            if values[action.dest] is default:
+                try:
+                    values[action.dest] = convert(default)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        args = argparse.Namespace()
+        vars(args).update(values)
+        return args
+
+    return read
+
+
 _PARSER: argparse.ArgumentParser | None = None
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built once per process: building it costs
-    more than parsing a typical query."""
+    """The parser main() uses, built once per process with a reader per
+    subcommand: building it costs more than parsing a typical query."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+        _PARSER.readers = {name: _reader(p) for name, p in _PARSER.commands.items()}
     return _PARSER
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The full parser's namespace for argv.  When argv[0] names a
-    subcommand, the rest goes straight to that subcommand's parser, as the
-    full parser would send it; arguments the subcommand does not know are
-    reported through the full parser, in its words."""
+    subcommand, the rest goes to that subcommand's reader and, when the
+    reader declines it, to that subcommand's parser, as the full parser
+    would send it; arguments the subcommand does not know are reported
+    through the full parser, in its words."""
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    read = parser.readers[argv[0]]
+    args = read(argv[1:]) if read else None
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

@@ -408,8 +408,8 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "    if extras:\n"
-        "        parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        "        if extras:\n"
+        "            parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
         "",
         "an argument the subcommand does not know is refused, as the full parser refuses it",
         "tests/test_cli.py::TestDispatch::test_unknown_arguments_are_reported_by_the_top_level_parser",
@@ -420,6 +420,27 @@ MUTANTS = [
         "    except MemoryError as exc:\n",
         "an input too deep for the interpreter's recursion limit fails with one error line",
         "tests/test_cli.py::TestExitCodes::test_too_deep_input_is_1[argv1]",
+    ),
+    (
+        "cli.py",
+        "            if choices is not None and arg not in choices:\n                return None\n",
+        "",
+        "the reader takes only values in an action's choices; argparse refuses the rest",
+        "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[bad-choice]",
+    ),
+    (
+        "cli.py",
+        "        for action in required:\n            if action not in given:\n                return None\n",
+        "",
+        "a required option left out is argparse's refusal, not its default",
+        "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[missing-option]",
+    ),
+    (
+        "cli.py",
+        "            given[action] = arg\n",
+        "            given.setdefault(action, arg)\n",
+        "an option given twice keeps its last value, as argparse keeps it",
+        "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[repeat]",
     ),
     (
         "realize.py",
@@ -448,6 +469,13 @@ MUTANTS = [
         "        slot += 1\n",
         "positions joined by an equal step share one index",
         "tests/test_realize.py::TestRealizeL::test_refinement_route_agrees_worked_example",
+    ),
+    (
+        "realize.py",
+        "itertools.combinations(range(1, nvars + 1), l)",
+        "itertools.combinations(range(1, nvars), l)",
+        "an M realization's indices run over all of 1..nvars",
+        "tests/test_realize.py::TestRealizeM::test_example_2_4_first",
     ),
     (
         "superschur.py",
@@ -504,6 +532,13 @@ MUTANTS = [
         "starts.append(blocks)",
         "the walk pops each start's blocks in part order only if they were pushed reversed",
         "tests/test_refinement_orders.py::test_weak_coarsenings_match_oracle",
+    ),
+    (
+        "hopf.py",
+        "lhs = dict(anti(ids[comps[a].concat(comps[b])]))",
+        "lhs = anti(ids[comps[a].concat(comps[b])])",
+        "_same deletes zeros in place, so the left side is a copy, never the memoized antipode",
+        "tests/test_hopf.py::TestVerifySuite::test_antipode_sides_leave_the_memo_as_it_was[False]",
     ),
 ]
 

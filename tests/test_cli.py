@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +23,7 @@ from superqsym.composition import comp
 # pytest found it
 SRC = str(Path(superqsym.__file__).resolve().parent.parent)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_session.json"
+DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 
 def run_cli(*args, **streams):
@@ -298,6 +302,153 @@ def outcome(parse, argv) -> tuple:
     return out.getvalue(), err.getvalue(), code
 
 
+def parsed(parser, argv):
+    """vars() of parser's namespace for argv, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _pick(rng, items):
+    return rng.choice(items) if items else None
+
+
+def _valued(options):
+    return [o for o in options if len(o) == 2]
+
+
+def _abbreviation(rng, actions, positionals, options):
+    o = _pick(rng, options)
+    if o:
+        o[0] = o[0][: rng.randrange(3, len(o[0]))]
+        return positionals + options
+
+
+def _equals(rng, actions, positionals, options):
+    o = _pick(rng, _valued(options))
+    if o:
+        o[:] = [f"{o[0]}={o[1]}"]
+        return positionals + options
+
+
+def _empty_equals(rng, actions, positionals, options):
+    o = _pick(rng, _valued(options))
+    if o:
+        o[:] = [f"{o[0]}="]
+        return positionals + options
+
+
+def _repeat(rng, actions, positionals, options):
+    o = _pick(rng, _valued(options))
+    if o:
+        choices = actions[o[0]].choices
+        again = [o[0], rng.choice(choices) if choices else str(rng.randrange(4))]
+        return positionals + options + [again]
+
+
+def _missing_value(rng, actions, positionals, options):
+    o = _pick(rng, _valued(options))
+    if o:
+        del o[1]
+        return positionals + options
+
+
+def _bad_choice(rng, actions, positionals, options):
+    o = _pick(rng, [o for o in _valued(options) if actions[o[0]].choices])
+    if o:
+        o[1] = rng.choice(["Q", "html", "l", ""])
+        return positionals + options
+
+
+def _negative_value(rng, actions, positionals, options):
+    o = _pick(rng, _valued(options))
+    if o:
+        o[1] = "-1"
+        return positionals + options
+
+
+def _negative_positional(rng, actions, positionals, options):
+    if positionals:
+        positionals[rng.randrange(len(positionals))] = ["-1"]
+        return positionals + options
+
+
+def _insert(word):
+    def insert(rng, actions, positionals, options):
+        words = positionals + options
+        words.insert(rng.randrange(len(words) + 1), [word])
+        return words
+
+    return insert
+
+
+def _options_first(rng, actions, positionals, options):
+    if positionals and options:
+        return options + positionals
+
+
+def _extra_positional(rng, actions, positionals, options):
+    return positionals + [["[1]"]] + options
+
+
+def _missing_option(rng, actions, positionals, options):
+    required = [o for o in options if actions[o[0]].required]
+    if required:
+        options.remove(rng.choice(required))
+        return positionals + options
+
+
+def _missing_positional(rng, actions, positionals, options):
+    if positionals:
+        del positionals[rng.randrange(len(positionals))]
+        return positionals + options
+
+
+# kind of near-valid argv: (mutation, whether the reader must read it)
+NEAR_VALID = {
+    "abbreviation": (_abbreviation, False),
+    "equals": (_equals, True),
+    "empty-equals": (_empty_equals, False),
+    "repeat": (_repeat, True),
+    "missing-value": (_missing_value, False),
+    "bad-choice": (_bad_choice, False),
+    "negative-value": (_negative_value, False),
+    "negative-positional": (_negative_positional, False),
+    "double-dash": (_insert("--"), False),
+    "help": (_insert("-h"), False),
+    "options-first": (_options_first, True),
+    "extra-positional": (_extra_positional, False),
+    "flag-value": (_insert("--trace=x"), False),
+    "missing-option": (_missing_option, False),
+    "missing-positional": (_missing_positional, False),
+}
+
+
+def near_valid(rng, parser, mutate, count):
+    """`count` argv made by `mutate` from the digested commands: each
+    mutation reads the command as its positionals and its options, each a
+    list of words, and returns the words in order, or None where it has
+    nothing to change."""
+    commands = [shlex.split(c) for c in sorted(json.loads(DIGESTS.read_text()))]
+    made = []
+    while len(made) < count:
+        argv = rng.choice(commands)
+        actions = {s: a for a in parser.commands[argv[0]]._actions for s in a.option_strings}
+        positionals, options = [], []
+        rest = iter(argv[1:])
+        for arg in rest:
+            if arg in actions:
+                options.append([arg] if actions[arg].nargs == 0 else [arg, next(rest)])
+            else:
+                positionals.append([arg])
+        words = mutate(rng, actions, positionals, options)
+        if words is not None:
+            made.append([argv[0]] + [w for word in words for w in word])
+    return made
+
+
 class TestDispatch:
     """main() sends the rest of argv to the subcommand that argv[0] names;
     what it prints and how it exits are the full parser's."""
@@ -338,12 +489,69 @@ class TestDispatch:
             ["schur", "(1;)", "--skew", "(0;)", "--show-tableaux"],
             ["verify", "--max-degree", "2", "--max-fermionic", "1"],
             ["realize", "L[1]", "--vars=2"],
+            ["realize", "L[2]", "--vars", "-3"],
+            ["product", "--basis", "L", "[1]", "--format=json", "[2]"],
+            ["antipode", "[2]", "--via", "monomial", "--basis", "M", "--via=columns", "--basis", "L"],
+            ["schur", "-1", "--skew", "-2"],
         ],
     )
     def test_namespaces_match_the_full_parser(self, argv):
         import superqsym.cli as cli
 
         assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_every_catalogue_command_is_read_without_argparse(self, monkeypatch):
+        """Every query of the benchmark and every digested command takes the
+        reader's path, with the full parser's namespace."""
+        import superqsym.cli as cli
+
+        argvs = [e["argv"] for e in json.loads(CATALOGUE.read_text())["entries"]]
+        argvs += [shlex.split(command) for command in json.loads(DIGESTS.read_text())]
+        assert len(argvs) == 859 + 111
+        for command in cli._parser().commands.values():
+            monkeypatch.setattr(command, "parse_known_args", None)
+        parser = cli.build_parser()
+        for argv in argvs:
+            assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("kind", sorted(NEAR_VALID))
+    def test_near_valid_argv_are_read_as_argparse_reads_them(self, kind):
+        """Seeded near-valid argv: the reader returns argparse's namespace or
+        None, and None whenever argparse exits; argv of a plain kind it must
+        read."""
+        import superqsym.cli as cli
+
+        mutate, plain = NEAR_VALID[kind]
+        parser = cli.build_parser()
+        rng = random.Random(f"near-valid:{kind}")
+        read = 0
+        for argv in near_valid(rng, parser, mutate, 40):
+            want = parsed(parser, argv)
+            got = cli._parser().readers[argv[0]](argv[1:])
+            if got is not None:
+                got = dict(vars(got), command=argv[0])
+                read += 1
+            if type(want) is int:
+                assert got is None, argv
+            else:
+                assert got in (None, want), argv
+                assert got is not None or not plain, argv
+        assert read or not plain
+
+    def test_the_reader_passes_a_string_default_through_type(self):
+        """As argparse does when the option is not given."""
+        import superqsym.cli as cli
+
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--n", type=cli._integer, default="3")
+        parser.set_defaults(func=main)
+        read = cli._reader(parser)
+        for argv in ([], ["--n", "5"], ["--n=-2"]):
+            assert vars(read(argv)) == vars(parser.parse_args(argv))
+        assert read([]).n == 3
+        parser.set_defaults(n="x")
+        assert cli._reader(parser)([]) is None
+        assert parsed(parser, []) == 2
 
     def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["superqsym", "convert", "[2]", "--from", "L", "--to", "M"])

@@ -598,6 +598,20 @@ class TestVerifySuite:
         assert failing == expected
         assert len(report.checks) == 12
 
+    @pytest.mark.parametrize("fused_only", [False, True])
+    def test_antipode_sides_leave_the_memo_as_it_was(self, fused_only):
+        """`_same` deletes zeros in place, so each side must be the check's
+        own dict: emptying both sides leaves every memoized antipode whole."""
+        ids = hopf._Ids()
+        anti = hopf._interned_ops(ids, hopf.overlapping_shuffles, coproduct_M, antipode_M)[2]
+        pair = (ids[comp(2, 1)], ids[comp(1, "d0")])
+        lhs, rhs = hopf._antipode_sides(pair, anti, ids, fused_only)
+        memo = {i: dict(anti(i)) for i in range(len(ids.comps))}
+        assert lhs
+        lhs.clear()
+        rhs.clear()
+        assert {i: anti(i) for i in memo} == memo
+
     @pytest.mark.parametrize("bounds", [(-1, 1), (3, -1), (-2, -2)])
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="must be >= 0"):
