@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "carry a d prefix).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand's own parser, by name, for main()'s dispatch
+    # each subcommand's own parser, by name, for main()'s readers
     parser.commands = sub.choices
 
     def add_format(p):
@@ -243,22 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _reader(command: argparse.ArgumentParser):
     """A reader of the plain argv that the subcommand parser `command`
     takes, read off the parser's own actions; None when the parser has an
-    action of a kind it does not read.
+    action of a kind it does not read, or an option whose string default
+    argparse would pass through its `type`.
 
-    The reader takes exact option names, as `--opt value` or `--opt=value`,
-    flags with no value, one argument per positional, values that pass the
-    action's `type` and `choices`, and every required option.  For such argv
-    it returns the namespace argparse would, less `command`.  For any other
-    argv it returns None, and argparse reads it and prints and exits as its
-    own: help, an abbreviation, `--`, an unknown option, a value or
-    positional that starts with '-' and is no negative integer, an empty
-    `--opt=`, a value for a flag, a bad value, a missing argument."""
+    The reader takes exact option names, each followed by its value as the
+    next argument, flags with no value, one argument per positional, values
+    that pass the action's `type` and `choices`, and every required option.
+    For such argv it returns the namespace argparse would, less `command`.
+    For any other argv it returns None, and the full parser reads it and
+    prints and exits as its own: help, an abbreviation, `--opt=value`, `--`,
+    an unknown option, a value or positional that starts with '-' and is no
+    negative integer, a value for a flag, a bad value, a missing argument."""
     flags: dict[str, argparse.Action] = {}
     takes: dict[str, tuple] = {}
     positionals = []
     required = []
     defaults = {}
-    late = []
     for action in command._actions:
         if isinstance(action, argparse._HelpAction):
             continue
@@ -266,9 +266,9 @@ def _reader(command: argparse.ArgumentParser):
             table, entry = flags, action
         elif type(action) is argparse._StoreAction and action.nargs is None:
             table, entry = takes, (action, action.type, action.choices)
-            # argparse passes a string default it did not replace through type
+            # argparse passes a string default through type; the reader does not
             if action.type is not None and isinstance(action.default, str):
-                late.append((action, action.type, action.default))
+                return None
         else:
             return None
         if action.default is not argparse.SUPPRESS:
@@ -308,10 +308,7 @@ def _reader(command: argparse.ArgumentParser):
                 if not plain(arg):
                     return None
             else:
-                name, _, arg = arg.partition("=")
-                entry = takes.get(name)
-                if entry is None or not arg:
-                    return None
+                return None
             action, convert, choices = entry
             if convert is not None:
                 try:
@@ -329,12 +326,6 @@ def _reader(command: argparse.ArgumentParser):
         values = defaults.copy()
         for action, value in given.items():
             values[action.dest] = value
-        for action, convert, default in late:
-            if values[action.dest] is default:
-                try:
-                    values[action.dest] = convert(default)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
-                    return None
         args = argparse.Namespace()
         vars(args).update(values)
         return args
@@ -357,20 +348,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The full parser's namespace for argv.  When argv[0] names a
-    subcommand, the rest goes to that subcommand's reader and, when the
-    reader declines it, to that subcommand's parser, as the full parser
-    would send it; arguments the subcommand does not know are reported
-    through the full parser, in its words."""
+    subcommand, the rest goes to that subcommand's reader; whatever the
+    reader declines, and any argv that names no subcommand, the full parser
+    reads, prints and exits on as its own."""
     parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    read = parser.readers[argv[0]]
+    read = parser.readers.get(argv[0]) if argv else None
     args = read(argv[1:]) if read else None
     if args is None:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parser.parse_args(argv)
     args.command = argv[0]
     return args
 

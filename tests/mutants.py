@@ -408,11 +408,18 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "        if extras:\n"
-        "            parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
-        "",
+        "        return parser.parse_args(argv)\n",
+        "        return parser.parse_known_args(argv)[0]\n",
         "an argument the subcommand does not know is refused, as the full parser refuses it",
         "tests/test_cli.py::TestDispatch::test_unknown_arguments_are_reported_by_the_top_level_parser",
+    ),
+    (
+        "cli.py",
+        "            if action.type is not None and isinstance(action.default, str):\n"
+        "                return None\n",
+        "",
+        "the reader does not pass a string default through type, so it declines such an action",
+        "tests/test_cli.py::TestDispatch::test_the_reader_declines_a_typed_string_default",
     ),
     (
         "cli.py",
@@ -469,6 +476,20 @@ MUTANTS = [
         "        slot += 1\n",
         "positions joined by an equal step share one index",
         "tests/test_realize.py::TestRealizeL::test_refinement_route_agrees_worked_example",
+    ),
+    (
+        "realize.py",
+        "combinations_with_replacement(range(1, nvars - shift + 1), slot)",
+        "combinations_with_replacement(range(1, nvars - shift), slot)",
+        "the slots' shifted indices run over all of 1..nvars - #strict",
+        "tests/test_realize.py::TestRealizeL::test_single_dotted",
+    ),
+    (
+        "realize.py",
+        "        for i, p in zip(idx, alpha):\n            if p.value:\n",
+        "        for i, p in zip(reversed(idx), alpha):\n            if p.value:\n",
+        "the i-th part of an M realization takes the i-th smallest index",
+        "tests/test_realize.py::TestRealizeM::test_example_2_4_second",
     ),
     (
         "realize.py",

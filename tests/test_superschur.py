@@ -445,47 +445,35 @@ class TestSchurToL:
         ]
 
 
-# the shapes of degree <= 6 where the coproduct of s_Lambda is not the signed
-# sum of s_{Lambda/Omega} (x) s_Omega; each has two or more circles and a
-# bosonic part longer than a non-zero fermionic part
-COPRODUCT_FAILURES = (
-    "(1,0;2) (1,0;2,1) (1,0;3) (1,0;2,1,1) (1,0;2,2) (1,0;3,1) (1,0;4) (2,0;3) "
-    "(2,1,0;2) (1,0;2,1,1,1) (1,0;2,2,1) (1,0;3,1,1) (1,0;3,2) (1,0;4,1) (1,0;5) "
-    "(2,0;3,1) (2,0;4) (2,1;3) (2,1,0;2,1) (2,1,0;3) (3,1,0;2)"
-).split()
-
-
-def _skew_sign(outer: Superpartition, inner: Superpartition) -> int:
-    """(-1)^k, k the pairs (w, l) with w a fermionic part of inner, l one
-    of outer that inner lacks, and w > l; 1 when inner's fermionic parts
-    are not all outer's."""
-    lacked = set(outer.fermionic)
-    if not lacked.issuperset(inner.fermionic):
-        return 1
-    lacked.difference_update(inner.fermionic)
-    k = sum(w > l for w in inner.fermionic for l in lacked)
-    return -1 if k % 2 else 1
+def _skew_summand(outer: Superpartition, inner: Superpartition) -> dict:
+    """The L terms of s_{Lambda/Omega} in the coproduct of s_Lambda: each
+    dot-standard tableau counts its sign times (-1)^k, k the pairs (inner
+    circle, lettered circle) where the inner circle has the larger value."""
+    terms: dict = {}
+    for tab in dot_standard_tableaux(outer, inner):
+        blank = [value for value, letter in tab.circles if letter is None]
+        k = sum(w > v for w in blank for v, letter in tab.circles if letter is not None)
+        key = comp_of_tableau(tab)
+        terms[key] = terms.get(key, 0) + tab.sign() * (-1) ** k
+    return terms
 
 
 class TestCoproductOfSchur:
     def test_coproduct_is_the_sum_over_inner_shapes(self):
         # Delta s_Lambda = sum over Omega inside Lambda of
-        # eps s_{Lambda/Omega} (x) s_Omega, the superspace form of the
-        # classical identity; it is the one test of the skew walk that shares
-        # no definition of a skew s-tableau with it.  It holds on every shape
-        # of degree <= 6 but the pinned ones, where it is an open question
+        # s_{Lambda/Omega} (x) s_Omega, each skew tableau signed by how its
+        # inner circles lie against its lettered ones: the superspace form of
+        # the classical identity.  It checks the skew listing walk against
+        # coproduct_L, which shares no definition of an s-tableau with it
         shapes = [lam for d in range(7) for m in range(d + 2) for lam in superpartitions(d, m)]
         assert len(shapes) == 186
-        failures = []
         for outer in shapes:
             rhs: dict = {}
             for inner in shapes:
                 if outer.contains(inner):
-                    term = tensor(schur_to_L(outer, inner), schur_to_L(inner))
-                    accumulate(rhs, term.terms, _skew_sign(outer, inner))
-            if coproduct_L(schur_to_L(outer)) != TensorExpr(("L", "L"), rhs):
-                failures.append(str(outer))
-        assert failures == COPRODUCT_FAILURES
+                    skew = Expr("L", _skew_summand(outer, inner))
+                    accumulate(rhs, tensor(skew, schur_to_L(inner)).terms)
+            assert coproduct_L(schur_to_L(outer)) == TensorExpr(("L", "L"), rhs), outer
 
 
 class TestRealizeS:
