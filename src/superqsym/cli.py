@@ -167,6 +167,54 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
+# each subcommand: its help, its handler and its arguments, each a name and
+# the keywords of its add_argument call; build_parser() and _reader() both
+# read this table, and an argument several subcommands share is one entry
+_BASIS = ("--basis", {"choices": ("M", "L"), "required": True})
+_FORMAT = ("--format", {"choices": algebra.FORMATS, "default": "plain"})
+_COMMANDS = {
+    "product": ("product of two basis elements", _cmd_product, (
+        ("A", {}), ("B", {}), _BASIS,
+        ("--trace", {"action": "store_true",
+                     "help": "also print the contributing shuffles/paths as JSON"}),
+        _FORMAT,
+    )),
+    "coproduct": ("coproduct of a basis element", _cmd_coproduct, (("A", {}), _BASIS, _FORMAT)),
+    "antipode": ("antipode of a basis element", _cmd_antipode, (
+        ("A", {}), _BASIS,
+        ("--via", {"choices": ("columns", "monomial"), "default": "columns"}),
+        _FORMAT,
+    )),
+    "convert": ("change of basis", _cmd_convert, (
+        ("A", {}),
+        ("--from", {"choices": ("M", "L", "Lbar"), "required": True}),
+        ("--to", {"choices": ("M", "L"), "required": True}),
+        _FORMAT,
+    )),
+    "orders": ("compare two compositions in both orders", _cmd_orders, (
+        ("A", {}), ("B", {}), _FORMAT,
+    )),
+    "schur": ("fundamental expansion of a Schur function", _cmd_schur, (
+        ("LAMBDA", {"help": "superpartition, e.g. (3,0;5,3,2)"}),
+        ("--skew", {"help": "inner shape; the skew expansion sums the skew tableaux, each "
+                    "with its own sign, and is not the coefficient of the inner "
+                    "shape's Schur function in the coproduct"}),
+        ("--show-tableaux", {"action": "store_true"}),
+        _FORMAT,
+    )),
+    "realize": ("polynomial realization of a basis element", _cmd_realize, (
+        ("EXPR", {"help": "e.g. L[2,d3,1]"}),
+        ("--vars", {"type": _integer, "required": True}),
+        _FORMAT,
+    )),
+    "verify": ("run the Hopf axiom suite", _cmd_verify, (
+        ("--max-degree", {"type": _integer, "required": True}),
+        ("--max-fermionic", {"type": _integer, "required": True}),
+        _FORMAT,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superqsym",
@@ -175,120 +223,60 @@ def build_parser() -> argparse.ArgumentParser:
         "carry a d prefix).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand's own parser, by name, for main()'s readers
+    # each subcommand's own parser, by name
     parser.commands = sub.choices
-
-    def add_format(p):
-        p.add_argument("--format", choices=algebra.FORMATS, default="plain")
-
-    p = sub.add_parser("product", help="product of two basis elements")
-    p.add_argument("A")
-    p.add_argument("B")
-    p.add_argument("--basis", choices=("M", "L"), required=True)
-    p.add_argument(
-        "--trace", action="store_true",
-        help="also print the contributing shuffles/paths as JSON",
-    )
-    add_format(p)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("coproduct", help="coproduct of a basis element")
-    p.add_argument("A")
-    p.add_argument("--basis", choices=("M", "L"), required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_coproduct)
-
-    p = sub.add_parser("antipode", help="antipode of a basis element")
-    p.add_argument("A")
-    p.add_argument("--basis", choices=("M", "L"), required=True)
-    p.add_argument("--via", choices=("columns", "monomial"), default="columns")
-    add_format(p)
-    p.set_defaults(func=_cmd_antipode)
-
-    p = sub.add_parser("convert", help="change of basis")
-    p.add_argument("A")
-    p.add_argument("--from", choices=("M", "L", "Lbar"), required=True)
-    p.add_argument("--to", choices=("M", "L"), required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("orders", help="compare two compositions in both orders")
-    p.add_argument("A")
-    p.add_argument("B")
-    add_format(p)
-    p.set_defaults(func=_cmd_orders)
-
-    p = sub.add_parser("schur", help="fundamental expansion of a Schur function")
-    p.add_argument("LAMBDA", help="superpartition, e.g. (3,0;5,3,2)")
-    p.add_argument("--skew", default=None, help="inner shape")
-    p.add_argument("--show-tableaux", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_schur)
-
-    p = sub.add_parser("realize", help="polynomial realization of a basis element")
-    p.add_argument("EXPR", help="e.g. L[2,d3,1]")
-    p.add_argument("--vars", type=_integer, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("verify", help="run the Hopf axiom suite")
-    p.add_argument("--max-degree", type=_integer, required=True)
-    p.add_argument("--max-fermionic", type=_integer, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (text, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
-def _reader(command: argparse.ArgumentParser):
-    """A reader of the plain argv that the subcommand parser `command`
-    takes, read off the parser's own actions; None when the parser has an
-    action of a kind it does not read, or an option whose string default
-    argparse would pass through its `type`.
+def _reader(func, arguments):
+    """A reader of the plain argv of the subcommand with handler `func` and
+    `_COMMANDS` arguments `arguments`, read off the keywords build_parser()
+    hands argparse (`action`, `type`, `choices`, `required`, `default`).
+    Each value lands where argparse puts it for these names: under the name
+    without its leading dashes, '-' read as '_'.
 
     The reader takes exact option names, each followed by its value as the
     next argument, flags with no value, one argument per positional, values
-    that pass the action's `type` and `choices`, and every required option.
+    that pass the argument's `type` and `choices`, and every required option.
     For such argv it returns the namespace argparse would, less `command`.
     For any other argv it returns None, and the full parser reads it and
     prints and exits as its own: help, an abbreviation, `--opt=value`, `--`,
     an unknown option, a value or positional that starts with '-' and is no
-    negative integer, a value for a flag, a bad value, a missing argument."""
-    flags: dict[str, argparse.Action] = {}
+    negative integer, a value for a flag, a bad value, a missing argument.
+    Defaults are used as given, not passed through `type`: no typed option
+    of the table has a string default."""
+    flags: dict[str, str] = {}
     takes: dict[str, tuple] = {}
     positionals = []
     required = []
-    defaults = {}
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
+    defaults = {"func": func}
+    for name, keywords in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if keywords.get("action") == "store_true":
+            flags[name] = dest
+            defaults[dest] = False
             continue
-        if isinstance(action, argparse._StoreConstAction) and action.option_strings:
-            table, entry = flags, action
-        elif type(action) is argparse._StoreAction and action.nargs is None:
-            table, entry = takes, (action, action.type, action.choices)
-            # argparse passes a string default through type; the reader does not
-            if action.type is not None and isinstance(action.default, str):
-                return None
+        entry = (dest, keywords.get("type"), keywords.get("choices"))
+        if name[0] == "-":
+            takes[name] = entry
         else:
-            return None
-        if action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if not action.option_strings:
             positionals.append(entry)
-        elif action.required:
-            required.append(action)
-        for name in action.option_strings:
-            if name[1:2].isdigit():
-                return None  # argparse would then read '-1' as an option
-            table[name] = entry
-    defaults["func"] = command.get_default("func")
+        if keywords.get("required"):
+            required.append(dest)
+        else:
+            defaults[dest] = keywords.get("default")
 
     def plain(arg: str) -> bool:
         """Whether argparse reads arg as a value, not as an option."""
         return arg[:1] != "-" or (arg[1:].isdigit() and arg.isascii())
 
     def read(argv: list[str]) -> argparse.Namespace | None:
-        given = {}  # each action met, with its last value
+        values = defaults.copy()
         at = 0
         rest = iter(argv)
         for arg in rest:
@@ -298,8 +286,7 @@ def _reader(command: argparse.ArgumentParser):
                 entry = positionals[at]
                 at += 1
             elif arg in flags:
-                action = flags[arg]
-                given[action] = action.const
+                values[flags[arg]] = True
                 continue
             elif arg in takes:
                 entry = takes[arg]
@@ -309,7 +296,7 @@ def _reader(command: argparse.ArgumentParser):
                     return None
             else:
                 return None
-            action, convert, choices = entry
+            dest, convert, choices = entry
             if convert is not None:
                 try:
                     arg = convert(arg)
@@ -317,15 +304,12 @@ def _reader(command: argparse.ArgumentParser):
                     return None
             if choices is not None and arg not in choices:
                 return None
-            given[action] = arg
+            values[dest] = arg
         if at < len(positionals):
             return None
-        for action in required:
-            if action not in given:
+        for dest in required:
+            if dest not in values:
                 return None
-        values = defaults.copy()
-        for action, value in given.items():
-            values[action.dest] = value
         args = argparse.Namespace()
         vars(args).update(values)
         return args
@@ -338,19 +322,21 @@ _PARSER: argparse.ArgumentParser | None = None
 
 def _parser() -> argparse.ArgumentParser:
     """The parser main() uses, built once per process with a reader per
-    subcommand: building it costs more than parsing a typical query."""
+    subcommand, both from `_COMMANDS`: building the parser costs more than
+    parsing a typical query."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-        _PARSER.readers = {name: _reader(p) for name, p in _PARSER.commands.items()}
+        _PARSER.readers = {name: _reader(f, a) for name, (_, f, a) in _COMMANDS.items()}
     return _PARSER
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The full parser's namespace for argv.  When argv[0] names a
-    subcommand, the rest goes to that subcommand's reader; whatever the
-    reader declines, and any argv that names no subcommand, the full parser
-    reads, prints and exits on as its own."""
+    subcommand, the rest goes to that subcommand's reader, made from the
+    same `_COMMANDS` entry as its parser; whatever the reader declines, and
+    any argv that names no subcommand, the full parser reads, prints and
+    exits on as its own."""
     parser = _parser()
     read = parser.readers.get(argv[0]) if argv else None
     args = read(argv[1:]) if read else None

@@ -553,7 +553,14 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     its moves from the call's _live_moves table, built backward from outer,
     which holds only moves onto live states and no dead state: every state
     the walk enters counts at least one suffix.  That table and the memo of
-    walk states live for one call."""
+    walk states live for one call.
+
+    With an inner shape, this is the tableau sum with each tableau's own
+    sign.  It is not the coefficient of s_inner in the coproduct of s_outer,
+    which weighs each tableau by a further (-1)^k, k the pairs (inner
+    circle, lettered circle) with the inner circle larger: of the 2,565
+    nonzero skew pairs of degree <= 6 the two agree on 2,206, are opposite
+    on 309 and differ otherwise on 50."""
     _require_inside(outer, inner)
     base = 2 * outer.degree + 2
     moves = _live_moves(outer, inner)

@@ -415,14 +415,6 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "            if action.type is not None and isinstance(action.default, str):\n"
-        "                return None\n",
-        "",
-        "the reader does not pass a string default through type, so it declines such an action",
-        "tests/test_cli.py::TestDispatch::test_the_reader_declines_a_typed_string_default",
-    ),
-    (
-        "cli.py",
         "    except (RecursionError, MemoryError) as exc:\n",
         "    except MemoryError as exc:\n",
         "an input too deep for the interpreter's recursion limit fails with one error line",
@@ -432,22 +424,43 @@ MUTANTS = [
         "cli.py",
         "            if choices is not None and arg not in choices:\n                return None\n",
         "",
-        "the reader takes only values in an action's choices; argparse refuses the rest",
+        "the reader takes only values in an argument's choices; argparse refuses the rest",
         "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[bad-choice]",
     ),
     (
         "cli.py",
-        "        for action in required:\n            if action not in given:\n                return None\n",
+        "        for dest in required:\n            if dest not in values:\n                return None\n",
         "",
         "a required option left out is argparse's refusal, not its default",
         "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[missing-option]",
     ),
     (
         "cli.py",
-        "            given[action] = arg\n",
-        "            given.setdefault(action, arg)\n",
-        "an option given twice keeps its last value, as argparse keeps it",
+        "            values[dest] = arg\n",
+        "            values.setdefault(dest, arg)\n",
+        "a given value replaces the default, and an option given twice keeps its last value",
         "tests/test_cli.py::TestDispatch::test_near_valid_argv_are_read_as_argparse_reads_them[repeat]",
+    ),
+    (
+        "cli.py",
+        'dest = name.lstrip("-").replace("-", "_")',
+        'dest = name.lstrip("-")',
+        "argparse reads '-' in an option's name as '_' in its dest",
+        "tests/test_cli.py::TestDispatch::test_each_reader_agrees_with_its_parser_on_the_table",
+    ),
+    (
+        "cli.py",
+        "            defaults[dest] = False\n",
+        "            defaults[dest] = None\n",
+        "a store_true flag left out is False, not None",
+        "tests/test_cli.py::TestDispatch::test_each_reader_agrees_with_its_parser_on_the_table",
+    ),
+    (
+        "cli.py",
+        '_FORMAT = ("--format", {"choices": algebra.FORMATS, "default": "plain"})',
+        '_FORMAT = ("--format", {"choices": ("plain", "latex"), "default": "plain"})',
+        "every subcommand's one shared --format entry offers json",
+        "tests/test_cli.py::TestSubcommands::test_product_json_round_trips",
     ),
     (
         "realize.py",
@@ -560,6 +573,34 @@ MUTANTS = [
         "lhs = anti(ids[comps[a].concat(comps[b])])",
         "_same deletes zeros in place, so the left side is a copy, never the memoized antipode",
         "tests/test_hopf.py::TestVerifySuite::test_antipode_sides_leave_the_memo_as_it_was[False]",
+    ),
+    (
+        "hopf.py",
+        "            out[key] = get(key, 0) + c * d\n",
+        "            out[key] = get(key, 0) + (c * d if left else -c * d)\n",
+        "(Delta x id)Delta and (id x Delta)Delta agree with no sign between them: Delta is even",
+        "tests/test_hopf.py::TestVerifySuite::test_small_universe_passes",
+    ),
+    (
+        "realize.py",
+        "            i = idx[j] + up\n",
+        "            i = idx[slot - 1 - j] + up\n",
+        "the j-th slot of an L realization takes the j-th smallest shifted index",
+        "tests/test_realize.py::TestRealizeL::test_refinement_route_agrees_worked_example",
+    ),
+    (
+        "shuffles.py",
+        "flip = below[y] * (dotted[x2] - dotted[x]) & 1",
+        "flip = 0",
+        "a diagonal across dotted columns passes over the dotted rows below it",
+        "tests/test_schur_span.py::test_products_lie_in_the_integer_span",
+    ),
+    (
+        "superschur.py",
+        "    free, _ = walk(*inner, 0, None)\n",
+        "    free, _ = walk(*inner, (1 << inner.n_circles) - 1, None)\n",
+        "the inner shape's circles stay unfilled, so a new circle's sign counts no inner circle",
+        "tests/test_superschur.py::TestSkewConvention::test_the_skew_is_the_tableau_sum_not_the_coproduct_coefficient",
     ),
 ]
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import gc
 import io
@@ -542,16 +541,39 @@ class TestDispatch:
             else:
                 assert got in (None, want), argv
 
-    def test_the_reader_declines_a_typed_string_default(self):
-        """argparse passes a string default through `type`; the reader does
-        not, so it declines the parser and the full parser reads its argv."""
+    def test_each_reader_agrees_with_its_parser_on_the_table(self):
+        """Each subcommand's parser and reader come from one `_COMMANDS`
+        entry.  Argparse's action for each entry has the table's option
+        name, `type`, `choices` and `required`, and no typed option has a
+        string default, which argparse would pass through `type` and the
+        reader would not.  On the argv of the positionals and required
+        options alone, and on argv that gives every argument, the reader's
+        namespace is argparse's: so is each `dest` and default it derives."""
         import superqsym.cli as cli
 
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--n", type=cli._integer, default="3")
-        assert cli._reader(parser) is None
-        parser.set_defaults(n=3)
-        assert cli._reader(parser) is not None
+        parser = cli.build_parser()
+        assert list(parser.commands) == list(cli._COMMANDS)
+        for name, (_, func, arguments) in cli._COMMANDS.items():
+            actions = [a for a in parser.commands[name]._actions if a.dest != "help"]
+            assert len(actions) == len(arguments), name
+            least, every = [name], [name]
+            for (argument, keywords), action in zip(arguments, actions):
+                assert action.option_strings in ([], [argument]), name
+                assert action.type is keywords.get("type"), argument
+                assert action.choices == keywords.get("choices"), argument
+                positional = not action.option_strings
+                assert action.required == keywords.get("required", positional), argument
+                assert action.type is None or not isinstance(action.default, str), argument
+                value = action.choices[-1] if action.choices else "7" if action.type else "x"
+                words = [] if positional else [argument]
+                words += [] if action.nargs == 0 else [value]
+                every += words
+                if action.required:
+                    least += words
+            assert parser.commands[name].get_default("func") is func
+            for argv in (least, every):
+                got = vars(cli._parser().readers[name](argv[1:]))
+                assert dict(got, command=name) == vars(parser.parse_args(argv)), argv
 
     def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["superqsym", "convert", "[2]", "--from", "L", "--to", "M"])
