@@ -138,6 +138,12 @@ class _Combination:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def support(self) -> list:
+        """The keys in their natural order: compositions in that of
+        DottedComposition.sort_key, pairs of them left slot first, and
+        monomials as tuples."""
+        return sorted(self.terms)
+
     def _same_tag(self, other):
         if not isinstance(other, type(self)):
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
@@ -202,11 +208,6 @@ class Expr(_Combination):
     def basis_element(cls, basis: str, alpha: DottedComposition, coeff=1) -> "Expr":
         return cls._trusted(_check_basis(basis), {_as_composition(alpha): _exact(coeff)})
 
-    def support(self) -> list[DottedComposition]:
-        """The keys in the order of DottedComposition.sort_key."""
-        rank = _PartTable(_rank).__getitem__
-        return sorted(self.terms, key=lambda alpha: list(map(rank, alpha)))
-
     def bidegrees(self) -> set[tuple[int, int]]:
         return {alpha.degrees() for alpha in self.terms}
 
@@ -221,8 +222,8 @@ class Expr(_Combination):
 
 
 class _PartTable(dict):
-    """f(p) for each part p looked up, made at its first lookup: sorting and
-    rendering read a part once per call rather than once per term."""
+    """f(p) for each part p looked up, made at its first lookup: rendering
+    reads a part once per call rather than once per term."""
 
     def __init__(self, f: Callable):
         self.f = f
@@ -230,11 +231,6 @@ class _PartTable(dict):
     def __missing__(self, p: DottedPart):
         self[p] = value = self.f(p)
         return value
-
-
-def _rank(p: DottedPart) -> int:
-    # a part's place in DottedComposition.sort_key: by value, dotted first
-    return 2 * p.value + (not p.dotted)
 
 
 def _as_expr(x, basis: str) -> Expr:
@@ -318,14 +314,6 @@ class TensorExpr(_Combination):
     @property
     def bases(self) -> tuple[str, str]:
         return self._tag
-
-    def support(self):
-        """The pairs in the order of DottedComposition.sort_key, left slot
-        first."""
-        rank = _PartTable(_rank).__getitem__
-        return sorted(
-            self.terms, key=lambda pair: (list(map(rank, pair[0])), list(map(rank, pair[1])))
-        )
 
     def _texts(self, keys, fmt: str):
         # as Expr._texts; the left and right slots' bodies alternate in one

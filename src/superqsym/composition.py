@@ -28,9 +28,35 @@ class InconsistentDefSetsError(ValueError):
     """Raised when (n, m, D, F) does not describe any dotted composition."""
 
 
-class DottedPart(NamedTuple):
-    value: int
-    dotted: bool
+class DottedPart(int):
+    """A part: its `value`, and whether it is `dotted`.  As an int it is its
+    rank in DottedComposition.sort_key order, 2*value + 2 + (not dotted): by
+    value, the dotted part first, and never 0, so that d0 and a plain 0 are
+    truthy.  So compositions, tuples of parts, hash, compare and sort as
+    tuples of machine ints.  There is one part per (value, dotted): the
+    constructor returns it from _PARTS, and a part cannot be changed."""
+
+    def __new__(cls, value, dotted):
+        # only an int and a bool are looked up as they are: a pair merely
+        # equal to a built one's, such as (part, False) or (True, 1.0), is
+        # read and refused as a first build would be
+        if type(value) is int and type(dotted) is bool:
+            part = _PARTS.get((value, dotted))
+            if part is not None:
+                return part
+        return _new_part(value, dotted)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DottedPart is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DottedPart is immutable")
+
+    def __reduce__(self):
+        return (DottedPart, (self.value, self.dotted))
+
+    def __repr__(self) -> str:
+        return f"DottedPart(value={self.value!r}, dotted={self.dotted!r})"
 
     def __str__(self) -> str:
         return f"d{self.value}" if self.dotted else str(self.value)
@@ -42,12 +68,27 @@ class DottedPart(NamedTuple):
         return {"v": self.value, "dot": self.dotted}
 
 
+# every part built, by (value, dotted); it holds one entry per distinct pair
+_PARTS: dict[tuple[int, bool], DottedPart] = {}
+
+
+def _new_part(value, dotted) -> DottedPart:
+    """The part of (value, dotted), read as an int and a flag, entered in
+    _PARTS if it is not there yet.  setdefault keeps the first part entered,
+    also where two threads build one pair at once."""
+    value, dotted = _as_int(value), _as_flag(dotted)
+    part = int.__new__(DottedPart, 2 * value + 2 + (not dotted))
+    part.__dict__.update(value=value, dotted=dotted)
+    return _PARTS.setdefault((value, dotted), part)
+
+
 def _as_int(v) -> int:
     """v as an int: only a number equal to its int is one, so that a bool is
-    not read as 0/1, text such as "3" is not parsed, and 2.5 is not cut to 2."""
+    not read as 0/1, text such as "3" is not parsed, 2.5 is not cut to 2, and
+    a DottedPart is not read as its rank."""
     if type(v) is int:
         return v
-    if isinstance(v, bool) or not isinstance(v, numbers.Number):
+    if isinstance(v, (bool, DottedPart)) or not isinstance(v, numbers.Number):
         raise TypeError(f"expected an integer, got {v!r}")
     try:
         i = int(v)
@@ -149,7 +190,9 @@ class DottedComposition(tuple):
         return DottedComposition._of(self + other)
 
     def sort_key(self) -> tuple:
-        # dotted sorts before non-dotted at equal value, for stable output
+        """By value, dotted before non-dotted at equal value, part by part.
+        A part's int is its rank in this order, so compositions sort in it
+        as they are: sorted(cs) == sorted(cs, key=DottedComposition.sort_key)."""
         return tuple((p.value, 0 if p.dotted else 1) for p in self)
 
     # -- text / json ----------------------------------------------------------
@@ -170,6 +213,7 @@ class DottedComposition(tuple):
 
 
 EMPTY = DottedComposition()
+_D0 = DottedPart(0, True)
 
 
 def comp(*parts) -> DottedComposition:
@@ -324,7 +368,7 @@ def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
             value += beta[i].value
             dots += beta[i].dotted
             i += 1
-        if target.dotted and not dots and i < lb and beta[i] == (0, True):
+        if target.dotted and not dots and i < lb and beta[i] == _D0:
             dots = 1
             i += 1
         if value != target.value or dots != target.dotted:
@@ -391,7 +435,7 @@ def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
             if part is None:
                 part = made[value, dots] = DottedPart(value, dots == 1)
             # a plain block, then itself with a trailing d0: the d0 sorts first
-            at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)
+            at = len(blocks) - 1 if blocks and alpha[j] == _D0 else len(blocks)
             blocks.insert(at, (part, j + 1))
         starts.append(blocks[::-1])
     results: list[DottedComposition] = []

@@ -80,10 +80,6 @@ class SuperPolynomial(_Combination):
     def one(cls, nvars: int) -> "SuperPolynomial":
         return cls(nvars, {((), ()): 1})
 
-    def support(self) -> list[Monomial]:
-        """The monomials in sorted order."""
-        return sorted(self.terms)
-
     def _texts(self, keys, fmt: str):
         """For render_expr: the JSON head, the term names in `keys` order as
         the one stream that spells them, the JSON tail."""

@@ -294,7 +294,7 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "at = len(blocks) - 1 if blocks and alpha[j] == (0, True) else len(blocks)",
+        "at = len(blocks) - 1 if blocks and alpha[j] == _D0 else len(blocks)",
         "at = len(blocks)",
         "a block with a trailing d0 sorts before the same block without it",
         "tests/test_refinement_orders.py::test_weak_coarsenings_match_oracle",
@@ -329,12 +329,26 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "        if target.dotted and not dots and i < lb and beta[i] == (0, True):\n"
+        "        if target.dotted and not dots and i < lb and beta[i] == _D0:\n"
         "            dots = 1\n"
         "            i += 1\n",
         "",
         "a dotted block takes a trailing d0 as its dot",
         "tests/test_composition.py::TestEnumeration::test_weak_coarsenings_match_scan",
+    ),
+    (
+        "composition.py",
+        "2 * value + 2 + (not dotted)",
+        "2 * value + 2 + dotted",
+        "a dotted part ranks before the plain part of the same value",
+        "tests/test_composition.py::TestPartsAreRanks::test_natural_order_is_sort_key_order",
+    ),
+    (
+        "composition.py",
+        "2 * value + 2 + (not dotted)",
+        "2 * value + (not dotted)",
+        "no part ranks 0, so that d0 is truthy",
+        "tests/test_composition.py::TestPartsAreRanks::test_every_part_is_truthy",
     ),
     (
         "algebra.py",
@@ -359,9 +373,9 @@ MUTANTS = [
     ),
     (
         "algebra.py",
-        "return 2 * p.value + (not p.dotted)",
-        "return 2 * p.value + p.dotted",
-        "a dotted part sorts before the plain part of the same value",
+        "return sorted(self.terms)",
+        "return list(self.terms)",
+        "support() lists the keys in sort_key order, not in the order they were made",
         "tests/test_algebra.py::TestExprArithmetic::test_support_sorted",
     ),
     (

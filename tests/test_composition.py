@@ -1,7 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superqsym
 from superqsym.composition import (
+    _PARTS,
     EMPTY,
     CompositionParseError,
     DottedComposition,
@@ -113,6 +118,80 @@ class TestBasics:
     def test_json_round_trip(self):
         a = comp(2, "d0", 1)
         assert DottedComposition.from_json(a.to_json()) == a
+
+
+class TestPartsAreRanks:
+    """A part is the int of its rank in sort_key order, one per (value,
+    dotted), so compositions hash, compare and sort as tuples of ints."""
+
+    def test_natural_order_is_sort_key_order(self):
+        # two total orders that sort a set alike agree on every pair of it
+        alphas = universe(7)
+        by_key = sorted(alphas, key=DottedComposition.sort_key)
+        assert sorted(alphas) == by_key
+        assert len(set(alphas)) == len(alphas)
+        assert all(a < b for a, b in zip(by_key, by_key[1:]))
+
+    def test_natural_order_of_pairs_is_sort_key_order_left_first(self):
+        alphas = universe(3)
+        pairs = [(a, b) for a in alphas for b in alphas]
+        assert sorted(pairs) == sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+
+    def test_every_part_is_truthy(self):
+        parts = {p for alpha in universe(7) for p in alpha}
+        parts |= {DottedPart(0, False), DottedPart(0, True)}
+        assert all(parts)
+
+    def test_one_part_per_value_and_flag(self):
+        assert DottedPart(1, 1) is DottedPart(1, True)
+        assert DottedPart(1, 1).dotted is True
+        assert DottedPart(1, 0).dotted is False
+        assert comp("d1")[0] is DottedPart(1, True)
+        assert DottedPart(2.0, False) is DottedPart(2, False)
+        assert int(DottedPart(3, True)) == 8 and int(DottedPart(3, False)) == 9
+
+    def test_text_json_pickle_and_copies_are_unchanged(self):
+        for part, text, tex, rep in [
+            (DottedPart(2, False), "2", "2", "DottedPart(value=2, dotted=False)"),
+            (DottedPart(0, True), "d0", r"\dot{0}", "DottedPart(value=0, dotted=True)"),
+        ]:
+            assert (str(part), f"{part}", part.latex(), repr(part)) == (text, text, tex, rep)
+            assert part.to_json() == {"v": part.value, "dot": part.dotted}
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(part, protocol)) is part
+            assert copy.copy(part) is part and copy.deepcopy(part) is part
+
+    def test_a_part_cannot_be_changed(self):
+        part = DottedPart(2, True)
+        with pytest.raises(AttributeError):
+            part.value = 3
+        with pytest.raises(AttributeError):
+            del part.dotted
+        assert (part.value, part.dotted) == (2, True)
+
+    def test_a_part_is_not_read_as_a_count(self):
+        # its int is its rank: DottedPart(2, False) is 7
+        with pytest.raises(TypeError):
+            compositions_of(DottedPart(2, False), 0)
+        with pytest.raises(TypeError):
+            universe(DottedPart(1, False))
+        with pytest.raises(TypeError):
+            DottedPart(DottedPart(1, False), False)
+        # nor is a pair equal to a built part's read as that part
+        DottedPart(1, True)
+        for value, dotted in [(True, True), (1, 1.0)]:
+            with pytest.raises(TypeError):
+                DottedPart(value, dotted)
+
+    def test_parts_are_read_as_before(self):
+        assert comp(DottedPart(2, True), (1, False), 3, "d0") == comp("d2", 1, 3, "d0")
+
+    def test_the_part_table_grows_only_with_new_parts(self):
+        size = len(_PARTS)
+        for alpha in universe(5):
+            DottedComposition(alpha)
+        assert len(_PARTS) == size
+        assert _PARTS not in superqsym._MEMOS
 
 
 class TestDefSets:
@@ -340,9 +419,9 @@ class TestStructure:
             # interior boundary entries are non-dotted units
             for i, f in enumerate(factors):
                 if i > 0:
-                    assert f.parts[0] == (1, False)
+                    assert f.parts[0] == DottedPart(1, False)
                 if i < len(factors) - 1:
-                    assert f.parts[-1] == (1, False)
+                    assert f.parts[-1] == DottedPart(1, False)
 
     def test_classify(self):
         assert classify(comp(1, "d2", 4, "d5", "d4", 7, "d0", 2, "d3")).is_maximal
