@@ -11,6 +11,7 @@ from .composition import (
     DottedComposition,
     DottedPart,
     InconsistentDefSetsError,
+    _MEMOS,
     classify,
     column_decomposition,
     comp,
@@ -102,19 +103,7 @@ from .superschur import (
     superpartitions,
 )
 
-from . import composition as _composition, realize as _realize, shuffles as _shuffles
-
 __version__ = "0.1.0"
-
-_MEMOS = (
-    _composition.strong_refinements,
-    _composition.weak_refinements,
-    _composition.weak_coarsenings,
-    _shuffles.overlapping_shuffles,
-    _shuffles.fundamental_product,
-    _realize._realize_M,
-    _realize._realize_L,
-)
 
 
 def clear_caches() -> None:

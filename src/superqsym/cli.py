@@ -2,11 +2,11 @@
 invocation.  Exit codes: 0 ok, 1 domain error or an input too deep or too
 large to compute, 2 parse error, 3 verify failure.
 
-main() empties the package memos (superqsym.clear_caches) when a command
-returns, whatever its exit: they are bounded by entry count, not by size,
-and one command shares little with the next.  A command run in-process then
-leaves memory as a process of its own would.  Library calls keep their
-process-wide memos."""
+main() empties the package memos (superqsym.clear_caches, over the list each
+memo joins where it is made) when a command returns, whatever its exit: they
+are bounded by entry count, not by size, and one command shares little with
+the next.  A command run in-process then leaves memory as a process of its
+own would.  Library calls keep their process-wide memos."""
 
 from __future__ import annotations
 
@@ -87,19 +87,17 @@ def _cmd_antipode(args) -> int:
     return 0
 
 
+# the algebra function of each (from, to), read by name at each call so that
+# a function rebound in algebra, as the bench tracer rebinds it, is the one run
+_CONVERSIONS = {("L", "M"): "L_to_M", ("M", "L"): "M_to_L", ("Lbar", "M"): "cofundamental_to_M"}
+
+
 def _cmd_convert(args) -> int:
-    alpha = parse_composition(args.A)
-    e = Expr.basis_element(getattr(args, "from"), alpha)
-    key = (e.basis, args.to)
-    if key == ("L", "M"):
-        out = algebra.L_to_M(e)
-    elif key == ("M", "L"):
-        out = algebra.M_to_L(e)
-    elif key == ("Lbar", "M"):
-        out = algebra.cofundamental_to_M(e)
-    else:
-        raise DomainError(f"unsupported conversion {key[0]} -> {key[1]}")
-    print(render_expr(out, args.format))
+    e = Expr.basis_element(getattr(args, "from"), parse_composition(args.A))
+    name = _CONVERSIONS.get((e.basis, args.to))
+    if name is None:
+        raise DomainError(f"unsupported conversion {e.basis} -> {args.to}")
+    print(render_expr(getattr(algebra, name)(e), args.format))
     return 0
 
 

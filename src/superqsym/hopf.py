@@ -23,6 +23,7 @@ from .composition import (
     EMPTY,
     DottedComposition,
     DottedPart,
+    _MEMOS,
     _as_int,
     column_decomposition,
     is_column,
@@ -235,6 +236,7 @@ def _maximal_coarsenings(column: DottedComposition) -> list[DottedComposition]:
         ]
         for i, r in enumerate(runs)
     ]
+    # each plain block by list index, a twentieth of a DottedPart call
     plain = [DottedPart(v, False) for v in range(max(runs) + 1)]
     out = []
     for first, *rest in cartesian(*choices):
@@ -360,8 +362,9 @@ class _Ids(dict):
     """Dense int ids of the compositions one suite run meets: `ids[alpha]`
     gives alpha's id, assigning the next one on a first read; `comps[i]` is
     the composition of id i and `odd[i]` its dot parity.  The checks key
-    their sums by ids, int pairs and int triples, which hash in C, where a
-    composition re-hashes part by part on every lookup."""
+    their sums by ids, int pairs and int triples: a tuple does not cache its
+    hash, so a pair or triple of compositions re-hashes every part on every
+    dict operation."""
 
     def __init__(self):
         super().__init__()
@@ -379,11 +382,12 @@ def _interned_ops(ids: _Ids, kernel: Callable, coprod: Callable, anti: Callable)
     """(product kernel, coproduct, antipode) of one basis on ids, each
     memoized for the run: the kernel's (id, coefficient) pairs per id pair,
     and the coproduct's and antipode's terms per id, keyed by id pairs and
-    ids.  The memo calls the kernel without its module memo, so the run holds
-    each product once, and calls a replaced kernel as it is, so a wrapper
-    that keeps the kernel under `__wrapped__` is still the one called."""
+    ids.  A kernel that is a module memo, listed in _MEMOS, is called without
+    it, so the run holds each product once; any other kernel is called as it
+    is, so a wrapper that keeps the kernel under `__wrapped__` is still the
+    one called."""
     comps = ids.comps
-    if hasattr(kernel, "cache_info"):
+    if kernel in _MEMOS:
         kernel = kernel.__wrapped__
 
     @cache

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -25,7 +24,7 @@ from .algebra import (
     cofundamental_to_M,
     render_expr,
 )
-from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _as_int, def_sets
+from .composition import DottedComposition, DottedPart, _as_int, _memo, def_sets
 
 Theta = tuple[int, ...]
 XPows = tuple[tuple[int, int], ...]
@@ -149,7 +148,7 @@ def realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
 
 
 # both memos are keyed by a checked int count, so 3 and 3.0 share an entry
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _realize_M(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     l = alpha.length
     out: dict[Monomial, int] = {}
@@ -220,7 +219,7 @@ def realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     return _realize_L(alpha, _check_nvars(nvars))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _realize_L(alpha: DottedComposition, nvars: int) -> SuperPolynomial:
     sets = def_sets(alpha)
     return _defsets_sum(alpha, nvars, sets.D, sets.E)

@@ -10,12 +10,11 @@ diagonal moves.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .composition import _MEMO_SIZE, DottedComposition, DottedPart, _coerce_part
+from .composition import DottedComposition, DottedPart, _coerce_part, _memo
 
 
 class DottedPermutation(tuple):
@@ -186,7 +185,7 @@ def _overlap_diagonals(cols, rows):
     ]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def overlapping_shuffles(
     alpha: DottedComposition, beta: DottedComposition
 ) -> tuple[tuple[DottedComposition, int], ...]:
@@ -316,7 +315,7 @@ def _path_result(steps, entries, sign) -> PathResult:
     return PathResult(GridPath(tuple(steps)), pw, comp_of_word(pw), sign)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def fundamental_product(
     alpha: DottedComposition, beta: DottedComposition
 ) -> tuple[tuple[DottedComposition, int], ...]:
@@ -333,6 +332,7 @@ def fundamental_product(
     w_alpha = represent(alpha, 1)
     w_beta = represent(beta, _above(w_alpha))
     table = _moves(w_alpha, w_beta, _fundamental_diagonals)
+    # each closed run by list index, a twentieth of a DottedPart call
     runs = [DottedPart(k, False) for k in range(len(w_alpha) + len(w_beta) + 1)]
     acc: dict[DottedComposition, int] = {}
 

@@ -382,11 +382,11 @@ def _steps(live, sp, part) -> list:
     return _by_target((state, None) for state, _ in layer)
 
 
-def _walk(outer, inner, menu, emit) -> None:
+def _walk(outer, inner, menu):
     """Depth-first walk over the chains of strips from inner inside outer.
     menu(sp, weight, sizes) gives the parts the next letter may take, or None
     to stop there, where `sizes` lists, in order, the cell counts of sp's
-    dotted moves; a stop at outer calls emit(chain, weight, cells, circles),
+    dotted moves; each stop at outer yields (chain, weight, cells, circles),
     all tuples.  The walk reads every step from the call's _live_moves table,
     so every chain it follows can still end at outer.  It keeps its frames on a
     stack, not the interpreter's, pushing parts and steps in reverse so that
@@ -398,7 +398,7 @@ def _walk(outer, inner, menu, emit) -> None:
         parts = menu(sp, weight, sorted({move[0] for move in live.get(sp, _DEAD)[1]}))
         if parts is None:
             if sp == outer:
-                emit(chain, weight, cells, circles)
+                yield chain, weight, cells, circles
             continue
         letter = len(weight) + 1
         for part in reversed(parts):
@@ -409,13 +409,7 @@ def _walk(outer, inner, menu, emit) -> None:
 
 
 def _tableaux(outer, inner, menu) -> list[STableau]:
-    results: list[STableau] = []
-
-    def emit(chain, weight, cells, circles):
-        results.append(STableau(inner, outer, chain, weight, cells, circles))
-
-    _walk(outer, inner, menu, emit)
-    return results
+    return [STableau(inner, outer, *stop) for stop in _walk(outer, inner, menu)]
 
 
 def _require_inside(outer: Superpartition, inner: Superpartition) -> None:
@@ -595,7 +589,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
 
     free, _ = walk(*inner, 0, None)
     del walk  # walk reaches itself through its closure: free the walk now
-    # each digit's part is built when the digit first occurs
+    # each digit's part by list index, a twentieth of a DottedPart call
     part_of = [None] * base
     terms = {}
     for key, c in free.items():
@@ -631,7 +625,7 @@ def realize_s(
         parts.extend(DottedPart(v, True) for v in sizes)
         return parts
 
-    def emit(chain, weight, cells, circles):
+    for _, weight, _, circles in _walk(outer, inner, menu):
         theta = tuple(i for i, p in enumerate(weight, start=1) if p.dotted)
         xp = tuple(
             (i, p.value) for i, p in enumerate(weight, start=1) if p.value
@@ -639,6 +633,4 @@ def realize_s(
         key = (theta, xp)
         sign = -1 if _circle_inversions(circles) % 2 else 1
         terms[key] = terms.get(key, 0) + sign
-
-    _walk(outer, inner, menu, emit)
     return SuperPolynomial._trusted(nvars, terms)

@@ -194,6 +194,13 @@ MUTANTS = [
     ),
     (
         "hopf.py",
+        "if kernel in _MEMOS:",
+        'if hasattr(kernel, "__wrapped__"):',
+        "only the module memo itself is unwrapped; a replacement that keeps it is called",
+        "tests/test_axiom_items.py::test_a_replaced_kernel_that_keeps_the_original_is_the_one_checked",
+    ),
+    (
+        "hopf.py",
         "(alpha.length + comb(alpha.fermionic_degree, 2)) % 2",
         "(alpha.length + alpha.fermionic_degree) % 2",
         "the antipode's sign counts the C(m,2) swaps of the dotted parts, not m",
@@ -287,10 +294,17 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "part = made.get((value, dots))",
-        "part = made.get((value, 0))",
+        "DottedPart(value, dots == 1)",
+        "DottedPart(value, False)",
         "a dotted block and a plain block of one value are different parts",
         "tests/test_composition.py::TestEnumeration::test_weak_coarsenings_match_scan",
+    ),
+    (
+        "composition.py",
+        "    _MEMOS.append(memo)\n",
+        "",
+        "every memo joins the registry that clear_caches() empties",
+        "tests/test_coefficients.py::test_memos_are_bounded_and_cleared",
     ),
     (
         "composition.py",

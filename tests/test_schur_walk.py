@@ -492,12 +492,12 @@ def test_listing_walk_enters_only_frames_on_listed_chains(monkeypatch):
     walk = superschur._walk
     frames = []
 
-    def count_frames(outer, inner, menu, emit):
+    def count_frames(outer, inner, menu):
         def counted(sp, weight, sizes):
             frames.append(sp)
             return menu(sp, weight, sizes)
 
-        walk(outer, inner, counted, emit)
+        return walk(outer, inner, counted)
 
     monkeypatch.setattr(superschur, "_walk", count_frames)
     cases = [
