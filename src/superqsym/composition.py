@@ -34,17 +34,21 @@ class DottedPart(int):
     value, the dotted part first, and never 0, so that d0 and a plain 0 are
     truthy.  So compositions, tuples of parts, hash, compare and sort as
     tuples of machine ints.  There is one part per (value, dotted): the
-    constructor returns it from _PARTS, and a part cannot be changed."""
+    constructor returns it from _PARTS, and a part cannot be changed.
+
+    The shuffle walks read three facts off the rank alone: a plain part is
+    odd and a dotted one even; plain parts compare by rank as by value; and
+    fused parts have ranks by arithmetic, a + b - 3 for the part fused from
+    parts a and b that are not both dotted (values add, dotted if either
+    is), and a + 2*k for a dotted part a grown by k."""
 
     def __new__(cls, value, dotted):
-        # only an int and a bool are looked up as they are: a pair merely
-        # equal to a built one's, such as (part, False) or (True, 1.0), is
-        # read and refused as a first build would be
-        if type(value) is int and type(dotted) is bool:
-            part = _PARTS.get((value, dotted))
-            if part is not None:
-                return part
-        return _new_part(value, dotted)
+        # only an int and a bool are read as they are: a pair merely equal
+        # to a built one's, such as (part, False) or (True, 1.0), is read
+        # and refused as a first build would be
+        if type(value) is not int or type(dotted) is not bool:
+            value, dotted = _as_int(value), _as_flag(dotted)
+        return _PARTS[2 * value + 2 + (not dotted)]
 
     def __setattr__(self, name, value):
         raise AttributeError("DottedPart is immutable")
@@ -68,18 +72,20 @@ class DottedPart(int):
         return {"v": self.value, "dot": self.dotted}
 
 
-# every part built, by (value, dotted); it holds one entry per distinct pair
-_PARTS: dict[tuple[int, bool], DottedPart] = {}
+class _PartTable(dict):
+    """Every part built, by rank.  A miss builds the part of that rank, so
+    code that knows a rank reads its part here without the constructor.
+    setdefault keeps the first part entered, also where two threads build
+    one rank at once."""
+
+    def __missing__(self, rank: int) -> DottedPart:
+        value, plain = divmod(rank - 2, 2)
+        part = int.__new__(DottedPart, rank)
+        part.__dict__.update(value=value, dotted=not plain)
+        return self.setdefault(rank, part)
 
 
-def _new_part(value, dotted) -> DottedPart:
-    """The part of (value, dotted), read as an int and a flag, entered in
-    _PARTS if it is not there yet.  setdefault keeps the first part entered,
-    also where two threads build one pair at once."""
-    value, dotted = _as_int(value), _as_flag(dotted)
-    part = int.__new__(DottedPart, 2 * value + 2 + (not dotted))
-    part.__dict__.update(value=value, dotted=dotted)
-    return _PARTS.setdefault((value, dotted), part)
+_PARTS: dict[int, DottedPart] = _PartTable()
 
 
 def _as_int(v) -> int:

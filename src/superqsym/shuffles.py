@@ -6,6 +6,12 @@ dotted permutations representing alpha and beta, admit multi-cell diagonal
 steps, and drive the L-product.  Both walk one table of the moves each grid
 point allows, which carries each move's sign bit; an engine supplies only its
 diagonal moves.
+
+The walks read a grid label as its rank, the int a DottedPart is: a plain
+label is odd and a dotted one even, plain labels compare by rank as by
+value, and a fused label is built from ranks, a + b - 3 for an M diagonal
+over labels a and b that are not both dotted and a + 2*k for a dotted label
+a crossed with k plain ones, and read from the part table.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .composition import DottedComposition, DottedPart, _coerce_part, _memo
+from .composition import _PARTS, DottedComposition, DottedPart, _coerce_part, _memo
 
 
 class DottedPermutation(tuple):
@@ -103,7 +109,9 @@ def represent(alpha: DottedComposition, start: int = 1) -> DottedPermutation:
         top = cursor
         for p in block:
             top -= p.value
-            entries.extend(DottedPart(v, False) for v in range(top, top + p.value))
+            # the plain letters top, ..., top + p.value - 1, by rank
+            ranks = range(2 * top + 3, 2 * (top + p.value) + 3, 2)
+            entries.extend(map(_PARTS.__getitem__, ranks))
         i = j
     # the values are fresh and distinct by construction
     return DottedPermutation._of(tuple(entries))
@@ -127,15 +135,16 @@ def _moves(cols, rows, diagonals) -> list[list[list]]:
     column it crosses, and flip is that count's parity.  end marks a move
     onto the far corner.  Only the empty grid has no move at (0, 0)."""
     w, h = len(cols), len(rows)
-    below = list(accumulate((e.dotted for e in rows), initial=0))
-    dotted = list(accumulate((e.dotted for e in cols), initial=0))
+    # ~e & 1 is 1 for a dotted label, whose rank is even
+    below = list(accumulate((~e & 1 for e in rows), initial=0))
+    dotted = list(accumulate((~e & 1 for e in cols), initial=0))
     table = []
     for x in range(w + 1):
         column = []
         for y in range(h + 1):
             column.append(cell := [])
             if x < w:
-                flip = below[y] * cols[x].dotted & 1
+                flip = below[y] & ~cols[x] & 1
                 cell.append((("H",), cols[x], x + 1, y, flip, x + 1 == w and y == h))
             if y < h:
                 cell.append((("V",), rows[y], x, y + 1, 0, x == w and y + 1 == h))
@@ -176,12 +185,12 @@ def _walk(cols, rows, diagonals, leaf) -> list:
 
 
 def _overlap_diagonals(cols, rows):
-    # one cell, whose labels may not both be dotted
+    # one cell, whose labels may not both be dotted: one is plain, so odd
     return [
-        (("D",), DottedPart(a.value + b.value, a.dotted or b.dotted), x, y, x + 1, y + 1)
+        (("D",), _PARTS[a + b - 3], x, y, x + 1, y + 1)
         for x, a in enumerate(cols)
         for y, b in enumerate(rows)
-        if not (a.dotted and b.dotted)
+        if (a | b) & 1
     ]
 
 
@@ -235,9 +244,9 @@ def _rising(labels, i: int):
     """k = 1, 2, ... while labels[i:i+k] are non-dotted and rise."""
     prev = 0
     for k, e in enumerate(labels[i:], start=1):
-        if e.dotted or e.value <= prev:
+        if not e & 1 or e <= prev:
             return
-        prev = e.value
+        prev = e
         yield k
 
 
@@ -245,15 +254,15 @@ def _fundamental_diagonals(cols, rows):
     # type (3): dotted column label, k rows with increasing non-dotted labels;
     # type (4): dotted row label, k columns with increasing non-dotted labels
     return [
-        (("D3", k), DottedPart(a.value + k, True), x, y, x + 1, y + k)
+        (("D3", k), _PARTS[a + 2 * k], x, y, x + 1, y + k)
         for x, a in enumerate(cols)
-        if a.dotted
+        if not a & 1
         for y in range(len(rows))
         for k in _rising(rows, y)
     ] + [
-        (("D4", k), DottedPart(b.value + k, True), x, y, x + k, y + 1)
+        (("D4", k), _PARTS[b + 2 * k], x, y, x + k, y + 1)
         for y, b in enumerate(rows)
-        if b.dotted
+        if not b & 1
         for x in range(len(cols))
         for k in _rising(cols, x)
     ]
@@ -324,7 +333,7 @@ def fundamental_product(
 
     One walk over the move table of fundamental_paths' default grid, which
     reads gamma as comp_of_word does while it steps: the parts closed so
-    far, and the length and last value of the open non-dotted run.  No path
+    far, and the length and last label of the open non-dotted run.  No path
     is built.  Memoized per pair."""
     if not (alpha and beta):
         # the one path runs along one side of the grid, below no dotted cell
@@ -338,10 +347,10 @@ def fundamental_product(
 
     def go(x: int, y: int, odd: int, parts: tuple, run: int, last: int):
         for _, entry, x2, y2, flip, end in table[x][y]:
-            if entry.dotted:
-                # closes the open run and is a part of its own
-                closed, run2 = parts + (runs[run], entry) if run else parts + (entry,), 0
-            elif entry.value < last:
+            if not entry & 1:
+                # a dotted label closes the open run and is a part of its own
+                closed, run2, entry = parts + (runs[run], entry) if run else parts + (entry,), 0, 0
+            elif entry < last:
                 # a strict descent closes the run and opens the next
                 closed, run2 = parts + (runs[run],), 1
             else:
@@ -350,7 +359,8 @@ def fundamental_product(
                 gamma = DottedComposition._of(closed + (runs[run2],) if run2 else closed)
                 acc[gamma] = acc.get(gamma, 0) + (-1 if odd ^ flip else 1)
             else:
-                go(x2, y2, odd ^ flip, closed, run2, 0 if entry.dotted else entry.value)
+                # the run's last label, 0 after a dotted one
+                go(x2, y2, odd ^ flip, closed, run2, entry)
 
     go(0, 0, 0, (), 0, 0)
     del go  # go reaches itself through its closure: free the walk now

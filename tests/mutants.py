@@ -1,7 +1,8 @@
 """A mutation run: do the tests catch small, plausible breaks of the code?
 
 Each mutant below replaces one exact piece of text in one file of
-src/superqsym with a wrong version, says why the change is wrong, and names
+src/superqsym with a wrong version (or a few pieces, where the code states
+one idea in more than one place), says why the change is wrong, and names
 the test that kills it.  The runner copies src/, tests/, bench/refs/ (the
 query catalogue that some tests read) and pyproject.toml into a temporary
 directory.  For every mutant it applies that one change there and runs the
@@ -17,8 +18,8 @@ must the named tests run together on their own.
 
     python tests/mutants.py
 
-The exit code is 1 when a mutant survives, when its text no longer occurs
-exactly once in its file, or when a subset or the named tests fail
+The exit code is 1 when a mutant survives, when one of its texts no longer
+occurs exactly once in its file, or when a subset or the named tests fail
 unmutated.  The run uses only the standard library and pytest.  It stays out
 of tier-1, whose collection reads test_*.py files only: each mutant starts
 a fresh interpreter, and the whole run takes minutes."""
@@ -64,7 +65,9 @@ SUBSETS = {
     "realize.py": ["tests/test_realize.py"],
 }
 
-# (file, old text, new text, why the new text is wrong, the test that kills it)
+# (file, old text, new text, why the new text is wrong, the test that kills it);
+# a mutant that states one wrong idea in several places gives tuples of old
+# and new texts, each old text replaced by the new one at its index
 MUTANTS = [
     (
         "superschur.py",
@@ -252,7 +255,7 @@ MUTANTS = [
     ),
     (
         "shuffles.py",
-        "flip = below[y] * cols[x].dotted & 1",
+        "flip = below[y] & ~cols[x] & 1",
         "flip = 0",
         "an H move across a dotted column passes over the dotted rows below it",
         "tests/test_shuffles.py::TestFundamentalPaths::test_example_4_3_signed_multiset",
@@ -266,24 +269,45 @@ MUTANTS = [
     ),
     (
         "shuffles.py",
-        "if not (a.dotted and b.dotted)",
-        "if not a.dotted",
+        "if (a | b) & 1",
+        "if a & 1",
         "the M diagonal is barred only from cells whose labels are both dotted",
         "tests/test_acceptance.py::test_criterion_2_axioms",
     ),
     (
         "shuffles.py",
-        "e.dotted or e.value <= prev",
-        "e.dotted or e.value < prev",
+        "not e & 1 or e <= prev",
+        "not e & 1 or e < prev",
         "a multi-cell diagonal crosses strictly rising labels",
         "tests/test_shuffle_walk.py::test_rising_stops_where_the_labels_stop_rising",
     ),
     (
         "shuffles.py",
-        "elif entry.value < last:",
-        "elif entry.value <= last:",
+        "elif entry < last:",
+        "elif entry <= last:",
         "only a strict descent closes a non-dotted run",
         "tests/test_shuffle_walk.py::test_product_reads_descents_as_comp_of_word_does",
+    ),
+    (
+        "shuffles.py",
+        "            if not entry & 1:\n",
+        "            if entry & 1:\n",
+        "a plain label's rank is odd and a dotted one's even, not the other way round",
+        "tests/test_shuffle_walk.py::test_product_reads_descents_as_comp_of_word_does",
+    ),
+    (
+        "shuffles.py",
+        "_PARTS[a + b - 3]",
+        "_PARTS[a + b - 2]",
+        "the part fused from two labels has the rank of the sum of their values, dotted if either is",
+        "tests/test_shuffle_walk.py::test_large_ranks_and_d0_match_the_oracle",
+    ),
+    (
+        "shuffles.py",
+        "_PARTS[a + 2 * k], x, y, x + 1, y + k)",
+        "_PARTS[a + k], x, y, x + 1, y + k)",
+        "a dotted label crossed with k plain ones grows by k, two ranks per unit of value",
+        "tests/test_shuffle_walk.py::test_large_ranks_and_d0_match_the_oracle",
     ),
     (
         "composition.py",
@@ -352,15 +376,16 @@ MUTANTS = [
     ),
     (
         "composition.py",
-        "2 * value + 2 + (not dotted)",
-        "2 * value + 2 + dotted",
+        # the rank a part is built with and the part the table builds for it
+        ("2 * value + 2 + (not dotted)", "dotted=not plain"),
+        ("2 * value + 2 + dotted", "dotted=bool(plain)"),
         "a dotted part ranks before the plain part of the same value",
         "tests/test_composition.py::TestPartsAreRanks::test_natural_order_is_sort_key_order",
     ),
     (
         "composition.py",
-        "2 * value + 2 + (not dotted)",
-        "2 * value + (not dotted)",
+        ("2 * value + 2 + (not dotted)", "divmod(rank - 2, 2)"),
+        ("2 * value + (not dotted)", "divmod(rank, 2)"),
         "no part ranks 0, so that d0 is truthy",
         "tests/test_composition.py::TestPartsAreRanks::test_every_part_is_truthy",
     ),
@@ -706,11 +731,15 @@ def main() -> int:
         for i, (name, old, new, why, test) in enumerate(MUTANTS, 1):
             path = package / name
             source = path.read_text()
-            if source.count(old) != 1:
-                print(f"{i:2} {name}: STALE, the old text is not in the file once")
+            olds, news = (old, new) if isinstance(old, tuple) else ((old,), (new,))
+            if any(source.count(o) != 1 for o in olds):
+                print(f"{i:2} {name}: STALE, an old text is not in the file once")
                 failed = True
                 continue
-            path.write_text(source.replace(old, new))
+            mutated = source
+            for o, n in zip(olds, news):
+                mutated = mutated.replace(o, n)
+            path.write_text(mutated)
             try:
                 code, took, out_of_memory = run_subset(tree, [test])
                 by = "its test"

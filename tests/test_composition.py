@@ -191,6 +191,8 @@ class TestPartsAreRanks:
         for alpha in universe(5):
             DottedComposition(alpha)
         assert len(_PARTS) == size
+        # one part per rank, keyed by the rank it is
+        assert all(type(part) is DottedPart and part == rank for rank, part in _PARTS.items())
         assert _PARTS not in superqsym._MEMOS
 
 

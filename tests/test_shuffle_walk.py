@@ -10,7 +10,7 @@ from itertools import product
 from hypothesis import given, strategies as st
 
 import shuffle_oracle as oracle
-from superqsym.composition import DottedPart, comp, compositions_of
+from superqsym.composition import _PARTS, DottedPart, comp, compositions_of
 from superqsym import shuffles
 from superqsym.shuffles import (
     DottedPermutation,
@@ -209,3 +209,40 @@ def test_product_enumerates_no_paths(monkeypatch):
     got = fundamental_product.__wrapped__(a, b)
     monkeypatch.undo()
     assert got == oracle.fundamental_product(a, b)
+
+
+def _oracle_path_sum(w_a, w_b):
+    acc = {}
+    for r in oracle._enumerate_paths(w_a, w_b):
+        acc[r.gamma] = acc.get(r.gamma, 0) + r.sign
+    return tuple((g, c) for g, c in acc.items() if c)
+
+
+def test_large_ranks_and_d0_match_the_oracle():
+    """The walks read a label's dot from its rank's parity and build fused
+    labels by rank arithmetic; here on labels with d0, whose rank is 2, and
+    with ranks above 255, past the ints Python keeps one copy of.  A plain
+    value v is v letters of the L grid, so large plain values go only
+    against a one-letter word."""
+    both = (comp("d200", 2, "d0"), comp(1, "d130", 3))
+    m_only = (comp(129, "d0"), comp("d200", 128))
+    l_only = (comp("d200", 129), comp("d0"))
+    for a, b in (both, m_only):
+        assert overlapping_shuffles.__wrapped__(a, b) == oracle._overlapping_shuffles(a, b)
+    for (a, b), terms in ((both, 438), (l_only, 8516)):
+        w_a = represent(a, 1)
+        w_b = represent(b, nondotted_total(a) + 1)
+        assert fundamental_paths(a, b) == oracle._enumerate_paths(w_a, w_b), (a, b)
+        got = fundamental_product.__wrapped__(a, b)
+        assert got == _oracle_path_sum(w_a, w_b), (a, b)
+        assert len(got) == terms
+
+
+def test_a_large_dotted_part_adds_only_the_parts_it_builds():
+    """A fused label is read from the part table by its rank, which builds
+    the parts a product meets and no others: none up to a large rank."""
+    a, b = comp("d100000"), comp("d0", 5)
+    size = len(_PARTS)
+    assert overlapping_shuffles.__wrapped__(a, b) == oracle._overlapping_shuffles(a, b)
+    assert fundamental_product.__wrapped__(a, b) == oracle.fundamental_product(a, b)
+    assert len(_PARTS) - size < 20
