@@ -1,6 +1,6 @@
 """The Schur walks' per-call table of live moves, built backward from the
-outer shape, and the row a fermionic strip's new circle ends, which the
-forward strips of superschur read too.
+outer shape, and the row a fermionic strip's new circle ends, which only
+superschur's forward strips call; the table inverts it instead.
 
 A diagram is a pair (star, rows): the row lengths, longest first, and the
 diagram rows of the circles listed from below.  A strip is a vector of the

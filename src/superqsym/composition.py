@@ -36,11 +36,11 @@ class DottedPart(int):
     tuples of machine ints.  There is one part per (value, dotted): the
     constructor returns it from _PARTS, and a part cannot be changed.
 
-    The shuffle walks read three facts off the rank alone: a plain part is
-    odd and a dotted one even; plain parts compare by rank as by value; and
-    fused parts have ranks by arithmetic, a + b - 3 for the part fused from
-    parts a and b that are not both dotted (values add, dotted if either
-    is), and a + 2*k for a dotted part a grown by k."""
+    The shuffle walks and the Schur walk schur_to_L read these facts off the
+    rank alone: a plain part is odd and a dotted one even; plain parts
+    compare by rank as by value; and fused parts have ranks by arithmetic,
+    a + b - 3 for the part fused from parts a and b that are not both dotted
+    (values add, dotted if either is), and a + 2*k for a part a grown by k."""
 
     def __new__(cls, value, dotted):
         # only an int and a bool are read as they are: a pair merely equal
@@ -382,10 +382,10 @@ def weak_leq(beta: DottedComposition, alpha: DottedComposition) -> bool:
     return i == lb
 
 
-# Every memo of the package, in the order it is made: the refinements here,
-# both shuffle engines, realize_M and realize_L; clear_caches() empties them.
-# The axiom suite at n+m <= 5 fills 192 entries each in strong_refinements
-# (281 hits) and weak_coarsenings, and none in the shuffle memos.
+# Every memo of the package, six, in the order they are made: the two
+# refinements here, both shuffle engines, realize_M and realize_L;
+# clear_caches() empties them.  The axiom suite at n+m <= 5 fills 192 entries
+# in strong_refinements (281 hits), and none in the shuffle memos.
 _MEMOS: list = []
 
 
@@ -424,7 +424,6 @@ def weak_refinements(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     return _refinements(alpha, True)
 
 
-@_memo
 def weak_coarsenings(alpha: DottedComposition) -> tuple[DottedComposition, ...]:
     """All gamma with alpha <= gamma in the weak order, sorted.  Each block
     structure gives its own gamma: blocks A and a longer A' from one start

@@ -10,9 +10,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from ._livetable import _live_moves, _new_circle_row
 from .algebra import Expr
-from .composition import DottedComposition, DottedPart, _as_int, _coerce_part, _end, _scan
+from .composition import _PARTS, DottedComposition, DottedPart, _as_int, _coerce_part, _end, _scan
 from .realize import SuperPolynomial, _check_nvars
-from .shuffles import DottedPermutation, comp_of_word
 
 
 class NotDotStandardError(ValueError):
@@ -458,21 +457,25 @@ def inv_sign(tab: STableau) -> int:
 
 
 def comp_of_tableau(tab: STableau) -> DottedComposition:
-    """Descent composition of a dot-standard s-tableau: that of the dotted
-    word whose non-dotted letters fall as their rows rise, with ties in
-    letter order."""
+    """Descent composition of a dot-standard s-tableau: a dotted letter is a
+    part of its own, and a non-dotted letter joins the open run when its
+    cell is in a row at or above the last letter's, as schur_to_L glues."""
     if not tab.is_dot_standard():
         raise NotDotStandardError("every non-dotted weight entry must equal 1")
-    wt = tab.weight
-    n = len(wt)
     rows = {letter: r for (r, _c), letter in tab.cells}
-    depth = max(rows.values(), default=0) + 1
-    return comp_of_word(
-        DottedPermutation(
-            p if p.dotted else DottedPart((depth - rows[i]) * n + i, False)
-            for i, p in enumerate(wt, start=1)
-        )
-    )
+    parts: list[DottedPart] = []
+    run = last = 0
+    for i, p in enumerate(tab.weight, start=1):
+        if run and (p.dotted or rows[i] > last):
+            parts.append(DottedPart(run, False))
+            run = 0
+        if p.dotted:
+            parts.append(p)
+        else:
+            run, last = run + 1, rows[i]
+    if run:
+        parts.append(DottedPart(run, False))
+    return DottedComposition._of(parts)
 
 
 def standardize(tab: STableau) -> STableau:
@@ -542,12 +545,13 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     row <= the prefix's last row).  A new circle letter is the largest so far,
     so it adds one inversion per filled circle below it; the circles of the
     inner shape stay unfilled.  A suffix's composition is one int inside the
-    walk, its parts the digits in base 2*degree+2, the first part lowest: 2k
-    for a non-dotted part k, 2v+1 for the dotted part dv.  Each state reads
-    its moves from the call's _live_moves table, built backward from outer,
-    which holds only moves onto live states and no dead state: every state
-    the walk enters counts at least one suffix.  That table and the memo of
-    walk states live for one call.
+    walk, its digits the ranks of its parts (see DottedPart) in base
+    2*degree+4, above the rank of the plain part |outer|, the first part
+    lowest: a cell prefixes 5, the part 1, a dotted k-strip 2k+2, and a glued
+    cell adds 2.  Each state reads its moves from the call's _live_moves
+    table, built backward from outer, which holds only moves onto live states
+    and no dead state: every state the walk enters counts at least one
+    suffix.  That table and the memo of walk states live for one call.
 
     With an inner shape, this is the tableau sum with each tableau's own
     sign.  It is not the coefficient of s_inner in the coproduct of s_outer,
@@ -556,7 +560,7 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
     nonzero skew pairs of degree <= 6 the two agree on 2,206, are opposite
     on 309 and differ otherwise on 50."""
     _require_inside(outer, inner)
-    base = 2 * outer.degree + 2
+    base = 2 * outer.degree + 4
     moves = _live_moves(outer, inner)
 
     @functools.cache
@@ -570,38 +574,33 @@ def schur_to_L(outer: Superpartition, inner: Superpartition = EMPTY_SHAPE) -> Ex
             out = glued if last is not None and row <= last else free
             sub_free, sub_glued = walk(new, new_rows, filled, row)
             for key, c in sub_free.items():
-                key = key * base + 2
+                key = key * base + 5
                 out[key] = out.get(key, 0) + c
             for key, c in sub_glued.items():
                 key += 2
                 out[key] = out.get(key, 0) + c
         for size, new, new_rows, idx in dotted:
-            digit = 2 * size + 1
+            rank = 2 * size + 2
             below = filled & ((1 << idx) - 1)
             sign = -1 if below.bit_count() & 1 else 1
             sub_free, _ = walk(
                 new, new_rows, below | (1 << idx) | (filled >> idx) << (idx + 1), None
             )
             for key, c in sub_free.items():
-                key = key * base + digit
+                key = key * base + rank
                 free[key] = free.get(key, 0) + sign * c
         return free, glued
 
     free, _ = walk(*inner, 0, None)
     del walk  # walk reaches itself through its closure: free the walk now
-    # each digit's part by list index, a twentieth of a DottedPart call
-    part_of = [None] * base
     terms = {}
     for key, c in free.items():
         if not c:
             continue
         parts = []
         while key:
-            key, digit = divmod(key, base)
-            part = part_of[digit]
-            if part is None:
-                part = part_of[digit] = DottedPart(digit >> 1, digit & 1 == 1)
-            parts.append(part)
+            key, rank = divmod(key, base)
+            parts.append(_PARTS[rank])
         terms[DottedComposition._of(parts)] = c
     # the coefficients are nonzero ints
     return Expr._wrap("L", terms)

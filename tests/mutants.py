@@ -8,8 +8,10 @@ query catalogue that some tests read) and pyproject.toml into a temporary
 directory.  For every mutant it applies that one change there and runs the
 mutant's test in a fresh interpreter; only if that test passes does it run
 the whole test subset named for the mutated file.  A failing test kills the
-mutant; a passing subset lets it survive.  Each line reports the verdict,
-whether the named test or only the subset killed it, and the time taken.
+mutant, and so does a named test whose module the mutant breaks at import
+(pytest exits 4 then, finding no collectors for the node id); a passing
+subset lets it survive.  Each line reports the verdict, whether the named
+test or only the subset killed it, and the time taken.
 Every pytest child runs under a 2 GiB address-space limit, set in that child
 only, so a mutant that runs away on a large input fails with MemoryError,
 which kills it, and its line says so.
@@ -655,6 +657,34 @@ MUTANTS = [
         "the inner shape's circles stay unfilled, so a new circle's sign counts no inner circle",
         "tests/test_superschur.py::TestSkewConvention::test_the_skew_is_the_tableau_sum_not_the_coproduct_coefficient",
     ),
+    (
+        "superschur.py",
+        "base = 2 * outer.degree + 4",
+        "base = 2 * outer.degree + 3",
+        "a suffix key's base lies above the rank 2*degree+3 of the plain part |outer|",
+        "tests/test_schur_walk.py::test_long_rows_put_large_ranks_at_the_top_digits",
+    ),
+    (
+        "superschur.py",
+        "key = key * base + 5",
+        "key = key * base + 3",
+        "a one-cell letter prefixes the rank of the part 1, 5, not that of a plain 0",
+        "tests/test_superschur.py::TestSchurToL::test_example_6_3",
+    ),
+    (
+        "superschur.py",
+        "rank = 2 * size + 2",
+        "rank = 2 * size + 1",
+        "a dotted k-strip prefixes the rank of dk, 2k+2, not that of a plain k-1",
+        "tests/test_superschur.py::TestSchurToL::test_bidegrees",
+    ),
+    (
+        "superschur.py",
+        "rows[i] > last",
+        "rows[i] >= last",
+        "a non-dotted letter in the row of the last one joins its run, as the counting walk glues",
+        "tests/test_shuffle_walk.py::test_comp_of_tableau_matches_the_oracle_up_to_six",
+    ),
 ]
 
 
@@ -673,11 +703,12 @@ def limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-def run_subset(tree: Path, tests: list[str]) -> tuple[int, float, bool]:
+def run_subset(tree: Path, tests: list[str]) -> tuple[int, float, bool, str]:
     """Run the tests in `tree` under the memory limit and return pytest's
-    exit code (1 after a hang), the time, and whether the run failed out of
-    memory: it raised MemoryError after its resident set passed half the
-    limit, which a test that raises MemoryError itself does not reach."""
+    exit code (1 after a hang), the time, whether the run failed out of
+    memory (it raised MemoryError after its resident set passed half the
+    limit, which a test that raises MemoryError itself does not reach), and
+    its output."""
     # -B: no bytecode is written, so no module compiled from a mutant is
     # ever read back for the restored source
     command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
@@ -699,12 +730,23 @@ def run_subset(tree: Path, tests: list[str]) -> tuple[int, float, bool]:
             timer.cancel()
         child.returncode = code = os.waitstatus_to_exitcode(status)
         log.seek(0)
-        raised = b"MemoryError" in log.read()
+        output = log.read().decode(errors="replace")
     took = time.perf_counter() - start
     if took >= TIMEOUT_S:  # the timer killed a hang
         code = 1
-    out_of_memory = code != 0 and raised and usage.ru_maxrss << 10 > MEMORY_LIMIT // 2
-    return code, took, out_of_memory
+    out_of_memory = (
+        code != 0 and "MemoryError" in output and usage.ru_maxrss << 10 > MEMORY_LIMIT // 2
+    )
+    return code, took, out_of_memory, output
+
+
+def broke_collection(code: int, output: str, test: str) -> bool:
+    """Whether pytest exited 4, finding no collectors for the node id `test`,
+    because the test's module failed to collect.  The unmutated run of the
+    named tests has shown that every node id collects, so the mutant broke
+    the module at import, which kills it."""
+    module = test.partition("::")[0]
+    return code == 4 and f"ERROR collecting {module} " in output
 
 
 def main() -> int:
@@ -718,12 +760,12 @@ def main() -> int:
         shutil.copy(ROOT / "pyproject.toml", tree)
         package = tree / "src" / "superqsym"
         for name, tests in SUBSETS.items():
-            code, took, _ = run_subset(tree, tests)
+            code, took, _, _ = run_subset(tree, tests)
             print(f"unmutated {name}: {'pass' if code == 0 else 'FAIL'} {took:.1f}s")
             failed |= code != 0
         # a named test that passes only after the rest of its subset would
         # kill every mutant; one that is not found fails here too
-        code, took, _ = run_subset(tree, sorted({m[4] for m in MUTANTS}))
+        code, took, _, _ = run_subset(tree, sorted({m[4] for m in MUTANTS}))
         print(f"unmutated named tests: {'pass' if code == 0 else 'FAIL'} {took:.1f}s")
         failed |= code != 0
         if failed:
@@ -741,17 +783,20 @@ def main() -> int:
                 mutated = mutated.replace(o, n)
             path.write_text(mutated)
             try:
-                code, took, out_of_memory = run_subset(tree, [test])
+                code, took, out_of_memory, output = run_subset(tree, [test])
                 by = "its test"
-                if code == 0:
-                    code, rest, out_of_memory = run_subset(tree, SUBSETS[name])
+                if broke_collection(code, output, test):
+                    code, by = 2, "breaking collection"
+                elif code == 0:
+                    code, rest, out_of_memory, _ = run_subset(tree, SUBSETS[name])
                     took += rest
                     by = "the subset"
             finally:
                 path.write_text(source)
             if out_of_memory:
                 by += f" out of memory (MemoryError under {MEMORY_LIMIT >> 30} GiB)"
-            # 1: a test failed; 2: the mutant broke collection
+            # 1: a test failed; 2: the mutant broke collection, as does a 4
+            # that broke_collection read; any other code is an error
             verdict = {0: "SURVIVED", 1: f"killed by {by}", 2: f"killed by {by}"}.get(
                 code, f"ERROR {code}"
             )

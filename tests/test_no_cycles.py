@@ -55,7 +55,7 @@ CALLS = {
     "fundamental_paths": lambda: shuffles.fundamental_paths(A, B),
     "fundamental_product": lambda: shuffles.fundamental_product.__wrapped__(A, B),
     "overlapping_shuffles": lambda: shuffles.overlapping_shuffles.__wrapped__(A, B),
-    "weak_coarsenings": lambda: composition.weak_coarsenings.__wrapped__(A),
+    "weak_coarsenings": lambda: composition.weak_coarsenings(A),
     "compositions_of": lambda: composition.compositions_of(3, 2),
     "realize_expr": lambda: realize.realize_expr(Expr.basis_element("L", A), 3),
     "realize_s": lambda: superschur.realize_s(SHAPE, EMPTY_SHAPE, 3),

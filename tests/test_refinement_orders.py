@@ -63,7 +63,7 @@ def test_enumerators_build_each_part_once_per_call():
     listings = (
         compositions_of(12, 1),
         compositions_with_total(10, 3),
-        weak_coarsenings.__wrapped__(column),
+        weak_coarsenings(column),
     )
     for found in listings:
         parts = [p for alpha in found for p in alpha]

@@ -17,7 +17,7 @@ import strip_oracle
 import tableau_oracle
 from superqsym import _livetable, superschur
 from superqsym.algebra import Expr
-from superqsym.composition import DottedPart
+from superqsym.composition import _PARTS, DottedComposition, DottedPart
 from superqsym.superschur import (
     EMPTY_SHAPE,
     Superpartition,
@@ -33,12 +33,12 @@ from superqsym.superschur import (
 )
 
 
-def enumerated(outer, inner=EMPTY_SHAPE):
+def enumerated(outer, inner=EMPTY_SHAPE, listing=tableau_oracle.dot_standard_tableaux):
     """The signed sum of L_comp(T) over the dot-standard tableaux, listed by
-    the unpruned oracle walk, which shares no live-state table with
-    schur_to_L."""
+    default by the unpruned oracle walk, which shares no live-state table
+    with schur_to_L."""
     out = {}
-    for tab in tableau_oracle.dot_standard_tableaux(outer, inner):
+    for tab in listing(outer, inner):
         key = comp_of_tableau(tab)
         out[key] = out.get(key, 0) + tab.sign()
     return Expr("L", out)
@@ -60,6 +60,33 @@ def test_straight_shapes_up_to_six():
     zero fails the equality."""
     for lam in shapes(6):
         assert schur_to_L(lam) == enumerated(lam), lam
+
+
+def test_long_rows_put_large_ranks_at_the_top_digits():
+    """A suffix key's digits are part ranks in base 2*degree+4: these shapes
+    put the plain part |shape| (rank base-1), large dotted parts and long
+    glued runs at the top digits of bases up to 124, past the degree <= 7
+    shapes of the digests.  The tableaux are the package's own listing: the
+    unpruned oracle walk takes minutes on these rows."""
+    for k in range(1, 61):
+        for lam in (
+            Superpartition((), (k,)),
+            Superpartition((k,), ()),
+            Superpartition((k, 0), ()),
+            Superpartition((k - 1,), (1,)),
+        ):
+            assert schur_to_L(lam) == enumerated(lam, listing=dot_standard_tableaux), lam
+
+
+def test_comp_of_tableau_adds_only_its_own_parts():
+    """comp_of_tableau builds the parts of its answer and no other: the
+    1,200-cell row's one tableau adds at most the part 1200 to the
+    process-wide part table, which never shrinks."""
+    row = Superpartition((), (1200,))
+    (tab,) = enumerate_s_tableaux(row, EMPTY_SHAPE, [1] * 1200)
+    before = len(_PARTS)
+    assert comp_of_tableau(tab) == DottedComposition([1200])
+    assert len(_PARTS) - before <= 1
 
 
 def skew_pairs(size):

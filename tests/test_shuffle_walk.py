@@ -96,10 +96,14 @@ def test_comp_of_word_matches_the_oracle(pair):
 
 
 def test_comp_of_tableau_matches_the_oracle_up_to_six():
-    shapes = [lam for m in range(7) for d in range(7 - m) for lam in superpartitions(d, m)]
+    """Every dot-standard tableau of degree <= 6 with at most 3 circles."""
+    shapes = [lam for d in range(7) for m in range(4) for lam in superpartitions(d, m)]
+    count = 0
     for lam in shapes:
         for tab in dot_standard_tableaux(lam, EMPTY_SHAPE):
             assert comp_of_tableau(tab) == oracle.comp_of_tableau(tab), tab
+            count += 1
+    assert count == 6720
 
 
 # every pair with combined n+m <= 7, any number of dots
